@@ -6,19 +6,20 @@ Everything downstream (Hom spaces, criteria, enumeration cross-checks)
 reduces to the rank / kernel / solve routines here, so there is no floating
 point anywhere in this package.
 
-Prime-field elimination has a vectorized integer backend (numpy int64 with
-explicit modular reduction, which is exact); the rationals and small
-extension fields use the generic elimination.  Both paths produce the same
-reduced row echelon form, pivoting on the first nonzero entry in column
-order.
+One Gauss-Jordan loop serves every field and every elimination (rref,
+rank, kernel, solve, determinant), pivoting on the first nonzero entry in
+column order; one loop serves the matrix product.  The only per-field code
+is three row operations that each FieldSpec chooses once: ``dot``,
+``scale`` and ``axpy``, using ``% p`` for prime fields, Fraction arithmetic
+for the rationals and the :mod:`gflin` tables for extension fields.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
 
 from .gflin import factor_prime_power, gfq, is_prime
 
@@ -163,8 +164,65 @@ class FieldSpec:
             return n % self.characteristic
         return self._gf().from_int(n)
 
+    # -- row operations -------------------------------------------------
+
+    @cached_property
+    def row_ops(self):
+        """The (dot, scale, axpy) row operations of this field.
+
+        dot(x, y) is the inner product, scale(c, x) the row c*x and
+        axpy(a, x, y) the row a*x + y; rows in, lists out.
+        """
+        if self.is_rationals:
+            zero = Fraction(0)
+
+            def dot(x, y):
+                return sum([a * b for a, b in zip(x, y) if a and b], zero)
+
+            def scale(c, x):
+                return [c * v if v else v for v in x]
+
+            def axpy(a, x, y):
+                return [a * u + v if u else v for u, v in zip(x, y)]
+
+        elif self.degree == 1:
+            p = self.characteristic
+            mul = operator.mul
+
+            def dot(x, y):
+                return sum(map(mul, x, y)) % p
+
+            def scale(c, x):
+                return [c * v % p for v in x]
+
+            def axpy(a, x, y):
+                return [(a * u + v) % p if u else v for u, v in zip(x, y)]
+
+        else:
+            add, mul = self._gf().add_table, self._gf().mul_table
+
+            def dot(x, y):
+                acc = 0
+                for a, b in zip(x, y):
+                    if a and b:
+                        acc = add[acc][mul[a][b]]
+                return acc
+
+            def scale(c, x):
+                mc = mul[c]
+                return [mc[v] for v in x]
+
+            def axpy(a, x, y):
+                ma = mul[a]
+                return [add[ma[u]][v] for u, v in zip(x, y)]
+
+        return dot, scale, axpy
+
     def coerce(self, value):
-        """Canonicalize a scalar given as int, Fraction, or string."""
+        """Canonicalize a scalar given as int, Fraction, or string.
+
+        Raises ValueError for anything that is not a scalar of this field.
+        """
         if isinstance(value, str):
             return self.parse_scalar(value)
         if self.is_rationals:
@@ -172,9 +230,9 @@ class FieldSpec:
                 return value
             if isinstance(value, int):
                 return Fraction(value)
-            raise TypeError(f"not a rational scalar: {value!r}")
+            raise ValueError(f"not a rational scalar: {value!r}")
         if not isinstance(value, int):
-            raise TypeError(f"finite field scalar must be an integer: {value!r}")
+            raise ValueError(f"finite field scalar must be an integer: {value!r}")
         if 0 <= value < self.order:
             return value
         return self.from_int(value)
@@ -199,7 +257,10 @@ class FieldSpec:
 
     def parse_scalar(self, s: str):
         if self.is_rationals:
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in scalar {s!r}") from None
         return self.coerce(int(s))
 
 
@@ -241,10 +302,6 @@ class Matrix:
         self.ncols = width
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        return cls(field, rows)
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
@@ -373,35 +430,14 @@ class Matrix:
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in product: {self.shape} @ {other.shape}")
-        f = self.field
-        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
-            return Matrix.zeros(f, self.nrows, other.ncols)
-        if f.is_prime_field:
-            p = f.characteristic
-            # Guard against int64 overflow of the inner-product accumulation.
-            if self.ncols * (p - 1) * (p - 1) < 2**62:
-                a = np.array(self.rows, dtype=np.int64)
-                b = np.array(other.rows, dtype=np.int64)
-                c = (a @ b) % p
-                return Matrix(
-                    f,
-                    tuple(tuple(int(x) for x in row) for row in c),
-                    validate=False,
-                    ncols=other.ncols,
-                )
-        add, mul, zero = f.add, f.mul, f.zero
-        bt = other.transpose().rows
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in bt:
-                acc = zero
-                for x, y in zip(r, c):
-                    if x != zero and y != zero:
-                        acc = add(acc, mul(x, y))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(f, tuple(out), validate=False, ncols=other.ncols)
+        dot = self.field.row_ops[0]
+        cols = other.transpose().rows
+        return Matrix(
+            self.field,
+            tuple(tuple([dot(r, c) for c in cols]) for r in self.rows),
+            validate=False,
+            ncols=other.ncols,
+        )
 
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
@@ -471,21 +507,8 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns."""
-        f = self.field
-        if self.nrows == 0 or self.ncols == 0:
-            return self, ()
-        if f.is_prime_field:
-            arr = np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
-            arr, pivots = _rref_mod_p(f.characteristic, arr)
-            mat = Matrix(
-                f,
-                tuple(tuple(int(x) for x in row) for row in arr),
-                validate=False,
-                ncols=self.ncols,
-            )
-            return mat, pivots
-        rows, pivots = _rref_generic(f, [list(r) for r in self.rows])
-        return Matrix(f, tuple(tuple(r) for r in rows), validate=False, ncols=self.ncols), pivots
+        rows, pivots, _ = _eliminate(self.field, self.rows)
+        return Matrix(self.field, tuple(map(tuple, rows)), validate=False, ncols=self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -541,36 +564,13 @@ class Matrix:
             cols.append(x)
         return Matrix.from_cols(f, cols, nrows=self.ncols)
 
-    def column_space_pivots(self) -> tuple[int, ...]:
-        return self.rref()[1]
-
     def det(self):
+        """Determinant: the signed product of the pivots."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         f = self.field
-        mat = [list(r) for r in self.rows]
-        n = self.nrows
-        sign_flip = False
-        det = f.one
-        for col in range(n):
-            pr = None
-            for r in range(col, n):
-                if mat[r][col] != f.zero:
-                    pr = r
-                    break
-            if pr is None:
-                return f.zero
-            if pr != col:
-                mat[col], mat[pr] = mat[pr], mat[col]
-                sign_flip = not sign_flip
-            pivot = mat[col][col]
-            det = f.mul(det, pivot)
-            inv = f.inv(pivot)
-            for r in range(col + 1, n):
-                if mat[r][col] != f.zero:
-                    c = f.mul(mat[r][col], inv)
-                    mat[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(mat[r], mat[col])]
-        return f.neg(det) if sign_flip else det
+        _, pivots, det = _eliminate(f, self.rows)
+        return det if len(pivots) == self.nrows else f.zero
 
     # -- change of field --------------------------------------------------
 
@@ -601,61 +601,47 @@ class Matrix:
         raise ValueError(f"cannot move matrix from {self.field} to {new_field}")
 
 
-def _rref_mod_p(p: int, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    a = a % p
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+def _eliminate(f: FieldSpec, rows) -> tuple[list, tuple[int, ...], object]:
+    """Gauss-Jordan elimination to reduced row echelon form.
 
-
-def _rref_generic(f: FieldSpec, mat: list[list]) -> tuple[list[list], tuple[int, ...]]:
+    Pivots on the first nonzero entry in column order.  Returns the reduced
+    rows, the pivot columns, and the product of the pivots signed by the row
+    swaps, which is the determinant when the matrix is square of full rank.
+    """
+    _, scale, axpy = f.row_ops
+    mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
+    one = f.one
+    det = one
     pivots = []
     r = 0
-    zero = f.zero
     for c in range(ncols):
         if r == nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c] != zero:
-                pr = i
+        for pr in range(r, nrows):
+            if mat[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         if pr != r:
             mat[r], mat[pr] = mat[pr], mat[r]
-        inv = f.inv(mat[r][c])
-        if inv != f.one:
-            mat[r] = [f.mul(inv, x) for x in mat[r]]
+            det = f.neg(det)
+        # Rows r.. vanish left of column c, so row operations start there.
         prow = mat[r]
+        pivot = prow[c]
+        if pivot != one:
+            det = f.mul(det, pivot)
+            prow[c:] = scale(f.inv(pivot), prow[c:])
+        tail = prow[c:]
         for i in range(nrows):
-            if i != r and mat[i][c] != zero:
-                coef = mat[i][c]
-                mat[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(mat[i], prow)]
+            row = mat[i]
+            coef = row[c]
+            if coef and i != r:
+                row[c:] = axpy(f.neg(coef), tail, row[c:])
         pivots.append(c)
         r += 1
-    return mat, tuple(pivots)
+    return mat, tuple(pivots), det
 
 
 # ----------------------------------------------------------------------

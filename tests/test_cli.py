@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quiverrep
 from quiverrep.cli import main
-from quiverrep.exactlin import GF, QQ
+from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import d4_x, kronecker3_g, kronecker3_m
 from quiverrep.quiver import a_n, save_quiver
-from quiverrep.rep import Representation, load_morphism, load_rep, save_rep, simple
+from quiverrep.rep import Representation, load_morphism, load_rep, rep_to_json, save_rep, simple
 
 
 def write_rep(tmp_path, name, rep):
@@ -204,3 +209,20 @@ def test_input_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["hom", str(bad), str(bad)]) == 3
     assert main(["no-such-command"]) == 3
+
+
+def test_malformed_scalars_exit_3(tmp_path, capsys):
+    data = rep_to_json(Representation(a_n(2), QQ, (1, 1), [Matrix.identity(QQ, 1)]))
+    for field, entry in (("Q", "1/0"), ("F_2", 1.5)):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data | {"field": field, "matrices": [[[entry]]]}))
+        assert main(["hom", str(bad), str(bad)]) == 3
+        assert "error:" in capsys.readouterr().err
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(quiverrep.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, quiverrep, quiverrep.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

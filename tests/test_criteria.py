@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quiverrep import gflin
 from quiverrep.criteria import (
     CheckConfig,
     GrassmannianChecker,
@@ -15,6 +16,7 @@ from quiverrep.criteria import (
     check_nc2_random_surjections,
     is_semistable,
     min_slope,
+    _socle_rank_fn,
     path_order,
 )
 from quiverrep.dynkin import assemble
@@ -196,16 +198,37 @@ def test_nc2_failing_a2_example(table_a2_f2):
 
 def test_nc2_vector_and_subspace_modes_agree():
     rng = random.Random(5)
-    for _ in range(12):
-        dn = tuple(rng.randint(0, 2) for _ in range(2))
-        dm = tuple(rng.randint(0, 2) for _ in range(2))
-        n = random_representation(A2, dn, F2, seed=rng.randrange(10**6))
-        m = random_representation(A2, dm, F2, seed=rng.randrange(10**6))
-        v1 = check_nc2(n, m, CheckConfig(mode="subspaces"))
-        v2 = check_nc2(n, m, CheckConfig(mode="vectors"))
-        assert v1.holds == v2.holds
-        if not v1.holds:
-            assert v1.witness["vertex"] == v2.witness["vertex"]
+    for f in (F2, F3):
+        for _ in range(12):
+            dn = tuple(rng.randint(0, 2) for _ in range(2))
+            dm = tuple(rng.randint(0, 2) for _ in range(2))
+            n = random_representation(A2, dn, f, seed=rng.randrange(10**6))
+            m = random_representation(A2, dm, f, seed=rng.randrange(10**6))
+            v1 = check_nc2(n, m, CheckConfig(mode="subspaces"))
+            v2 = check_nc2(n, m, CheckConfig(mode="vectors"))
+            assert v1.holds == v2.holds
+            if not v1.holds:
+                assert v1.witness["vertex"] == v2.witness["vertex"]
+
+
+def test_socle_rank_matches_its_definition():
+    rng = random.Random(21)
+    for q in (2, 3, 4):
+        f, gf = GF(q), gflin.gfq(q)
+        for _ in range(12):
+            s, y = rng.randint(1, 3), rng.randint(0, 3)
+
+            def act():
+                return Matrix(f, [[rng.randrange(q) for _ in range(s)] for _ in range(y)], ncols=s)
+
+            acts = [act() for _ in range(rng.randint(1, 3))]
+            acts += [Matrix.zeros(f, y, s), acts[0] + acts[-1]]  # zero and dependent A_b
+            rank = _socle_rank_fn(f, acts)
+            # classes of every dimension share RREF rows, so the memo is reused
+            for l in range(1, s + 1):
+                for coeffs in gflin.enumerate_rref(gf, s, l):
+                    ut = Matrix(f, coeffs).transpose()
+                    assert rank(coeffs) == Matrix.hstack([a @ ut for a in acts]).rank()
 
 
 def test_nc2_sampling_mode_on_rationals():

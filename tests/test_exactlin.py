@@ -14,6 +14,7 @@ from quiverrep.exactlin import (
     rank_fraction_free,
     solve,
 )
+from quiverrep.gflin import gfq, rref_rows
 
 
 def test_identity_rank():
@@ -93,7 +94,7 @@ def test_rank_transpose_invariant():
 
 def test_rank_nullity():
     rng = random.Random(4)
-    for q in (2, 5):
+    for q in (2, 5, 4, 9, 2**31 - 1):
         f = GF(q)
         for _ in range(25):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
@@ -111,24 +112,24 @@ def test_fraction_free_rank_matches_field_rank():
 
 def test_bareiss_det_matches_field_det():
     rng = random.Random(10)
-    for n in (1, 2, 3, 4):
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    cases = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 4)]
+    cases += [[[1, 2], [2, 4]], [[0, 1], [1, 0]]]  # singular; needs a row swap
+    for rows in cases:
         assert Fraction(det_bareiss(rows)) == Matrix(QQ, rows).det()
+        for p in (2, 7, 2**31 - 1):
+            assert det_bareiss(rows) % p == Matrix(GF(p), rows).det()
 
 
-def test_prime_and_generic_elimination_agree():
+def test_rref_matches_gflin_oracle():
     rng = random.Random(13)
-    f = GF(7)
-    for _ in range(20):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randrange(7) for _ in range(nc)] for _ in range(nr)]
-        m = Matrix(f, rows)
-        red_np, piv_np = m.rref()
-        from quiverrep.exactlin import _rref_generic
-
-        red_py, piv_py = _rref_generic(f, [list(r) for r in rows])
-        assert piv_np == piv_py
-        assert [list(r) for r in red_np.rows] == [list(r) for r in red_py]
+    for q in (2, 7, 4, 9):
+        f, gf = GF(q), gfq(q)
+        for _ in range(20):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)]
+            red, pivots = Matrix(f, rows).rref()
+            assert red.rows[: len(pivots)] == rref_rows(gf, rows)
+            assert all(not any(r) for r in red.rows[len(pivots) :])
 
 
 def test_rationals_stay_reduced():
