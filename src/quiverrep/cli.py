@@ -239,7 +239,7 @@ def cmd_count_poly(args, config: RunConfig) -> int:
     _emit(
         config,
         lines,
-        {"samples": gc.samples, "poly": gc.poly, "rejected": gc.rejected},
+        {"samples": gc.samples, "poly": gc.poly, "rejected": gc.rejected, "visits": gc.visits},
     )
     return EXIT_HOLDS
 

@@ -11,12 +11,21 @@ assigned: it must contain the forced span of the incoming images and lie in
 the intersection of the outgoing preimages, so each leaf of the search is a
 subrepresentation and infeasible branches die at a dimension count.  A
 composite-path rank prune rejects impossible dimension vectors up front.
+
+Once a single vertex v is left, every arrow at v has both endpoints
+assigned, so the sandwich span(w) <= U <= span(w) + span(complement) is
+exact: the admissible U at v are precisely the subspaces between the two
+bounds, and there are [len(complement), e_v - w]_q of them (a Gaussian
+binomial).  ``count`` adds that number instead of building each U, and
+charges the budget one visit per U, as enumerating them would; visits
+therefore still count echelon patterns whichever operation ran.  The other
+operations need the rows of each leaf, or stop at the first one, so they
+still enumerate the last vertex.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -29,14 +38,14 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when enumeration would visit more echelon patterns than allowed."""
+    """Raised when enumeration visits more echelon patterns than allowed."""
 
-    def __init__(self, estimate: int, budget: int):
+    def __init__(self, visits: int, budget: int):
         super().__init__(
-            f"enumeration budget exceeded: about {estimate} echelon patterns, budget {budget}; "
+            f"enumeration budget exceeded: {visits} echelon patterns visited, budget {budget}; "
             "shrink q, the dimensions, or raise the budget"
         )
-        self.estimate = estimate
+        self.visits = visits
         self.budget = budget
 
 
@@ -116,11 +125,10 @@ class SubrepOracle:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _naive_estimate(self, e: DimVector) -> int:
-        prod = 1
-        for d, k in zip(self.m.dims, e):
-            prod *= gflin.gaussian_binomial(d, k, self.gf.q)
-        return prod
+    @property
+    def visits(self) -> int:
+        """Echelon-pattern visits charged by the last public operation."""
+        return self._visits
 
     def _charge(self, n: int = 1) -> None:
         self._visits += n
@@ -189,8 +197,13 @@ class SubrepOracle:
             rows = gflin.matmul_rows(gf, coeffs, comp)
             yield gflin.rref_rows(gf, w_rows + rows)
 
-    def _dfs(self, e: DimVector, collect, early_exit: bool) -> bool:
-        """Most-constrained-vertex-first search; True if anything found."""
+    def _dfs(self, e: DimVector, collect, early_exit: bool, tally=None) -> bool:
+        """Most-constrained-vertex-first search; True if anything found.
+
+        With ``tally``, the last unassigned vertex is counted rather than
+        enumerated: its sandwich is exact, so ``tally(branch)`` stands for
+        ``branch`` leaves, and ``branch`` visits are charged.
+        """
         nverts = self.q.vertex_count
         found = False
 
@@ -198,6 +211,15 @@ class SubrepOracle:
             nonlocal found
             if len(chosen) == nverts:
                 collect(chosen)
+                found = True
+                return early_exit
+            if tally is not None and len(chosen) == nverts - 1:
+                v = next(u for u in range(nverts) if u not in chosen)
+                branch = self._sandwich(v, e[v], chosen)[2]
+                if branch == 0:
+                    return False
+                self._charge(branch)
+                tally(branch)
                 found = True
                 return early_exit
             best = None
@@ -229,13 +251,10 @@ class SubrepOracle:
         """All subrepresentations of dimension vector e, as per-vertex
         column bases; every returned tuple passes an arrow-stability
         recheck."""
+        self._visits = 0
         e = check_dimvector(self.q, e)
         if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
             return []
-        estimate = self._naive_estimate(e)
-        if estimate > self.budget:
-            raise BudgetExceeded(estimate, self.budget)
-        self._visits = 0
         out = []
 
         def collect(chosen):
@@ -250,34 +269,33 @@ class SubrepOracle:
         return results
 
     def count(self, e: DimVector) -> int:
+        """Number of subrepresentations of dimension vector e."""
+        self._visits = 0
         e = check_dimvector(self.q, e)
         if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
             return 0
-        self._visits = 0
         n = 0
 
-        def collect(_):
+        def tally(k: int) -> None:
             nonlocal n
-            n += 1
+            n += k
 
-        self._dfs(e, collect, early_exit=False)
+        self._dfs(e, lambda _: tally(1), early_exit=False, tally=tally)
         return n
 
     def nonempty(self, e: DimVector) -> bool:
-        e = check_dimvector(self.q, e)
-        if not all(k <= d for k, d in zip(e, self.m.dims)):
-            return False
-        if self._path_prune_empty(e):
-            return False
         self._visits = 0
+        e = check_dimvector(self.q, e)
+        if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
+            return False
         return self._dfs(e, lambda chosen: None, early_exit=True)
 
     def first_subrep(self, e: DimVector):
         """Per-vertex column bases of the first subrepresentation found, or None."""
+        self._visits = 0
         e = check_dimvector(self.q, e)
         if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
             return None
-        self._visits = 0
         box: list = []
 
         def collect(chosen):
@@ -339,6 +357,8 @@ class GrassmannianCount:
     poly: list[int] | None = None
     rejected: list[int] = dc_field(default_factory=list)
     confirmed: bool = True
+    # (q, echelon-pattern visits charged to the budget), parallel to samples
+    visits: list[tuple[int, int]] = dc_field(default_factory=list)
 
     def poly_degree(self) -> int:
         if not self.poly:
@@ -426,14 +446,17 @@ def counting_poly(
     e = check_dimvector(m.quiver, e)
     end_q = hom_dim(m, m)
     samples: list[tuple[int, int]] = []
+    visits: list[tuple[int, int]] = []
     rejected: list[int] = []
     for q in sorted(set(int(q) for q in qs)):
         mq = m.change_field(FieldSpec.of_order(q))
         if hom_dim(mq, mq) != end_q:
             rejected.append(q)
             continue
-        samples.append((q, SubrepOracle(mq, budget).count(e)))
-    result = GrassmannianCount(m.dims, e, samples, rejected=rejected)
+        oracle = SubrepOracle(mq, budget)
+        samples.append((q, oracle.count(e)))
+        visits.append((q, oracle.visits))
+    result = GrassmannianCount(m.dims, e, samples, rejected=rejected, visits=visits)
     if len(samples) < 2:
         raise ValueError(f"not enough usable sample orders (got {len(samples)}): cannot fit")
     poly = _interpolate(samples)
@@ -476,15 +499,3 @@ def export_csv(gc: GrassmannianCount, path) -> None:
         writer.writerow([])
         writer.writerow(["polynomial", gc.poly_str()])
 
-
-def summary_json(gc: GrassmannianCount) -> str:
-    return json.dumps(
-        {
-            "dims": list(gc.dims),
-            "e": list(gc.e),
-            "samples": [[q, c] for q, c in gc.samples],
-            "rejected": gc.rejected,
-            "poly": gc.poly,
-            "poly_str": gc.poly_str(),
-        }
-    )

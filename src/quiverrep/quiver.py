@@ -239,6 +239,12 @@ def quiver_to_json(q: Quiver) -> dict:
 
 
 def quiver_from_json(data: dict) -> Quiver:
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(k), list) for k in ("vertices", "arrows")
+    ):
+        raise ValueError("a quiver must be a JSON object with lists 'vertices' and 'arrows'")
+    if not all(isinstance(a, list) and len(a) == 2 for a in data["arrows"]):
+        raise ValueError("each arrow must be a [source, target] pair")
     labels = [str(x) for x in data["vertices"]]
     index = {lab: i for i, lab in enumerate(labels)}
 

@@ -506,16 +506,25 @@ def rep_to_json(x: Representation) -> dict:
 
 
 def rep_from_json(data: dict) -> Representation:
+    """Parse a representation, raising ValueError on any malformed structure."""
+    if not isinstance(data, dict):
+        raise ValueError("a representation must be a JSON object")
     q = quiver_from_json(data["quiver"])
     field = FieldSpec.parse(data["field"])
-    dims = tuple(int(d) for d in data["dims"])
+    dims = data["dims"]
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ValueError("dims must be a list of integers")
+    dims = check_dimvector(q, dims)
+    matrices = data["matrices"]
+    if not isinstance(matrices, list) or len(matrices) != q.arrow_count:
+        raise ValueError(f"matrices must be a list of {q.arrow_count} matrices, one per arrow")
     mats = []
-    for (s, t), rows in zip(q.arrows, data["matrices"]):
-        if len(rows) != dims[t] or any(len(r) != dims[s] for r in rows):
-            raise ValueError("matrix shape disagrees with dims")
+    for (s, t), rows in zip(q.arrows, matrices):
+        if not isinstance(rows, list) or len(rows) != dims[t] or any(
+            not isinstance(r, list) or len(r) != dims[s] for r in rows
+        ):
+            raise ValueError(f"arrow ({s},{t}) needs a list of {dims[t]} rows of {dims[s]} entries")
         mats.append(Matrix(field, rows, ncols=dims[s]))
-    if len(data["matrices"]) != q.arrow_count:
-        raise ValueError("wrong number of matrices")
     return Representation(q, field, dims, mats)
 
 

@@ -44,6 +44,8 @@ from quiverrep.stable import (
     z_to_kronecker,
 )
 
+pytestmark = pytest.mark.slow
+
 F2, F3, F4, F5 = GF(2), GF(3), GF(4), GF(5)
 A3 = a_n(3)
 D4 = d4_subspace()

@@ -145,6 +145,35 @@ def test_enum_and_count_poly(tmp_path, capsys):
     assert "3 subrepresentation(s)" in capsys.readouterr().out
 
 
+def test_count_poly_json_reports_visits(tmp_path, capsys):
+    one_vertex = __import__("quiverrep.quiver", fromlist=["Quiver"]).Quiver(1, ())
+    p = write_rep(tmp_path, "p1.json", Representation(one_vertex, QQ, (2,), []))
+    assert main(["count-poly", p, "--e", "1", "--qs", "2,3,5", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["samples"] == [[2, 3], [3, 4], [5, 6]]
+    assert result["poly"] == [1, 1]
+    # one visit per line of P^1: the q + 1 points are the echelon patterns
+    assert result["visits"] == [[2, 3], [3, 4], [5, 6]]
+
+
+def test_malformed_representation_exits_3(tmp_path, capsys):
+    assert main(["fixtures", "--out", str(tmp_path / "fx")]) == 0
+    good = tmp_path / "fx" / "d4.x.json"
+    data = json.loads(good.read_text())
+    malformed = (
+        ("matrices-int.json", data | {"matrices": 5}),
+        ("wrapped.json", [data]),
+        ("quiver-int.json", data | {"quiver": 5}),
+    )
+    for name, bad_data in malformed:
+        bad = tmp_path / name
+        bad.write_text(json.dumps(bad_data))
+        assert main(["count-poly", str(bad), "--e", "1,1,1,1"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert main(["hom", str(bad), str(good)]) == 3
+        assert "error:" in capsys.readouterr().err
+
+
 def test_semistable_command(tmp_path, fixture_dir):
     mpath = str(fixture_dir / "kronecker3.m.json")
     assert main(["semistable", mpath, "--e", "2,1", "--q-enum", "2"]) == 0

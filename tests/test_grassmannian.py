@@ -242,3 +242,105 @@ def test_adaptive_search_matches_naive_enumeration():
             oracle = SubrepOracle(m)
             for e in itertools.product(*(range(d + 1) for d in dims)):
                 assert oracle.count(e) == _naive_count(m, e)
+
+
+def _zero_rep(q, dims, field):
+    from quiverrep.exactlin import Matrix
+
+    mats = [Matrix.zeros(field, dims[t], dims[s]) for s, t in q.arrows]
+    return Representation(q, field, dims, mats)
+
+
+def _leaf_counting_cases():
+    """A3, D4 and Kronecker(2) over F_2, F_3, F_4 and F_9: a seeded random
+    representation and one with zero arrows (whose counts are products of
+    Gaussian binomials), with every e in the box 0 <= e <= dim M."""
+    from quiverrep.quiver import d4_subspace
+
+    shapes = [(a_n(3), (1, 2, 1)), (d4_subspace(), (2, 1, 1, 1)), (kronecker(2), (2, 2))]
+    for q_order in (2, 3, 4, 9):
+        field = GF(q_order)
+        for seed, (q, dims) in enumerate(shapes):
+            for m in (random_representation(q, dims, field, seed=seed), _zero_rep(q, dims, field)):
+                for e in itertools.product(*(range(d + 1) for d in dims)):
+                    yield m, e
+
+
+def test_leaf_counting_matches_enumeration_and_naive():
+    seen = set()
+    for m, e in _leaf_counting_cases():
+        oracle = SubrepOracle(m)
+        n = oracle.count(e)
+        visits = oracle.visits
+        assert n == len(oracle.enumerate(e)) == _naive_count(m, e), (m.field, m.dims, e)
+        # count and enumerate charge the same echelon-pattern visits
+        assert oracle.visits == visits, (m.field, m.dims, e)
+        seen.add(sum(1 for k in e if k))
+    # e = 0, e supported on a single vertex, and wider supports up to e = dim M
+    assert {0, 1, 2, 3, 4} <= seen
+
+
+def test_budget_charges_exactly_the_visits_of_count():
+    charged = 0
+    for m, e in _leaf_counting_cases():
+        oracle = SubrepOracle(m)
+        n = oracle.count(e)
+        visits = oracle.visits
+        if visits == 0:
+            continue
+        charged += 1
+        assert SubrepOracle(m, budget=visits).count(e) == n
+        assert len(SubrepOracle(m, budget=visits).enumerate(e)) == n
+        with pytest.raises(BudgetExceeded):
+            SubrepOracle(m, budget=visits - 1).count(e)
+        with pytest.raises(BudgetExceeded):
+            SubrepOracle(m, budget=visits - 1).enumerate(e)
+    assert charged > 100
+
+
+def test_count_does_not_enumerate_the_last_vertex(monkeypatch):
+    # A2 with a line at vertex 0 mapping into F_3^6: vertex 0 is assigned
+    # first (branch 1), and the last vertex has the B = [5, 1]_3 = 121
+    # planes containing the image line.
+    from quiverrep.exactlin import Matrix
+
+    f3 = GF(3)
+    m = Representation(a_n(2), f3, (1, 6), [Matrix(f3, [[1], [0], [0], [0], [0], [0]])])
+    branch = gflin.gaussian_binomial(5, 1, 3)
+    assert branch >= 50
+    oracle = SubrepOracle(m)
+    calls = 0
+    real = gflin.matmul_rows
+
+    def counting_matmul(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(gflin, "matmul_rows", counting_matmul)
+    assert oracle.count((1, 2)) == branch
+    assert oracle.visits == branch + 1
+    assert calls < branch
+    assert len(oracle.enumerate((1, 2))) == branch
+
+
+def test_visit_counter_resets_on_pruned_queries():
+    from quiverrep.exactlin import Matrix
+
+    # identity on a line: (1, 0) dies at the path prune, (2, 1) exceeds dim M
+    m = Representation(a_n(2), F2, (1, 1), [Matrix.identity(F2, 1)])
+    oracle = SubrepOracle(m)
+    for op in (oracle.count, oracle.nonempty, oracle.first_subrep, oracle.enumerate):
+        for pruned in ((1, 0), (2, 1)):
+            op((1, 1))
+            assert oracle.visits > 0
+            op(pruned)
+            assert oracle.visits == 0, (op.__name__, pruned)
+
+
+def test_counting_poly_records_visits_per_order():
+    one_vertex = Quiver(1, ())
+    m = Representation(one_vertex, QQ, (2,), [])
+    gc = counting_poly(m, (1,), [2, 3, 5])
+    assert [q for q, _ in gc.visits] == [q for q, _ in gc.samples]
+    assert gc.visits == [(2, 3), (3, 4), (5, 6)]
