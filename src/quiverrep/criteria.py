@@ -662,21 +662,6 @@ def an_criterion(
     return verdict
 
 
-def _assignment_from_prefix(n_starts, m_starts):
-    """Greedy matching: each n-interval start gets the largest unused
-    m-interval start below it.  Succeeds exactly under the prefix sums."""
-    pool = sorted(m_starts)
-    assignment = []
-    for i in sorted(n_starts):
-        cands = [x for x in pool if x <= i]
-        if not cands:
-            return None
-        pick = cands[-1]
-        pool.remove(pick)
-        assignment.append((i, pick))
-    return assignment
-
-
 def _find_iso(a: Representation, b: Representation, seed: int, trials: int = 128) -> Morphism:
     """An isomorphism a -> b found by sampling Hom(a, b); requires a ~ b."""
     if a == b:

@@ -3,9 +3,8 @@ Hom-matrix decomposition, and generic representations."""
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .exactlin import FieldSpec, Matrix, QQ
@@ -22,6 +21,8 @@ from .quiver import (
 )
 from .rep import (
     Representation,
+    build_injective,
+    build_projective,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -32,17 +33,26 @@ from .rep import (
     zero_representation,
 )
 
-ROOT_ENTRY_BOUND = 6  # entries of ADE positive roots never exceed 6
-
-
 def positive_roots(q: Quiver) -> list[DimVector]:
-    """All d > 0 with <d, d> = 1, by bounded brute force; requires Dynkin."""
+    """All d > 0 with <d, d> = 1, sorted; requires Dynkin.
+
+    Grown level by level from the simple roots: for a positive root d and
+    a simple root s, d + s is a root exactly when (d, s) = <d,s> + <s,d>
+    is -1, and every positive root is reached this way.
+    """
     require_dynkin(q)
     n = q.vertex_count
-    roots = []
-    for d in itertools.product(range(ROOT_ENTRY_BOUND + 1), repeat=n):
-        if any(d) and euler_form(q, d, d) == 1:
-            roots.append(d)
+    simple = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+    roots: set[DimVector] = set()
+    level = set(simple)
+    while level:
+        roots |= level
+        level = {
+            tuple(x + y for x, y in zip(d, s))
+            for d in level
+            for s in simple
+            if euler_form(q, d, s) + euler_form(q, s, d) == -1
+        }
     return sorted(roots)
 
 
@@ -90,8 +100,10 @@ def indecomposable(
 class IndecomposableTable:
     """All indecomposables of a Dynkin quiver plus their Hom matrix.
 
-    hom_matrix[u][v] = dim Hom(reps[u], reps[v]); invertible over Q by
-    Auslander nondegeneracy.  Roots are kept in lexicographic order.
+    hom_matrix[u][v] = dim Hom(reps[u], reps[v]).  It is unitriangular in
+    an order refining Hom-nonvanishing, so its inverse is integral; the
+    table keeps that inverse and refuses to exist without it.  Roots are
+    kept in lexicographic order.
     """
 
     quiver: Quiver
@@ -99,6 +111,19 @@ class IndecomposableTable:
     roots: tuple[DimVector, ...]
     reps: tuple[Representation, ...]
     hom_matrix: tuple[tuple[int, ...], ...]
+    inverse_hom: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for i in range(self.size):
+            if self.hom_matrix[i][i] != 1:
+                raise RuntimeError("table invalid: an entry has End dimension != 1")
+            if self.ext_entry(i, i) != 0:
+                raise RuntimeError("table invalid: an entry has self-extensions")
+        hq = Matrix(QQ, [[Fraction(x) for x in row] for row in self.hom_matrix])
+        inv = hq.solve_matrix(Matrix.identity(QQ, self.size))
+        if inv is None or any(x.denominator != 1 for row in inv.rows for x in row):
+            raise RuntimeError("table invalid: Hom matrix has no integral inverse")
+        object.__setattr__(self, "inverse_hom", tuple(tuple(int(x) for x in row) for row in inv.rows))
 
     @property
     def size(self) -> int:
@@ -111,21 +136,13 @@ class IndecomposableTable:
         return self.hom_matrix[u][v] - euler_form(self.quiver, self.roots[u], self.roots[v])
 
     def projective_root_indices(self) -> tuple[int, ...]:
-        from .rep import build_projective
-
-        dims = {
-            build_projective(self.quiver, v, self.field).dims
-            for v in range(self.quiver.vertex_count)
-        }
-        return tuple(i for i, r in enumerate(self.roots) if r in dims)
+        return self._root_indices_of(build_projective)
 
     def injective_root_indices(self) -> tuple[int, ...]:
-        from .rep import build_injective
+        return self._root_indices_of(build_injective)
 
-        dims = {
-            build_injective(self.quiver, v, self.field).dims
-            for v in range(self.quiver.vertex_count)
-        }
+    def _root_indices_of(self, build) -> tuple[int, ...]:
+        dims = {build(self.quiver, v, self.field).dims for v in range(self.quiver.vertex_count)}
         return tuple(i for i, r in enumerate(self.roots) if r in dims)
 
 
@@ -145,44 +162,29 @@ def build_table(
         for i, r in enumerate(roots)
     )
     hom = tuple(tuple(hom_dim(u, v) for v in reps) for u in reps)
-    table = IndecomposableTable(q, field, roots, reps, hom)
-    _validate_table(table)
-    return table
-
-
-def _validate_table(table: IndecomposableTable) -> None:
-    for i in range(table.size):
-        if table.hom_matrix[i][i] != 1:
-            raise RuntimeError("table invalid: an entry has End dimension != 1")
-        if table.ext_entry(i, i) != 0:
-            raise RuntimeError("table invalid: an entry has self-extensions")
-    hq = Matrix(QQ, [[Fraction(x) for x in row] for row in table.hom_matrix])
-    if hq.rank() != table.size:
-        raise RuntimeError("table invalid: Hom matrix is singular")
+    return IndecomposableTable(q, field, roots, reps, hom)
 
 
 def decompose(x: Representation, table: IndecomposableTable) -> dict[DimVector, int]:
     """Multiplicities of the indecomposables in x, via the Hom matrix.
 
-    Solves hom_matrix . m = ([U, x])_U exactly; non-integral or negative
-    solutions are hard errors (they signal a corrupted table or an input
-    that is not a representation of the table's quiver).
+    hom_matrix . m = ([U, x])_U, so m is the table's integral inverse Hom
+    matrix applied to ([U, x])_U.  A negative multiplicity or a wrong total
+    dimension vector is a hard error (it signals a corrupted table or an
+    input that is not a representation of the table's quiver).
     """
     if x.quiver != table.quiver:
         raise ValueError("representation is not over the table's quiver")
     if x.field != table.field:
         raise ValueError("representation is not over the table's field")
     homvec = [hom_dim(u, x) for u in table.reps]
-    hq = Matrix(QQ, [[Fraction(v) for v in row] for row in table.hom_matrix])
-    sol = hq.solve([Fraction(h) for h in homvec])
-    if sol is None:
-        raise RuntimeError("decomposition system inconsistent")
     mults: dict[DimVector, int] = {}
-    for root, value in zip(table.roots, sol):
-        if value.denominator != 1 or value < 0:
-            raise RuntimeError(f"non-integral or negative multiplicity {value} at root {root}")
+    for root, row in zip(table.roots, table.inverse_hom):
+        value = sum(a * h for a, h in zip(row, homvec))
+        if value < 0:
+            raise RuntimeError(f"negative multiplicity {value} at root {root}")
         if value:
-            mults[root] = int(value)
+            mults[root] = value
     total = [0] * x.quiver.vertex_count
     for root, m in mults.items():
         for i, ri in enumerate(root):
@@ -332,7 +334,6 @@ def table_from_json(data: dict) -> IndecomposableTable:
     reps = tuple(rep_from_json(r) for r in data["reps"])
     hom = tuple(tuple(int(x) for x in r) for r in data["hom_matrix"])
     table = IndecomposableTable(q, field, roots, reps, hom)
-    _validate_table(table)
     for rep, root in zip(reps, roots):
         if rep.dims != root or rep.quiver != q or rep.field != field:
             raise ValueError("cached table entry disagrees with its root")

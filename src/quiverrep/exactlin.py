@@ -154,9 +154,6 @@ class FieldSpec:
             return pow(a, -1, self.characteristic)
         return self._gf().inv(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, n: int):
         if self.is_rationals:
             return Fraction(n)
@@ -251,8 +248,6 @@ class FieldSpec:
     # -- serialization ---------------------------------------------------
 
     def format_scalar(self, a) -> str:
-        if self.is_rationals:
-            return str(a)
         return str(a)
 
     def parse_scalar(self, s: str):
@@ -357,9 +352,6 @@ class Matrix:
     def is_zero(self) -> bool:
         z = self.field.zero
         return all(x == z for r in self.rows for x in r)
-
-    def to_lists(self):
-        return [list(r) for r in self.rows]
 
     def flatten(self):
         return tuple(x for r in self.rows for x in r)

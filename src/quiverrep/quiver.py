@@ -45,12 +45,6 @@ class Quiver:
     def out_arrows(self, v: int) -> list[tuple[int, tuple[int, int]]]:
         return [(i, a) for i, a in enumerate(self.arrows) if a[0] == v]
 
-    def in_arrows(self, v: int) -> list[tuple[int, tuple[int, int]]]:
-        return [(i, a) for i, a in enumerate(self.arrows) if a[1] == v]
-
-    def label_index(self, label: str) -> int:
-        return self.labels.index(str(label))
-
 
 def opposite(q: Quiver) -> Quiver:
     """Reverse all arrows; an involution, preserving arrow order."""

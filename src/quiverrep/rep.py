@@ -418,12 +418,6 @@ def random_representation(
     return Representation(q, field, d, mats)
 
 
-def random_morphism(basis: HomBasis, rng, box: int = 100) -> Morphism:
-    f = basis.source.field
-    coeffs = [f.random(rng, box) for _ in range(basis.dim)]
-    return basis.combination(coeffs)
-
-
 # ----------------------------------------------------------------------
 # Projectives, injectives, duals
 
@@ -518,14 +512,19 @@ def rep_from_json(data: dict) -> Representation:
     matrices = data["matrices"]
     if not isinstance(matrices, list) or len(matrices) != q.arrow_count:
         raise ValueError(f"matrices must be a list of {q.arrow_count} matrices, one per arrow")
-    mats = []
-    for (s, t), rows in zip(q.arrows, matrices):
-        if not isinstance(rows, list) or len(rows) != dims[t] or any(
-            not isinstance(r, list) or len(r) != dims[s] for r in rows
-        ):
-            raise ValueError(f"arrow ({s},{t}) needs a list of {dims[t]} rows of {dims[s]} entries")
-        mats.append(Matrix(field, rows, ncols=dims[s]))
+    mats = [
+        _matrix_from_json(field, rows, dims[t], dims[s], f"arrow ({s},{t})")
+        for (s, t), rows in zip(q.arrows, matrices)
+    ]
     return Representation(q, field, dims, mats)
+
+
+def _matrix_from_json(field: FieldSpec, rows, nrows: int, ncols: int, where: str) -> Matrix:
+    if not isinstance(rows, list) or len(rows) != nrows or any(
+        not isinstance(r, list) or len(r) != ncols for r in rows
+    ):
+        raise ValueError(f"{where} needs a list of {nrows} rows of {ncols} entries")
+    return Matrix(field, rows, ncols=ncols)
 
 
 def save_rep(x: Representation, path) -> None:
@@ -550,11 +549,20 @@ def morphism_to_json(f: Morphism) -> dict:
 
 
 def morphism_from_json(data: dict) -> Morphism:
+    """Parse a morphism, raising ValueError on any malformed structure."""
+    if not isinstance(data, dict):
+        raise ValueError("a morphism must be a JSON object")
     src = rep_from_json(data["source"])
     tgt = rep_from_json(data["target"])
+    if src.quiver != tgt.quiver:
+        raise ValueError("morphism endpoints live over different quivers")
+    matrices = data["vertex_matrices"]
+    n = src.quiver.vertex_count
+    if not isinstance(matrices, list) or len(matrices) != n:
+        raise ValueError(f"vertex_matrices must be a list of {n} matrices, one per vertex")
     mats = [
-        Matrix(src.field, rows, ncols=src.dims[v])
-        for v, rows in enumerate(data["vertex_matrices"])
+        _matrix_from_json(src.field, rows, tgt.dims[v], src.dims[v], f"vertex {v}")
+        for v, rows in enumerate(matrices)
     ]
     return Morphism(src, tgt, mats)
 

@@ -249,9 +249,17 @@ def test_malformed_scalars_exit_3(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_import_does_not_load_numpy():
+def _fresh_python(code: str) -> str:
     src = str(Path(quiverrep.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, quiverrep, quiverrep.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_numpy():
+    assert _fresh_python("import sys, quiverrep, quiverrep.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_every_public_name_resolves():
+    code = "import quiverrep; print([n for n in quiverrep.__all__ if not hasattr(quiverrep, n)])"
+    assert _fresh_python(code) == "[]"

@@ -6,6 +6,7 @@ import pytest
 
 from quiverrep.dynkin import (
     assemble,
+    build_table,
     canonical_decomposition,
     check_generic_embedding,
     decompose,
@@ -16,7 +17,7 @@ from quiverrep.dynkin import (
     table_to_json,
 )
 from quiverrep.exactlin import GF, QQ, Matrix
-from quiverrep.quiver import a_n, d4_subspace, dim_leq, kronecker
+from quiverrep.quiver import Quiver, a_n, d4_subspace, dim_leq, euler_form, kronecker
 from quiverrep.rep import (
     build_projective,
     direct_sum,
@@ -41,6 +42,55 @@ def test_positive_roots_d4():
     roots = positive_roots(d4_subspace())
     assert len(roots) == 12
     assert (2, 1, 1, 1) in roots
+
+
+def _brute_force_roots(q):
+    """The roots by testing every vector with entries up to 6 (the largest
+    entry of any ADE root), the oracle for the generated roots."""
+    return sorted(
+        d
+        for d in itertools.product(range(7), repeat=q.vertex_count)
+        if any(d) and euler_form(q, d, d) == 1
+    )
+
+
+def _orientations(n, edges):
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield Quiver(n, tuple((t, s) if f else (s, t) for (s, t), f in zip(edges, flips)))
+
+
+def _path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+D4_EDGES = [(0, 1), (0, 2), (0, 3)]
+D5_EDGES = [(0, 1), (0, 2), (0, 3), (3, 4)]
+E6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]
+
+
+def test_positive_roots_match_brute_force_on_every_orientation():
+    cases = [(n, _path_edges(n)) for n in range(1, 6)] + [(4, D4_EDGES), (5, D5_EDGES)]
+    for n, edges in cases:
+        for q in _orientations(n, edges):
+            assert positive_roots(q) == _brute_force_roots(q), q.arrows
+
+
+def test_positive_roots_match_brute_force_on_e6():
+    equioriented = Quiver(6, tuple(E6_EDGES))
+    alternating = Quiver(6, ((0, 1), (2, 1), (2, 3), (4, 3), (5, 2)))
+    for q in (equioriented, alternating):
+        assert positive_roots(q) == _brute_force_roots(q)
+
+
+def test_positive_roots_of_e7_e8_a9():
+    e7 = Quiver(7, tuple(_path_edges(6)) + ((2, 6),))
+    e8 = Quiver(8, ((1, 0),) + tuple(_path_edges(7)[1:]) + ((7, 2),))
+    a9 = Quiver(9, ((1, 0), (1, 2), (3, 2), (3, 4), (4, 5), (6, 5), (7, 6), (7, 8)))
+    for q, expected in ((e7, 63), (e8, 120), (a9, 45)):
+        roots = positive_roots(q)
+        assert len(roots) == expected
+        assert roots == sorted(set(roots))
+        assert all(euler_form(q, d, d) == 1 for d in roots)
 
 
 def test_positive_roots_reject_non_dynkin():
@@ -79,7 +129,8 @@ def test_table_invariants(table_a3_f5):
         assert t.hom_matrix[i][i] == 1
         assert t.ext_entry(i, i) == 0
     hq = Matrix(QQ, [[Fraction(x) for x in row] for row in t.hom_matrix])
-    assert hq.rank() == t.size
+    inv = Matrix(QQ, [[Fraction(x) for x in row] for row in t.inverse_hom])
+    assert inv @ hq == Matrix.identity(QQ, t.size)
 
 
 def test_table_projective_injective_roots(table_a3_f5):
@@ -112,6 +163,39 @@ def test_decompose_random_roundtrip(table_a3_f5, table_d4_f5):
             mults = {r: m for r, m in mults.items() if m}
             x = assemble(t, mults)
             assert decompose(x, t) == mults
+
+
+def _fraction_solve(x, t):
+    """Multiplicities by solving hom_matrix . m = ([U, x])_U over Q."""
+    hq = Matrix(QQ, [[Fraction(v) for v in row] for row in t.hom_matrix])
+    sol = hq.solve([Fraction(hom_dim(u, x)) for u in t.reps])
+    assert all(v.denominator == 1 for v in sol)
+    return {r: int(v) for r, v in zip(t.roots, sol) if v}
+
+
+def test_decompose_of_random_reps_matches_fraction_solve(
+    table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5
+):
+    table_d4_q = build_table(d4_subspace(), QQ, seed=0)
+    rng = random.Random(1)
+    for t in (table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5, table_d4_q):
+        n = t.quiver.vertex_count
+        for k in range(12):
+            d = tuple(rng.randint(0, 3) for _ in range(n))
+            x = random_representation(t.quiver, d, t.field, seed=k, box=3)
+            assert decompose(x, t) == _fraction_solve(x, t)
+
+
+def test_decompose_solves_no_linear_system(table_d4_f5, monkeypatch):
+    x = random_representation(d4_subspace(), (2, 1, 1, 1), F5, seed=3)
+    expected = _fraction_solve(x, table_d4_f5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose re-solved the Hom system")
+
+    monkeypatch.setattr(Matrix, "solve", refuse)
+    monkeypatch.setattr(Matrix, "solve_matrix", refuse)
+    assert decompose(x, table_d4_f5) == expected
 
 
 def test_decompose_rejects_field_mismatch(table_a3_f5):
@@ -200,6 +284,16 @@ def test_table_json_roundtrip(table_a2_f5, tmp_path):
     save_table(table_a2_f5, path)
     t3 = load_table(path)
     assert t3.roots == table_a2_f5.roots and t3.reps == table_a2_f5.reps
+
+
+def test_table_from_json_rejects_non_unimodular_hom_matrix(table_a2_f5):
+    # roots (0,1), (1,0), (1,1): a 2 in both corners keeps the Hom matrix
+    # invertible over Q (det -3), but its inverse is not integral
+    data = table_to_json(table_a2_f5)
+    assert data["hom_matrix"] == [[1, 0, 1], [0, 1, 0], [0, 1, 1]]
+    data["hom_matrix"][0][2] = data["hom_matrix"][2][0] = 2
+    with pytest.raises(RuntimeError, match="integral inverse"):
+        table_from_json(data)
 
 
 def test_table_over_small_field(table_d4_f2):

@@ -301,6 +301,24 @@ def test_morphism_json_roundtrip(tmp_path):
     assert morphism_from_json(data) == inc
 
 
+def test_morphism_json_rejects_malformed_structure():
+    u12 = interval(A2, 1, 2, F5)
+    s2 = simple(A2, F5, 1)
+    data = morphism_to_json(Morphism(s2, u12, [Matrix.zeros(F5, 1, 0), Matrix.identity(F5, 1)]))
+    malformed = (
+        data | {"vertex_matrices": 5},
+        data | {"vertex_matrices": [5, 5]},
+        data | {"vertex_matrices": [[]]},
+        data | {"vertex_matrices": [[[]], [[1, 0]]]},
+        data | {"vertex_matrices": [[], [[1]], [[1]]]},
+        data | {"target": rep_to_json(simple(a_n(1), F5, 0))},
+        [data],
+    )
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            morphism_from_json(bad)
+
+
 def test_rep_json_rejects_bad_shapes():
     x = random_representation(A2, (1, 1), F5, seed=1)
     data = rep_to_json(x)
