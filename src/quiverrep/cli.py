@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 positive verdict / success, 1 negative verdict,
-2 inconclusive (sampling budget exhausted), 3 usage or input error.
+2 inconclusive (sampling budget exhausted), 3 usage or input error
+(budget refusals included), 4 internal error: any other exception, reported
+as one `internal error: ...` line on stderr, so that a failed internal
+certificate never looks like a negative verdict.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -428,6 +432,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

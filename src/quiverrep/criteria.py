@@ -229,20 +229,31 @@ def _socle_action_matrices(basis: HomBasis, soc: Matrix, vertex: int) -> list[Ma
     return [mor.vertex_mats[vertex] @ soc for mor in basis.morphisms]
 
 
-def _bracket_payload(i, k, vec, hom_nn, hom_nm, zn, zm):
+def _bracket_payload(i, k, vec, hom_nk_n, hom_nk_m, zn, zm):
     return {
         "vertex": i,
         "k": k,
         "socle_vector": vec,
         "brackets": {
-            "[n^k,n]": k * hom_nn,
-            "[n^k/S,n]": k * hom_nn - zn,
-            "[n^k,m]": k * hom_nm,
-            "[n^k/S,m]": k * hom_nm - zm,
+            "[n^k,n]": hom_nk_n,
+            "[n^k/S,n]": hom_nk_n - zn,
+            "[n^k,m]": hom_nk_m,
+            "[n^k/S,m]": hom_nk_m - zm,
         },
         "lhs": zn,
         "rhs": zm,
     }
+
+
+def _socles(n: Representation) -> dict[int, Matrix]:
+    """The nonzero socles of n, by vertex."""
+    return {i: soc for i in range(n.quiver.vertex_count) if (soc := socle_at(n, i)).ncols}
+
+
+def _power_data(n: Representation, m: Representation, i: int, k: int):
+    """n^k, its socle at vertex i, [n^k, n] and [n^k, m]."""
+    nk = power(n, k)
+    return nk, socle_at(nk, i), hom_dim(nk, n), hom_dim(nk, m)
 
 
 def check_nc2(n: Representation, m: Representation, config: CheckConfig | None = None) -> Verdict:
@@ -315,11 +326,8 @@ def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConf
     details = []
     witness = None
     checked = 0
-    for i in range(n.quiver.vertex_count):
-        soc = socle_at(n, i)
+    for i, soc in _socles(n).items():
         s_i = soc.ncols
-        if s_i == 0:
-            continue
         acts_n = _socle_action_matrices(basis_nn, soc, i)
         acts_m = _socle_action_matrices(basis_nm, soc, i)
         rank_n = _socle_rank_fn(f, acts_n)
@@ -335,7 +343,7 @@ def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConf
                 zm = rank_m(coeffs)
                 ok = zn <= zm
                 vec = [list(r) for r in coeffs]
-                entry = _bracket_payload(i, l, vec, hom_nn, hom_nm, zn, zm)
+                entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, zn, zm)
                 entry["ok"] = ok
                 details.append(entry)
                 checked += 1
@@ -365,58 +373,30 @@ def _simple_sub_quotient(nk: Representation, vertex: int, vec) -> Representation
 
 
 def _check_nc2_vectors(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
-    """Literal exhaustive check: socle vectors of n^k up to scalar, for
-    every k up to [S_i, n]; duplicate quotients are memoized by the
-    canonical (projectively normalized) coefficient vector."""
+    """Literal exhaustive check: socle vectors of n^k up to scalar (each
+    projectively normalized coefficient vector once), for every k up to
+    [S_i, n]."""
     f = n.field
     q = f.order
     details = []
     witness = None
-    memo: dict = {}
     checked = 0
-    # quick class count for the budget guard
-    total = 0
-    socles = {}
-    for i in range(n.quiver.vertex_count):
-        soc = socle_at(n, i)
-        if soc.ncols:
-            socles[i] = soc
-            for k in range(1, soc.ncols + 1):
-                total += (q ** (k * soc.ncols) - 1) // (q - 1)
+    socles = _socles(n)
+    total = sum(
+        (q ** (k * soc.ncols) - 1) // (q - 1) for soc in socles.values() for k in range(1, soc.ncols + 1)
+    )
     if total > config.class_budget:
         raise ValueError(f"exhaustive vector mode needs {total} classes, over the budget")
     for i, soc in socles.items():
-        s_i = soc.ncols
-        for k in range(1, s_i + 1):
-            nk = power(n, k)
-            soc_k = socle_at(nk, i)
-            hom_nk_n = hom_dim(nk, n)
-            hom_nk_m = hom_dim(nk, m)
-            dim_sock = soc_k.ncols
-            for coeffs in _projective_vectors(f, dim_sock):
-                key = (i, k, coeffs)
-                if key in memo:
-                    continue
-                memo[key] = True
-                vec = soc_k.apply(coeffs)
-                quot = _simple_sub_quotient(nk, i, vec)
+        for k in range(1, soc.ncols + 1):
+            nk, soc_k, hom_nk_n, hom_nk_m = _power_data(n, m, i, k)
+            for coeffs in _projective_vectors(f, soc_k.ncols):
+                quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
                 lhs = hom_nk_n - hom_dim(quot, n)
                 rhs = hom_nk_m - hom_dim(quot, m)
                 ok = lhs <= rhs
-                entry = {
-                    "vertex": i,
-                    "k": k,
-                    "socle_vector": list(coeffs),
-                    "brackets": {
-                        "[n^k,n]": hom_nk_n,
-                        "[n^k/S,n]": hom_nk_n - lhs,
-                        "[n^k,m]": hom_nk_m,
-                        "[n^k/S,m]": hom_nk_m - rhs,
-                    },
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "ok": ok,
-                }
+                entry = _bracket_payload(i, k, list(coeffs), hom_nk_n, hom_nk_m, lhs, rhs)
+                entry["ok"] = ok
                 details.append(entry)
                 checked += 1
                 if not ok and witness is None:
@@ -444,9 +424,8 @@ def _projective_vectors(field, dim):
 def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
     f = n.field
     rng = random.Random(config.seed)
-    socles = {
-        i: socle_at(n, i) for i in range(n.quiver.vertex_count) if socle_at(n, i).ncols
-    }
+    socles = _socles(n)
+    powers: dict = {}
     details = []
     witness = None
     if socles:
@@ -455,15 +434,13 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
             i = verts[rng.randrange(len(verts))]
             s_i = socles[i].ncols
             k = rng.randint(1, s_i)
-            nk = power(n, k)
-            soc_k = socle_at(nk, i)
+            if (i, k) not in powers:
+                powers[i, k] = _power_data(n, m, i, k)
+            nk, soc_k, hom_nk_n, hom_nk_m = powers[i, k]
             coeffs = [f.random(rng, config.box) for _ in range(soc_k.ncols)]
             if all(c == f.zero for c in coeffs):
                 coeffs[0] = f.one
-            vec = soc_k.apply(coeffs)
-            quot = _simple_sub_quotient(nk, i, vec)
-            hom_nk_n = hom_dim(nk, n)
-            hom_nk_m = hom_dim(nk, m)
+            quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
             lhs = hom_nk_n - hom_dim(quot, n)
             rhs = hom_nk_m - hom_dim(quot, m)
             ok = lhs <= rhs

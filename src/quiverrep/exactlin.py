@@ -66,6 +66,8 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, name: str) -> "FieldSpec":
+        if not isinstance(name, str):
+            raise ValueError(f"field name must be a string, not {name!r}")
         name = name.strip()
         if name in ("Q", "QQ", "rationals"):
             return cls.rationals()

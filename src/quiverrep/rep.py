@@ -241,28 +241,14 @@ class HomBasis:
 
 
 def hom_basis(x: Representation, y: Representation) -> HomBasis:
-    system = _hom_system(x, y)
-    ncols = sum(a * b for a, b in zip(x.dims, y.dims))
-    if system.nrows == 0:
-        # no arrows: every tuple of matrices intertwines
-        basis = []
-        vec = [x.field.zero] * ncols
-        for i in range(ncols):
-            vec[i] = x.field.one
-            basis.append(_unflatten_morphism(x, y, tuple(vec)))
-            vec[i] = x.field.zero
-        return HomBasis(x, y, basis)
-    kern = system.kernel_basis()
+    kern = _hom_system(x, y).kernel_basis()
     morphisms = [_unflatten_morphism(x, y, kern.col(j)) for j in range(kern.ncols)]
     return HomBasis(x, y, morphisms)
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
     system = _hom_system(x, y)
-    ncols = sum(a * b for a, b in zip(x.dims, y.dims))
-    if system.nrows == 0:
-        return ncols
-    return ncols - system.rank()
+    return system.ncols - system.rank()
 
 
 def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> int:
@@ -276,9 +262,8 @@ def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> 
     if not is_acyclic(x.quiver):
         raise ValueError("Ext^1 formula requires an acyclic quiver")
     system = _hom_system(x, y)
-    ncols = sum(a * b for a, b in zip(x.dims, y.dims))
-    rk = system.rank() if system.nrows else 0
-    hom = ncols - rk
+    rk = system.rank()
+    hom = system.ncols - rk
     ext = hom - euler_form(x.quiver, x.dims, y.dims)
     if ext < 0:
         raise RuntimeError("negative Ext dimension; internal inconsistency")

@@ -4,6 +4,7 @@ hom stabilization theorem."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -13,17 +14,16 @@ from .exactlin import FieldSpec, Matrix
 from .grassmannian import DEFAULT_BUDGET
 from .quiver import DimVector, check_dimvector, dim_scale, functional, kronecker
 from .rep import (
-    HomBasis,
     Morphism,
     Representation,
     hom_basis,
     hom_dim,
-    is_injective_morphism,
     power,
     random_representation,
 )
 
 EXHAUSTIVE_LIMIT = 200000
+GRID_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,6 @@ class ZSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def element(self, coeffs) -> Matrix:
-        f = self.field
-        acc = Matrix.zeros(f, self.w_dim, self.v_dim)
-        for c, b in zip(coeffs, self.basis):
-            c = f.coerce(c)
-            if c != f.zero:
-                acc = acc + b.scale(c)
-        return acc
 
 
 def z_to_kronecker(z: ZSpace) -> Representation:
@@ -170,141 +161,132 @@ def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> 
 
 
 # ----------------------------------------------------------------------
-# Injective block matrices with entries in Z
+# Injective block matrices: one search for Z-spaces and Hom spaces
 
 
 def _random_coeff_grid(field: FieldSpec, rng, r: int, k: int, box: int):
     return [[[field.random(rng, box) for _ in range(k)] for _ in range(r)] for _ in range(r)]
 
 
-def _assemble_block(z: ZSpace, coeffs, r: int) -> Matrix:
-    blocks = []
-    for s in range(r):
-        row = [z.element(coeffs[s][t]) for t in range(r)]
-        blocks.append(Matrix.hstack(row))
-    return Matrix.vstack(blocks)
+def _block_matrices(field: FieldSpec, bases, dims, coeffs, r: int) -> list[Matrix]:
+    """At each vertex v, the r x r block matrix whose (s, t) block is
+    sum_l coeffs[s][t][l] * bases[v][l]; dims[v] is the (rows, cols)
+    shape of one block."""
+    zero = field.zero
+    mats = []
+    for basis, (rows, cols) in zip(bases, dims):
+        big = [[zero] * (r * cols) for _ in range(r * rows)]
+        for s in range(r):
+            for t in range(r):
+                block = None
+                for c, b in zip(coeffs[s][t], basis):
+                    if c != zero:
+                        scaled = b.scale(c)
+                        block = scaled if block is None else block + scaled
+                if block is None:
+                    continue
+                for i, row in enumerate(block.rows):
+                    big[s * rows + i][t * cols : (t + 1) * cols] = row
+        mats.append(Matrix(field, big, validate=False, ncols=r * cols))
+    return mats
+
+
+def _grid_certificate_no_injective(field: FieldSpec, bases, dims) -> bool:
+    """Over Q: certify that no combination of the basis maps is injective.
+
+    Looks for a vertex where every maximal minor of the generic vertex
+    matrix (entries linear in the h coordinates) vanishes identically,
+    which is decided exactly by evaluating on the integer grid
+    {0..s}^h, s = minor size: a polynomial of per-variable degree <= s
+    vanishing there is zero.  Returns False when no single vertex carries
+    the obstruction or the grid would exceed GRID_LIMIT evaluations.
+    """
+    for basis, (rows, cols) in zip(bases, dims):
+        h = len(basis)
+        if cols == 0 or (cols + 1) ** h * math.comb(rows, cols) > GRID_LIMIT:
+            continue
+        if all(
+            _block_matrices(field, [basis], [(rows, cols)], [[point]], 1)[0].rank() < cols
+            for point in itertools.product(range(cols + 1), repeat=h)
+        ):
+            return True
+    return False
+
+
+def _search_blocks(
+    field: FieldSpec, bases, dims, r_max: int, trials: int, seed: int, box: int, space: str
+) -> StableSearchReport:
+    """Search r = 1..r_max for r x r coefficient grids whose assembled
+    block matrix has full column rank at every vertex.
+
+    bases[v] lists the h basis maps at vertex v, dims[v] their (rows,
+    cols).  At each r: an exhaustive scan when |F|^(h r^2) <=
+    EXHAUSTIVE_LIMIT, so a miss certifies impossibility at that r;
+    otherwise, over Q at r = 1, the determinant-identity certificate;
+    otherwise `trials` samples from one seeded generator carried across r.
+    A found report carries the list of vertex block matrices.
+    """
+    if all(cols == 0 for _, cols in dims):
+        zero = _block_matrices(field, bases, dims, [[[]]], 1)
+        return StableSearchReport(True, 1, zero, 0, seed, [])
+    h = len(bases[0])
+    if h == 0:
+        return StableSearchReport(False, None, None, 0, seed, [], reason=f"{space} = 0")
+    if any(rows < cols for rows, cols in dims):
+        return StableSearchReport(
+            False, None, None, 0, seed, [], reason="no injective map can exist at any r"
+        )
+    rng = random.Random(seed)
+    per_r = []
+    used = 0
+    for r in range(1, r_max + 1):
+        cells = h * r * r
+        classes = field.order**cells if field.is_finite else math.inf
+        exhaustive = classes <= EXHAUSTIVE_LIMIT
+        if exhaustive:
+            how = "exhaustive"
+            grids = (
+                [[flat[(s * r + t) * h : (s * r + t + 1) * h] for t in range(r)] for s in range(r)]
+                for flat in itertools.product(field.elements(), repeat=cells)
+            )
+        elif r == 1 and field.is_rationals and _grid_certificate_no_injective(field, bases, dims):
+            per_r.append({"r": 1, "status": "impossible (determinant identity)"})
+            continue
+        else:
+            how = "sampled"
+            grids = (_random_coeff_grid(field, rng, r, h, box) for _ in range(trials))
+        for coeffs in grids:
+            used += 1
+            mats = _block_matrices(field, bases, dims, coeffs, r)
+            if all(mat.rank() == mat.ncols for mat in mats):
+                per_r.append({"r": r, "status": f"found ({how})"})
+                return StableSearchReport(True, r, mats, used, seed, per_r)
+        if exhaustive:
+            per_r.append({"r": r, "status": "impossible (exhaustive)", "classes": classes})
+        else:
+            per_r.append({"r": r, "status": "not found (sampled)"})
+    return StableSearchReport(False, None, None, used, seed, per_r, reason="budget exhausted")
 
 
 def find_injective_block(
     z: ZSpace, r_max: int = 8, trials: int = 256, seed: int = 0, box: int = 100
 ) -> StableSearchReport:
-    """Search for F in M_{r x r}(Z) injective as a map V^r -> W^r.
+    """Search for F in M_{r x r}(Z) injective as a map V^r -> W^r,
+    r = 1..r_max; a returned matrix is certified by exact rank.
 
-    Samples coefficients for each r = 1..r_max; a returned matrix is
-    certified by exact rank.  Exhaustion without a find is inconclusive,
-    never a disproof.
+    The search is the one of `search_stable_embedding` on a single vertex.
+    A not-found report after sampling is inconclusive, never a disproof.
     """
-    rng = random.Random(seed)
-    used = 0
-    per_r = []
-    if z.v_dim == 0:
-        return StableSearchReport(True, 1, _assemble_block(z, [[[0] * z.dim]], 1), 0, seed, [])
-    if z.w_dim < z.v_dim or z.dim == 0:
-        return StableSearchReport(
-            False, None, None, 0, seed, [], reason="no injective map can exist at any r"
-        )
-    for r in range(1, r_max + 1):
-        space = None
-        if z.field.is_finite:
-            space = z.field.order ** (z.dim * r * r)
-        if space is not None and space <= min(trials, EXHAUSTIVE_LIMIT):
-            found_here = False
-            for flat in itertools.product(z.field.elements(), repeat=z.dim * r * r):
-                used += 1
-                coeffs = [
-                    [list(flat[(s * r + t) * z.dim : (s * r + t + 1) * z.dim]) for t in range(r)]
-                    for s in range(r)
-                ]
-                f_mat = _assemble_block(z, coeffs, r)
-                if f_mat.rank() == r * z.v_dim:
-                    return StableSearchReport(True, r, f_mat, used, seed, per_r)
-            per_r.append({"r": r, "status": "impossible (exhausted)"})
-            continue
-        for _ in range(trials):
-            used += 1
-            coeffs = _random_coeff_grid(z.field, rng, r, z.dim, box)
-            f_mat = _assemble_block(z, coeffs, r)
-            if f_mat.rank() == r * z.v_dim:
-                return StableSearchReport(True, r, f_mat, used, seed, per_r)
-        per_r.append({"r": r, "status": "not found (sampled)"})
-    return StableSearchReport(False, None, None, used, seed, per_r, reason="budget exhausted")
+    report = _search_blocks(
+        z.field, [z.basis], [(z.w_dim, z.v_dim)], r_max, trials, seed, box, "Z"
+    )
+    if report.found:
+        report.block_matrix = report.block_matrix[0]
+    return report
 
 
 # ----------------------------------------------------------------------
 # Representation-level stable embeddings
-
-
-def _power_morphism(basis: HomBasis, coeffs, r: int) -> Morphism:
-    """Morphism n^r -> m^r with r x r blocks of Hom-basis combinations."""
-    n, m = basis.source, basis.target
-    f = n.field
-    nr, mr = power(n, r), power(m, r)
-    mats = []
-    for v in range(n.quiver.vertex_count):
-        rows_n, cols_n = m.dims[v], n.dims[v]
-        big = [[f.zero] * (r * cols_n) for _ in range(r * rows_n)]
-        for s in range(r):
-            for t in range(r):
-                block = None
-                for c, mor in zip(coeffs[s][t], basis.morphisms):
-                    c = f.coerce(c)
-                    if c != f.zero:
-                        scaled = mor.vertex_mats[v].scale(c)
-                        block = scaled if block is None else block + scaled
-                if block is None:
-                    continue
-                for i, row in enumerate(block.rows):
-                    for j, x in enumerate(row):
-                        big[s * rows_n + i][t * cols_n + j] = x
-        mats.append(Matrix(f, tuple(tuple(r_) for r_ in big), validate=False, ncols=r * cols_n))
-    return Morphism(nr, mr, mats, validate=False)
-
-
-def _grid_certificate_no_injective(basis: HomBasis, limit: int = 2_000_000) -> bool:
-    """Over Q: certify that no element of Hom(n, m) is injective.
-
-    Looks for a vertex where every maximal minor of the generic vertex
-    matrix (entries linear in the Hom coordinates) vanishes identically,
-    which is decided exactly by evaluating on the integer grid
-    {0..s}^h, s = minor size: a polynomial of per-variable degree <= s
-    vanishing there is zero.  Returns False when no single vertex carries
-    the obstruction or the grid would exceed `limit` evaluations.
-    """
-    n, m = basis.source, basis.target
-    h = basis.dim
-    if n.total_dim == 0:
-        return False
-    for v in range(n.quiver.vertex_count):
-        s_dim = n.dims[v]
-        t_dim = m.dims[v]
-        if s_dim == 0:
-            continue
-        if t_dim < s_dim:
-            return True  # rank can never reach the column count
-        minor_size = s_dim
-        grid_points = (minor_size + 1) ** h
-        n_minors = _binom(t_dim, minor_size)
-        if grid_points * n_minors > limit:
-            continue
-        vertex_mats = [mor.vertex_mats[v] for mor in basis.morphisms]
-        all_vanish = True
-        for point in itertools.product(range(minor_size + 1), repeat=h):
-            mat = Matrix.zeros(n.field, t_dim, s_dim)
-            for c, bm in zip(point, vertex_mats):
-                if c:
-                    mat = mat + bm.scale(n.field.from_int(c))
-            if mat.rank() == s_dim:
-                all_vanish = False
-                break
-        if all_vanish:
-            return True
-    return False
-
-
-def _binom(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def search_stable_embedding(
@@ -314,64 +296,34 @@ def search_stable_embedding(
     trials: int = 256,
     seed: int = 0,
     box: int = 100,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> StableSearchReport:
-    """Search for an injective morphism n^r -> m^r, r = 1..r_max.
+    """Search for an injective morphism n^r -> m^r, r = 1..r_max, with
+    r x r blocks of Hom(n, m)-basis combinations.
 
     Small finite coefficient spaces are scanned exhaustively (so a miss at
     that r is a certified impossibility); otherwise seeded sampling.  At
     r = 1 over Q a determinant-identity grid test can also certify
-    impossibility.  A not-found report after the budget is inconclusive.
+    impossibility.  A pair where some vertex of m is smaller than that of n
+    is refused without a search.  A not-found report after the budget is
+    inconclusive.
     """
     if n.quiver != m.quiver or n.field != m.field:
         raise ValueError("representations must share a quiver and a field")
     basis = hom_basis(n, m)
-    h = basis.dim
-    rng = random.Random(seed)
-    per_r = []
-    used = 0
-    if n.total_dim == 0:
-        zero = _power_morphism(basis, [[[n.field.zero] * h]], 1)
-        return StableSearchReport(True, 1, zero, 0, seed, [])
-    if h == 0:
-        return StableSearchReport(False, None, None, 0, seed, [], reason="Hom(n, m) = 0")
-    for r in range(1, r_max + 1):
-        if n.field.is_finite:
-            space = n.field.order ** (h * r * r)
-            if space <= exhaustive_limit:
-                hit = None
-                for flat in itertools.product(n.field.elements(), repeat=h * r * r):
-                    used += 1
-                    coeffs = [
-                        [list(flat[(s * r + t) * h : (s * r + t + 1) * h]) for t in range(r)]
-                        for s in range(r)
-                    ]
-                    mor = _power_morphism(basis, coeffs, r)
-                    if is_injective_morphism(mor):
-                        hit = mor
-                        break
-                if hit is not None:
-                    per_r.append({"r": r, "status": "found (exhaustive)"})
-                    return StableSearchReport(True, r, hit, used, seed, per_r)
-                per_r.append({"r": r, "status": "impossible (exhaustive)", "classes": space})
-                continue
-        if r == 1 and n.field.is_rationals:
-            if _grid_certificate_no_injective(basis):
-                per_r.append({"r": 1, "status": "impossible (determinant identity)"})
-                continue
-        found = None
-        for _ in range(trials):
-            used += 1
-            coeffs = _random_coeff_grid(n.field, rng, r, h, box)
-            mor = _power_morphism(basis, coeffs, r)
-            if is_injective_morphism(mor):
-                found = mor
-                break
-        if found is not None:
-            per_r.append({"r": r, "status": "found (sampled)"})
-            return StableSearchReport(True, r, found, used, seed, per_r)
-        per_r.append({"r": r, "status": "not found (sampled)"})
-    return StableSearchReport(False, None, None, used, seed, per_r, reason="budget exhausted")
+    report = _search_blocks(
+        n.field,
+        [[phi.vertex_mats[v] for phi in basis.morphisms] for v in range(n.quiver.vertex_count)],
+        list(zip(m.dims, n.dims)),
+        r_max,
+        trials,
+        seed,
+        box,
+        "Hom(n, m)",
+    )
+    if report.found:
+        r = report.r
+        report.block_matrix = Morphism(power(n, r), power(m, r), report.block_matrix, validate=False)
+    return report
 
 
 def search_stable_surjection(

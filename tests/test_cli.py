@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quiverrep
 from quiverrep.cli import main
 from quiverrep.exactlin import GF, QQ, Matrix
-from quiverrep.fixtures import d4_x, kronecker3_g, kronecker3_m
+from quiverrep.fixtures import d4_p1, d4_x, kronecker3_g, kronecker3_m
 from quiverrep.quiver import a_n, save_quiver
 from quiverrep.rep import Representation, load_morphism, load_rep, rep_to_json, save_rep, simple
 
@@ -164,6 +166,9 @@ def test_malformed_representation_exits_3(tmp_path, capsys):
         ("matrices-int.json", data | {"matrices": 5}),
         ("wrapped.json", [data]),
         ("quiver-int.json", data | {"quiver": 5}),
+        ("field-int.json", data | {"field": 5}),
+        ("field-null.json", data | {"field": None}),
+        ("field-list.json", data | {"field": ["Q"]}),
     )
     for name, bad_data in malformed:
         bad = tmp_path / name
@@ -247,6 +252,84 @@ def test_malformed_scalars_exit_3(tmp_path, capsys):
         bad.write_text(json.dumps(data | {"field": field, "matrices": [[[entry]]]}))
         assert main(["hom", str(bad), str(bad)]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
+    p = write_rep(tmp_path, "s1.json", simple(a_n(2), GF(2), 0))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("certificate failed")
+
+    monkeypatch.setattr("quiverrep.cli.hom_dim", broken)
+    assert main(["hom", p, p]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError('certificate failed')\n"
+    assert captured.out == ""
+
+
+# Shipped fixtures with the commands run on them: the mutated file is the
+# first argument (and the first of two for `hom`, paired with the intact one).
+FUZZ_FIXTURES = {
+    "d4.x": (rep_to_json(d4_x(GF(2))), "1,0,1,1"),
+    "d4.p1": (rep_to_json(d4_p1(QQ)), "1,1,0,0"),
+    "kronecker3.m": (rep_to_json(kronecker3_m(GF(2))), "2,1"),
+}
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from([1.5, "", "x", "1", "1/0", "-1/2", "Q", "F_3", "F_4", "F_6"]),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.lists(st.lists(st.integers(0, 2), max_size=2), max_size=2),
+    st.just({}),
+)
+
+
+def _mutate(draw, doc):
+    """Replace the value at a random path of doc, or drop a key there."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    for _ in range(draw(st.integers(0, 5))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(FUZZ_VALUES)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(FUZZ_VALUES)
+    return doc
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_fixtures_never_escape_main(data, tmp_path, capsys):
+    name = data.draw(st.sampled_from(sorted(FUZZ_FIXTURES)))
+    doc, e = FUZZ_FIXTURES[name]
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_mutate(data.draw, doc)))
+    commands = (
+        ["hom", str(bad), str(good)],
+        ["decompose", str(bad)],
+        ["check-sub", str(bad), "--e", e],
+        ["count-poly", str(bad), "--e", e, "--qs", "2,3"],
+        ["semistable", str(bad), "--e", e, "--q-enum", "2"],
+    )
+    for argv in commands:
+        rc = main(argv)
+        out = capsys.readouterr().out
+        assert rc in (0, 1, 2, 3), argv
+        if rc == 1:
+            assert "verdict: fails" in out.splitlines(), argv
 
 
 def _fresh_python(code: str) -> str:

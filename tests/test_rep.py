@@ -4,7 +4,7 @@ import random
 import pytest
 
 from quiverrep.exactlin import GF, QQ, Matrix
-from quiverrep.quiver import a_n, d4_subspace, euler_form, kronecker, opposite
+from quiverrep.quiver import Quiver, a_n, d4_subspace, euler_form, kronecker, opposite
 from quiverrep.rep import (
     Morphism,
     Representation,
@@ -53,6 +53,22 @@ def interval(q, i, j, field):
 def test_hom_simple_self():
     s = simple(A2, F5, 0)
     assert hom_dim(s, s) == 1
+    # Hom systems without rows (0x1, 0x0) or without columns (1x0)
+    simples = [simple(A2, F5, i) for i in range(2)]
+    for i, x in enumerate(simples):
+        for j, y in enumerate(simples):
+            assert hom_dim(x, y) == hom_basis(x, y).dim == (i == j)
+    assert ext_dim(simples[0], simples[1], cross_check=True) == 1
+    # no arrows: every tuple of matrices intertwines, and the basis is the
+    # standard one in the order of the flattened unknowns
+    q = Quiver(2, ())
+    x = random_representation(q, (2, 1), F5, seed=0)
+    y = random_representation(q, (1, 3), F5, seed=1)
+    basis = hom_basis(x, y)
+    assert hom_dim(x, y) == basis.dim == 5
+    assert ext_dim(x, y, cross_check=True) == 0
+    flat = [[e for mat in phi.vertex_mats for e in mat.flatten()] for phi in basis.morphisms]
+    assert flat == [[int(i == j) for j in range(5)] for i in range(5)]
 
 
 def test_hom_between_intervals_on_a3():

@@ -13,8 +13,10 @@ from quiverrep.fixtures import (
 )
 from quiverrep.quiver import a_n, kronecker
 from quiverrep.rep import (
+    Representation,
     build_projective,
     direct_sum,
+    hom_basis,
     is_injective_morphism,
     random_representation,
     simple,
@@ -100,11 +102,14 @@ def test_find_block_injective_member():
 
 
 def test_find_block_kronecker_needs_r_two():
-    z = z_from_int_matrices(F5, 3, 3, KRONECKER_M_MATRICES)
-    report = find_injective_block(z, r_max=4, trials=256, seed=0)
-    assert report.found and report.r == 2
-    assert report.block_matrix.rank() == 6
-    assert report.per_r[0]["r"] == 1  # r = 1 exhausted without a find
+    for field in (F5, QQ):
+        z = z_from_int_matrices(field, 3, 3, KRONECKER_M_MATRICES)
+        report = find_injective_block(z, r_max=4, trials=256, seed=0)
+        assert report.found and report.r == 2
+        assert report.block_matrix.rank() == 6
+        assert report.per_r[0]["r"] == 1  # r = 1 exhausted without a find
+    # over Q, r = 1 is ruled out by the determinant identity
+    assert report.per_r[0]["status"] == "impossible (determinant identity)"
 
 
 def test_find_block_soundness_on_failing_z():
@@ -114,13 +119,13 @@ def test_find_block_soundness_on_failing_z():
     assert not check_z_hypothesis(z, 3).holds
     report = find_injective_block(z, r_max=4, trials=64, seed=1)
     assert not report.found
-    from quiverrep.stable import _assemble_block
+    from quiverrep.stable import _block_matrices
 
     rng = random.Random(0)
     for r in (1, 2, 3):
         for _ in range(10):
             coeffs = [[[F3.random(rng) for _ in range(z.dim)] for _ in range(r)] for _ in range(r)]
-            f_mat = _assemble_block(z, coeffs, r)
+            f_mat = _block_matrices(F3, [z.basis], [(z.w_dim, z.v_dim)], coeffs, r)[0]
             assert f_mat.rank() <= r < 2 * r
 
 
@@ -129,6 +134,21 @@ def test_find_block_impossible_shapes():
     report = find_injective_block(z, r_max=3, trials=8, seed=0)
     assert not report.found
     assert "no injective map" in report.reason
+
+
+def test_block_and_representation_searches_agree():
+    # Hom(k^2, k^2) on one vertex is the full Z-space, with the same basis
+    # order, so both entry points run the same search
+    z = full_hom_z(F2, 2, 2)
+    n = Representation(a_n(1), F2, (2,), [])
+    assert [phi.vertex_mats[0] for phi in hom_basis(n, n).morphisms] == list(z.basis)
+    block = find_injective_block(z, r_max=2, trials=8, seed=0)
+    emb = search_stable_embedding(n, n, r_max=2, trials=8, seed=0)
+    for report in (block, emb):
+        assert report.found and report.r == 1
+        assert report.trials_used == 7
+        assert report.per_r == [{"r": 1, "status": "found (exhaustive)"}]
+    assert block.block_matrix == emb.block_matrix.vertex_mats[0]
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +162,19 @@ def test_search_summand_found_at_one():
     report = search_stable_embedding(n, m, r_max=3, trials=64, seed=0)
     assert report.found and report.r == 1
     assert is_injective_morphism(report.block_matrix)
+
+
+def test_search_refuses_a_smaller_target_vertex():
+    # Hom(n, m) contains Hom(y, y) != 0, but n has dimension 3 at vertex 0
+    # and m only 2, so no morphism n^r -> m^r is injective
+    x = random_representation(a_n(2), (2, 1), F3, seed=0)
+    y = random_representation(a_n(2), (1, 3), F3, seed=1)
+    n, m = direct_sum([x, y]), direct_sum([y, y])
+    assert hom_basis(n, m).dim > 0
+    report = search_stable_embedding(n, m, r_max=3, trials=8, seed=0)
+    assert not report.found
+    assert report.trials_used == 0 and report.per_r == []
+    assert "no injective map" in report.reason
 
 
 def test_search_zero_hom_refuses():
