@@ -4,6 +4,7 @@ recomputable witness and a full inequality ledger."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -94,8 +95,9 @@ class GrassmannianChecker:
     """Criterion evaluator for one representation against a table.
 
     The Hom dimensions [U, m] and [m, U] do not depend on the queried e,
-    so they are computed once here; checking a given e is then pure
-    integer arithmetic.
+    so they are computed once here, and so are the Euler coefficients
+    <dim U, eps_v> and <eps_v, dim U> on the unit vectors; by bilinearity,
+    checking a given e is then a dot product per root.
     """
 
     def __init__(self, m: Representation, table: IndecomposableTable):
@@ -107,6 +109,10 @@ class GrassmannianChecker:
         self.hom_from_m = tuple(hom_dim(m, u) for u in table.reps)
         self.injective = set(table.injective_root_indices())
         self.projective = set(table.projective_root_indices())
+        q = m.quiver
+        units = [tuple(int(v == w) for w in range(q.vertex_count)) for v in range(q.vertex_count)]
+        self.euler_from_root = tuple(tuple(euler_form(q, r, u) for u in units) for r in table.roots)
+        self.euler_into_root = tuple(tuple(euler_form(q, u, r) for u in units) for r in table.roots)
 
     def nonempty(self, e: DimVector) -> Verdict:
         m, table = self.m, self.table
@@ -120,7 +126,7 @@ class GrassmannianChecker:
         witness = None
         for u, root in enumerate(table.roots):
             lhs = self.hom_into_m[u]
-            rhs = euler_form(m.quiver, root, e)
+            rhs = _dot(self.euler_from_root[u], e)
             ok = lhs >= rhs
             details.append({"root": list(root), "hom": lhs, "euler": rhs, "ok": ok})
             if not ok and witness is None:
@@ -141,7 +147,7 @@ class GrassmannianChecker:
         for u, root in enumerate(table.roots):
             if u not in self.injective:
                 lhs = self.hom_from_m[u]
-                rhs = euler_form(m.quiver, e, root)
+                rhs = _dot(self.euler_into_root[u], e)
                 ok = lhs <= rhs
                 details.append(
                     {"family": 1, "root": list(root), "hom": lhs, "euler": rhs, "ok": ok}
@@ -156,7 +162,7 @@ class GrassmannianChecker:
         for u, root in enumerate(table.roots):
             if u not in self.projective:
                 lhs = self.hom_into_m[u]
-                rhs = euler_form(m.quiver, root, rest)
+                rhs = _dot(self.euler_from_root[u], rest)
                 ok = lhs <= rhs
                 details.append(
                     {"family": 2, "root": list(root), "hom": lhs, "euler": rhs, "ok": ok}
@@ -178,6 +184,10 @@ class GrassmannianChecker:
         if holds:
             context["dimension"] = euler_form(m.quiver, e, rest)
         return Verdict(holds=holds, witness=witness, details=details, context=context)
+
+
+def _dot(coeffs, x) -> int:
+    return sum(map(operator.mul, coeffs, x))
 
 
 def check_grassmannian_nonempty(
@@ -762,25 +772,14 @@ def realizable_subdims(
     Otherwise m must live over the finite field of order q_enum and
     enumeration decides.
     """
-    dims = m.dims
-    out = []
+    boxed = itertools.product(*(range(d + 1) for d in m.dims))
     if table is not None:
-        _require_table_match(m, table)
-        homvec = [hom_dim(u, m) for u in table.reps]
-        for f_vec in itertools.product(*(range(d + 1) for d in dims)):
-            if all(
-                hv >= euler_form(m.quiver, root, f_vec)
-                for hv, root in zip(homvec, table.roots)
-            ):
-                out.append(f_vec)
-        return out
+        checker = GrassmannianChecker(m, table)
+        return [f_vec for f_vec in boxed if checker.nonempty(f_vec).holds]
     if not m.field.is_finite or (q_enum is not None and m.field.order != q_enum):
         raise ValueError("exhaustive semistability requires m over F_{q_enum}")
     oracle = SubrepOracle(m, budget)
-    for f_vec in itertools.product(*(range(d + 1) for d in dims)):
-        if oracle.nonempty(f_vec):
-            out.append(f_vec)
-    return out
+    return [f_vec for f_vec in boxed if oracle.nonempty(f_vec)]
 
 
 def min_slope(

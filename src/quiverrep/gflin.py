@@ -1,4 +1,4 @@
-"""Small finite fields GF(q) and row-space linear algebra on plain tuples.
+"""Small finite fields GF(q) and row-space linear algebra on plain rows.
 
 This is the self-contained kernel behind the brute-force subrepresentation
 enumeration.  It deliberately shares no elimination code with
@@ -8,7 +8,21 @@ independent cross-check for the criterion computations.
 Elements of GF(q), q = p^k, are integers 0..q-1.  For k > 1 the integer
 encodes the coefficient vector of a polynomial over F_p in base p, and
 arithmetic runs through multiplication tables built from a brute-force
-irreducible polynomial.  Matrices are tuples of row tuples.
+irreducible polynomial.
+
+Every row-space function takes a field handle first, and the handle fixes
+the row format:
+
+* a :class:`Gfq` handle (``gfq(q)``, any q, including 2) takes matrices as
+  tuples of row tuples.  nc2, the stable search and the tests use it; the
+  tests keep it as the reference for the packed format.
+* the :data:`GF2_PACKED` handle takes each row of length n as one int, with
+  column j at bit n-1-j, so integer order is the lexicographic order of the
+  row tuples and a reduced echelon basis lists its rows in decreasing order.
+  Elimination is XOR on whole rows.  The enumeration oracle uses it over F_2.
+
+``pack_rows`` and ``unpack_rows`` convert at the boundary; both formats give
+the same subspaces, in the same order, from every function.
 """
 
 from __future__ import annotations
@@ -84,6 +98,8 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 class Gfq:
     """Arithmetic tables for GF(q) with q <= 64 (any prime p is fine at k=1)."""
+
+    packed = False
 
     def __init__(self, q: int):
         p, k = factor_prime_power(q)
@@ -191,16 +207,52 @@ def gfq(q: int) -> Gfq:
     return _GFQ_CACHE[q]
 
 
+class PackedGF2:
+    """The GF(2) handle whose rows are packed into ints (see the module
+    docstring).  It carries no element arithmetic: the row-space functions
+    work on whole rows by XOR."""
+
+    q = 2
+    packed = True
+
+
+GF2_PACKED = PackedGF2()
+Handle = Gfq | PackedGF2
+
+
 # ----------------------------------------------------------------------
-# Row-space operations.  A "row matrix" is a tuple of row tuples; a
-# subspace of F^n is represented by the row space of such a matrix in
-# reduced row-echelon form.
+# Row-space operations.  A "row matrix" is a tuple of rows in the handle's
+# format; a subspace of F^n is represented by the row space of such a
+# matrix in reduced row-echelon form.
 
-Rows = tuple[tuple[int, ...], ...]
+Rows = tuple  # of row tuples (Gfq), or of packed int rows (GF2_PACKED)
 
 
-def rref_rows(gf: Gfq, rows) -> Rows:
+def pack_rows(gf: Handle, rows) -> Rows:
+    """Rows given as sequences of field elements, in gf's row format."""
+    if gf.packed:
+        return tuple(_pack(r) for r in rows)
+    return tuple(tuple(r) for r in rows)
+
+
+def _pack(row) -> int:
+    x = 0
+    for bit in row:
+        x = (x << 1) | bit
+    return x
+
+
+def unpack_rows(gf: Handle, rows: Rows, n: int) -> Rows:
+    """Rows of length n in gf's row format, as tuples of field elements."""
+    if gf.packed:
+        return tuple(tuple((x >> (n - 1 - j)) & 1 for j in range(n)) for x in rows)
+    return rows
+
+
+def rref_rows(gf: Handle, rows) -> Rows:
     """Reduced row echelon form with zero rows dropped."""
+    if gf.packed:
+        return _rref_packed(rows)
     mat = [list(r) for r in rows]
     if not mat:
         return ()
@@ -230,8 +282,10 @@ def rref_rows(gf: Gfq, rows) -> Rows:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def right_kernel_rows(gf: Gfq, rows, ncols: int) -> Rows:
+def right_kernel_rows(gf: Handle, rows, ncols: int) -> Rows:
     """Basis (as rows, in RREF) of {v in F^ncols : M v = 0}."""
+    if gf.packed:
+        return _kernel_packed(rows, ncols)
     red = rref_rows(gf, rows)
     pivots = []
     for r in red:
@@ -251,8 +305,10 @@ def right_kernel_rows(gf: Gfq, rows, ncols: int) -> Rows:
     return rref_rows(gf, basis)
 
 
-def matmul_rows(gf: Gfq, a, b) -> Rows:
+def matmul_rows(gf: Handle, a, b) -> Rows:
     """Product of row matrices a (r x s) and b (s x t)."""
+    if gf.packed:
+        return _matmul_packed(a, b)
     if not a:
         return ()
     t = len(b[0]) if b else 0
@@ -284,7 +340,7 @@ def mat_vec(gf: Gfq, rows, vec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rank_rows(gf: Gfq, rows) -> int:
+def rank_rows(gf: Handle, rows) -> int:
     return len(rref_rows(gf, rows))
 
 
@@ -299,22 +355,28 @@ def reduce_mod_span(gf: Gfq, span_rref: Rows, vec) -> tuple[int, ...]:
     return tuple(v)
 
 
-def row_in_span(gf: Gfq, span_rref: Rows, vec) -> bool:
+def row_in_span(gf: Handle, span_rref: Rows, vec) -> bool:
     """Membership test assuming span_rref is in RREF."""
+    if gf.packed:
+        return not _reduce_packed(span_rref, vec)
     return not any(reduce_mod_span(gf, span_rref, vec))
 
 
-def complement_in(gf: Gfq, w_rref: Rows, b_rref: Rows) -> Rows:
+def complement_in(gf: Handle, w_rref: Rows, b_rref: Rows) -> Rows:
     """Basis rows of a complement of span(w) inside span(b); requires
     span(w) <= span(b)."""
+    if gf.packed:
+        return _rref_packed([r for r in (_reduce_packed(w_rref, x) for x in b_rref) if r])
     reduced = [reduce_mod_span(gf, w_rref, row) for row in b_rref]
     return rref_rows(gf, [r for r in reduced if any(r)])
 
 
-def intersect_rows(gf: Gfq, a: Rows, b: Rows, ncols: int) -> Rows:
+def intersect_rows(gf: Handle, a: Rows, b: Rows, ncols: int) -> Rows:
     """Intersection of two row spaces of F^ncols, both given by basis rows."""
     if len(a) == 0 or len(b) == 0:
         return ()
+    if gf.packed:
+        return _intersect_packed(a, b, ncols)
     # v = c . a lies in span(b)  iff  N_b (a^T c^T) = 0 with N_b the
     # functionals vanishing on span(b).
     nb = right_kernel_rows(gf, b, ncols)
@@ -326,11 +388,11 @@ def intersect_rows(gf: Gfq, a: Rows, b: Rows, ncols: int) -> Rows:
     return rref_rows(gf, matmul_rows(gf, coeffs, a))
 
 
-def preimage_rows(gf: Gfq, x_mat: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
+def preimage_rows(gf: Handle, x_mat: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
     """Basis rows of {v in F^src : X v in rowspace(sub)} for X a tgt x src matrix."""
     n_funcs = right_kernel_rows(gf, sub_rref, tgt_dim)
     if not n_funcs:
-        return identity_rows(src_dim)
+        return pack_rows(gf, identity_rows(src_dim))
     system = matmul_rows(gf, n_funcs, x_mat)
     return right_kernel_rows(gf, system, src_dim)
 
@@ -351,12 +413,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_rref(gf: Gfq, n: int, k: int):
+def enumerate_rref(gf: Handle, n: int, k: int):
     """Yield all k x n RREF matrices over GF(q), in lexicographic order.
 
     Pivot column sets run in lexicographic order, and for each set the free
     entries run through all assignments in lexicographic order.
     """
+    if gf.packed:
+        yield from _enumerate_rref_packed(n, k)
+        return
     if k == 0:
         yield ()
         return
@@ -378,3 +443,90 @@ def enumerate_rref(gf: Gfq, n: int, k: int):
             for (i, j), v in zip(free_pos, values):
                 mat[i][j] = v
             yield tuple(tuple(r) for r in mat)
+
+
+# ----------------------------------------------------------------------
+# The GF2_PACKED kernels.  The pivot of a row in echelon form is its top
+# bit, so "x has the pivot bit of b set" reads x ^ b < x.
+
+
+def _reduce_packed(basis, x: int) -> int:
+    """x reduced against the rows of a reduced echelon basis."""
+    for b in basis:
+        if x ^ b < x:
+            x ^= b
+    return x
+
+
+def _rref_packed(rows) -> Rows:
+    basis: list[int] = []
+    for x in rows:
+        x = _reduce_packed(basis, x)
+        if x:
+            for i, b in enumerate(basis):
+                if b ^ x < b:
+                    basis[i] = b ^ x
+            basis.append(x)
+    basis.sort(reverse=True)
+    return tuple(basis)
+
+
+def _kernel_packed(rows, ncols: int) -> Rows:
+    red = _rref_packed(rows)
+    pivots = [r.bit_length() - 1 for r in red]
+    basis = []
+    for bit in range(ncols - 1, -1, -1):
+        if bit in pivots:
+            continue
+        v = 1 << bit
+        for r, p in zip(red, pivots):
+            if r >> bit & 1:
+                v |= 1 << p
+        basis.append(v)
+    return _rref_packed(basis)
+
+
+def _matmul_packed(a, b) -> Rows:
+    by_bit = b[::-1]  # by_bit[i] is the row of b selected by bit i
+    out = []
+    for x in a:
+        acc = i = 0
+        while x:
+            if x & 1:
+                acc ^= by_bit[i]
+            x >>= 1
+            i += 1
+        out.append(acc)
+    return tuple(out)
+
+
+def _intersect_packed(a, b, ncols: int) -> Rows:
+    # Zassenhaus: eliminate the rows (a | a) and (b | 0); the rows whose
+    # left half vanishes span the intersection in their right half.
+    red = _rref_packed([(x << ncols) | x for x in a] + [y << ncols for y in b])
+    return tuple(r for r in red if r >> ncols == 0)
+
+
+def _submasks(mask: int):
+    """Every submask of mask, in increasing order."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
+def _enumerate_rref_packed(n: int, k: int):
+    # Each row's free entries in lexicographic order are its free-bit
+    # submasks in increasing order, so the product runs as the tuple one.
+    for pivots in itertools.combinations(range(n), k):
+        per_row = []
+        for p in pivots:
+            free = 0
+            for j in range(p + 1, n):
+                if j not in pivots:
+                    free |= 1 << (n - 1 - j)
+            lead = 1 << (n - 1 - p)
+            per_row.append([lead | s for s in _submasks(free)])
+        yield from itertools.product(*per_row)

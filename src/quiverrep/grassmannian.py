@@ -2,7 +2,11 @@
 
 This is the ground truth the Hom-inequality criteria are validated against,
 so it runs on its own compact linear algebra (:mod:`quiverrep.gflin`) and
-never consults the criteria.
+never consults the criteria.  Over F_2 the oracle holds its subspaces on
+gflin's packed handle, one int per row; over any other field, on tuple rows
+through arithmetic tables.  The search is written once against gflin's
+row-space functions, which take either format; only ``__init__`` (the
+arrow matrices and the whole spaces) and ``_rows_to_basis`` convert.
 
 The search assigns one vertex subspace at a time, always picking the
 unassigned vertex with the fewest admissible candidates.  A candidate at a
@@ -65,14 +69,17 @@ class SubrepOracle:
             raise ValueError("enumeration requires an acyclic quiver")
         self.m = m
         self.q = m.quiver
-        self.gf = gflin.gfq(m.field.order)
+        gf = gflin.GF2_PACKED if m.field.order == 2 else gflin.gfq(m.field.order)
+        self.gf = gf
         self.budget = budget
         self.process_order = tuple(reversed(order))
-        self.arrow_rows = tuple(tuple(tuple(r) for r in mat.rows) for mat in m.arrow_mats)
+        self.arrow_rows = tuple(gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats)
         self.arrow_rows_t = tuple(
-            tuple(tuple(mat.rows[i][j] for i in range(mat.nrows)) for j in range(mat.ncols))
+            gflin.pack_rows(gf, ([row[j] for row in mat.rows] for j in range(mat.ncols)))
             for mat in m.arrow_mats
         )
+        # the whole space at each vertex, the bound of an unconstrained vertex
+        self.full_rows = tuple(gflin.pack_rows(gf, gflin.identity_rows(d)) for d in m.dims)
         self.out_arrows = tuple(
             tuple((i, t) for i, (s, t) in enumerate(self.q.arrows) if s == v)
             for v in range(self.q.vertex_count)
@@ -97,9 +104,7 @@ class SubrepOracle:
         gf = self.gf
         out: list[tuple[int, int, int]] = []
         # composite rows for paths ending at each vertex, keyed by start
-        frontier = {
-            v: {v: gflin.identity_rows(self.m.dims[v])} for v in range(self.q.vertex_count)
-        }
+        frontier = {v: {v: self.full_rows[v]} for v in range(self.q.vertex_count)}
         order = tuple(reversed(self.process_order))  # a topological order
         for v in order:
             for arrow_idx, (s, t) in enumerate(self.q.arrows):
@@ -175,7 +180,7 @@ class SubrepOracle:
                 else:
                     bound = gflin.intersect_rows(gf, bound, pre, dim_v)
         if bound is None:
-            bound = gflin.identity_rows(dim_v)
+            bound = self.full_rows[v]
         if e_v > len(bound):
             return w_rows, (), 0
         if w and any(not gflin.row_in_span(gf, bound, row) for row in w_rows):
@@ -309,8 +314,8 @@ class SubrepOracle:
         return bases
 
     def _rows_to_basis(self, v: int, rows: gflin.Rows) -> Matrix:
-        f = self.m.field
-        return Matrix.from_cols(f, [list(r) for r in rows], nrows=self.m.dims[v])
+        f, n = self.m.field, self.m.dims[v]
+        return Matrix.from_cols(f, [list(r) for r in gflin.unpack_rows(self.gf, rows, n)], nrows=n)
 
     def _recheck(self, bases) -> None:
         for (s, t), mat in zip(self.q.arrows, self.m.arrow_mats):

@@ -222,7 +222,8 @@ def d4_subspace() -> Quiver:
 
 # ----------------------------------------------------------------------
 # Serialization: {"vertices": [labels], "arrows": [[src, tgt], ...]}
-# Arrow endpoints may be labels or 0-based indices.
+# Arrow endpoints may be labels or 0-based indices, but one file uses one
+# kind: [[1, 2]] and [["1", "2"]] name different arrows.
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -239,6 +240,11 @@ def quiver_from_json(data: dict) -> Quiver:
         raise ValueError("a quiver must be a JSON object with lists 'vertices' and 'arrows'")
     if not all(isinstance(a, list) and len(a) == 2 for a in data["arrows"]):
         raise ValueError("each arrow must be a [source, target] pair")
+    endpoints = [x for a in data["arrows"] for x in a]
+    if any(isinstance(x, bool) for x in endpoints):
+        raise ValueError("an arrow endpoint must be a vertex label or index, not a boolean")
+    if len({isinstance(x, int) for x in endpoints}) > 1:
+        raise ValueError("arrow endpoints mix 0-based indices and vertex labels; use one kind")
     labels = [str(x) for x in data["vertices"]]
     index = {lab: i for i, lab in enumerate(labels)}
 

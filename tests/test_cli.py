@@ -162,6 +162,7 @@ def test_malformed_representation_exits_3(tmp_path, capsys):
     assert main(["fixtures", "--out", str(tmp_path / "fx")]) == 0
     good = tmp_path / "fx" / "d4.x.json"
     data = json.loads(good.read_text())
+    quiver = data["quiver"]
     malformed = (
         ("matrices-int.json", data | {"matrices": 5}),
         ("wrapped.json", [data]),
@@ -169,6 +170,9 @@ def test_malformed_representation_exits_3(tmp_path, capsys):
         ("field-int.json", data | {"field": 5}),
         ("field-null.json", data | {"field": None}),
         ("field-list.json", data | {"field": ["Q"]}),
+        # 0 is an index and "2" a label; both files still spell D4 if read leniently
+        ("arrows-mixed.json", data | {"quiver": quiver | {"arrows": [[0, "2"], ["1", "3"], ["1", "4"]]}}),
+        ("arrows-bool.json", data | {"quiver": quiver | {"arrows": [[False, 1], [0, 2], [0, 3]]}}),
     )
     for name, bad_data in malformed:
         bad = tmp_path / name

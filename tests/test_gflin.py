@@ -3,6 +3,14 @@ import random
 from quiverrep import gflin
 from quiverrep.exactlin import GF, Matrix
 
+F2 = gflin.gfq(2)
+PACKED = gflin.GF2_PACKED
+
+
+def _handles(*orders):
+    """A table handle per order, and the packed GF(2) handle when 2 is listed."""
+    return [gflin.gfq(q) for q in orders] + ([PACKED] if 2 in orders else [])
+
 
 def test_gaussian_binomial_values():
     assert gflin.gaussian_binomial(4, 2, 2) == 35
@@ -12,64 +20,112 @@ def test_gaussian_binomial_values():
 
 
 def test_enumerate_rref_counts_and_uniqueness():
-    for q in (2, 3, 4):
-        gf = gflin.gfq(q)
+    for gf in _handles(2, 3, 4):
         for n in range(5):
-            for k in range(n + 1):
+            for k in range(n + 2):
                 mats = list(gflin.enumerate_rref(gf, n, k))
-                assert len(mats) == gflin.gaussian_binomial(n, k, q)
+                assert len(mats) == gflin.gaussian_binomial(n, k, gf.q)
                 assert len(set(mats)) == len(mats)
                 for m in mats:
                     assert gflin.rref_rows(gf, m) == m
+                # the packed handle yields the tuple handle's matrices, in its order
+                tuples = list(gflin.enumerate_rref(gflin.gfq(gf.q), n, k))
+                assert [gflin.unpack_rows(gf, m, n) for m in mats] == tuples
 
 
 def test_rref_agrees_with_exactlin():
-    rng = random.Random(2)
-    for q in (2, 3, 5):
-        gf = gflin.gfq(q)
-        f = GF(q)
+    for gf in _handles(2, 3, 5):
+        rng = random.Random(2)
+        f = GF(gf.q)
         for _ in range(30):
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            rows = tuple(tuple(rng.randrange(q) for _ in range(nc)) for _ in range(nr))
-            toolkit = gflin.rref_rows(gf, rows)
+            rows = tuple(tuple(rng.randrange(gf.q) for _ in range(nc)) for _ in range(nr))
+            toolkit = gflin.unpack_rows(gf, gflin.rref_rows(gf, gflin.pack_rows(gf, rows)), nc)
             red, pivots = Matrix(f, rows).rref()
             nonzero = tuple(r for r in red.rows if any(r))
             assert toolkit == nonzero
 
 
 def test_right_kernel_annihilates():
-    rng = random.Random(8)
-    for q in (2, 3, 4):
-        gf = gflin.gfq(q)
+    for gf in _handles(2, 3, 4):
+        rng = random.Random(8)
+        table = gflin.gfq(gf.q)
         for _ in range(20):
             nr, nc = rng.randint(1, 4), rng.randint(1, 5)
-            rows = tuple(tuple(rng.randrange(q) for _ in range(nc)) for _ in range(nr))
-            kern = gflin.right_kernel_rows(gf, rows, nc)
-            assert len(kern) == nc - len(gflin.rref_rows(gf, rows))
+            rows = tuple(tuple(rng.randrange(gf.q) for _ in range(nc)) for _ in range(nr))
+            packed = gflin.pack_rows(gf, rows)
+            kern = gflin.unpack_rows(gf, gflin.right_kernel_rows(gf, packed, nc), nc)
+            assert len(kern) == nc - len(gflin.rref_rows(gf, packed))
             for v in kern:
-                assert not any(gflin.mat_vec(gf, rows, v))
+                assert not any(gflin.mat_vec(table, rows, v))
 
 
 def test_intersection_and_preimage():
-    gf = gflin.gfq(2)
-    a = gflin.rref_rows(gf, ((1, 0, 0), (0, 1, 0)))
-    b = gflin.rref_rows(gf, ((0, 1, 0), (0, 0, 1)))
-    inter = gflin.intersect_rows(gf, a, b, 3)
-    assert inter == ((0, 1, 0),)
-    # preimage of span(e1) under projection onto first two coordinates
-    x = ((1, 0, 0), (0, 1, 0))  # F_2^3 -> F_2^2
-    pre = gflin.preimage_rows(gf, x, ((1, 0),), 3, 2)
-    assert len(pre) == 2
-    for v in pre:
-        img = gflin.mat_vec(gf, x, v)
-        assert img[1] == 0
+    for gf in _handles(2):
+        a = gflin.rref_rows(gf, gflin.pack_rows(gf, ((1, 0, 0), (0, 1, 0))))
+        b = gflin.rref_rows(gf, gflin.pack_rows(gf, ((0, 1, 0), (0, 0, 1))))
+        inter = gflin.intersect_rows(gf, a, b, 3)
+        assert gflin.unpack_rows(gf, inter, 3) == ((0, 1, 0),)
+        # preimage of span(e1) under projection onto first two coordinates
+        x = ((1, 0, 0), (0, 1, 0))  # F_2^3 -> F_2^2
+        pre = gflin.preimage_rows(gf, gflin.pack_rows(gf, x), gflin.pack_rows(gf, ((1, 0),)), 3, 2)
+        assert len(pre) == 2
+        for v in gflin.unpack_rows(gf, pre, 3):
+            img = gflin.mat_vec(F2, x, v)
+            assert img[1] == 0
 
 
 def test_complement_in():
-    gf = gflin.gfq(3)
-    b = gflin.identity_rows(3)
-    w = gflin.rref_rows(gf, ((1, 2, 0),))
-    comp = gflin.complement_in(gf, w, b)
-    assert len(comp) == 2
-    combined = gflin.rref_rows(gf, w + comp)
-    assert len(combined) == 3
+    for gf in _handles(2, 3):
+        b = gflin.pack_rows(gf, gflin.identity_rows(3))
+        w = gflin.rref_rows(gf, gflin.pack_rows(gf, ((1, gf.q - 1, 0),)))
+        comp = gflin.complement_in(gf, w, b)
+        assert len(comp) == 2
+        combined = gflin.rref_rows(gf, w + comp)
+        assert len(combined) == 3
+
+
+def _random_f2_rows(rng, nr, nc):
+    """A random F_2 row matrix; every fourth one is zero (rank 0)."""
+    zero = rng.randrange(4) == 0
+    return tuple(tuple(0 if zero else rng.randrange(2) for _ in range(nc)) for _ in range(nr))
+
+
+def test_packed_handle_matches_tuple_rows_on_random_f2():
+    """Every row-space function, on seeded random F_2 inputs of width 0 to
+    6, gives the tuple handle's rows once unpacked."""
+    rng = random.Random(6)
+    widths = set()
+    for _ in range(400):
+        nc = rng.randint(0, 6)
+        widths.add(nc)
+        a = _random_f2_rows(rng, rng.randint(0, 4), nc)
+        b = _random_f2_rows(rng, rng.randint(0, 4), nc)
+        pa, pb = gflin.pack_rows(PACKED, a), gflin.pack_rows(PACKED, b)
+
+        def same(packed, tuples, n=nc):
+            assert gflin.unpack_rows(PACKED, packed, n) == tuples, (a, b)
+
+        ra, rb = gflin.rref_rows(F2, a), gflin.rref_rows(F2, b)
+        same(gflin.rref_rows(PACKED, pa), ra)
+        assert gflin.rank_rows(PACKED, pa) == len(ra)
+        same(gflin.right_kernel_rows(PACKED, pa, nc), gflin.right_kernel_rows(F2, a, nc))
+        same(gflin.intersect_rows(PACKED, gflin.rref_rows(PACKED, pa), gflin.rref_rows(PACKED, pb), nc),
+             gflin.intersect_rows(F2, ra, rb, nc))
+        # complement of span(a) inside span(a) + span(b)
+        rab = gflin.rref_rows(F2, a + b)
+        same(gflin.complement_in(PACKED, gflin.rref_rows(PACKED, pa), gflin.rref_rows(PACKED, pa + pb)),
+             gflin.complement_in(F2, ra, rab))
+        for v, pv in zip(b, pb):
+            assert gflin.row_in_span(PACKED, gflin.rref_rows(PACKED, pa), pv) == gflin.row_in_span(F2, ra, v)
+        # the preimage under a (as a len(a) x nc matrix) of a random subspace
+        sub = gflin.rref_rows(F2, _random_f2_rows(rng, rng.randint(0, 3), len(a)))
+        same(gflin.preimage_rows(PACKED, pa, gflin.pack_rows(PACKED, sub), nc, len(a)),
+             gflin.preimage_rows(F2, a, sub, nc, len(a)))
+        # a (len(a) x nc) times c (nc x t); with nc = 0 the tuple rows of c
+        # cannot carry t, so the reference is the zero matrix
+        t = rng.randint(0, 4)
+        c = _random_f2_rows(rng, nc, t)
+        product = gflin.matmul_rows(F2, a, c) if nc else tuple((0,) * t for _ in a)
+        same(gflin.matmul_rows(PACKED, pa, gflin.pack_rows(PACKED, c)), product, t)
+    assert widths == set(range(7))

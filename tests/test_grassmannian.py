@@ -344,3 +344,32 @@ def test_counting_poly_records_visits_per_order():
     gc = counting_poly(m, (1,), [2, 3, 5])
     assert [q for q, _ in gc.visits] == [q for q, _ in gc.samples]
     assert gc.visits == [(2, 3), (3, 4), (5, 6)]
+
+
+def test_packed_oracle_matches_the_table_handle_over_f2(monkeypatch):
+    """Over F_2 the oracle runs on packed int rows; with the table handle
+    swapped in it runs on tuple rows.  Both give the same answers and charge
+    the same visits, for every e, on random A3, D4 and Kronecker(2)
+    representations, some with zero-dimensional vertices."""
+    from quiverrep.quiver import d4_subspace
+
+    rng = random.Random(29)
+    zero_vertices = 0
+    for q, top in ((a_n(3), 3), (d4_subspace(), 2), (kronecker(2), 3)):
+        for _ in range(5):
+            dims = [rng.randint(0, top) for _ in range(q.vertex_count)]
+            if rng.randrange(2):
+                dims[rng.randrange(q.vertex_count)] = 0
+            zero_vertices += dims.count(0)
+            m = random_representation(q, tuple(dims), F2, seed=rng.randrange(10**6))
+            packed = SubrepOracle(m)
+            with monkeypatch.context() as patch:
+                patch.setattr(gflin, "GF2_PACKED", gflin.gfq(2))
+                table = SubrepOracle(m)
+            assert packed.gf is gflin.GF2_PACKED and table.gf is gflin.gfq(2)
+            for e in itertools.product(*(range(d + 1) for d in dims)):
+                for op in ("count", "nonempty", "first_subrep", "enumerate"):
+                    got, want = getattr(packed, op)(e), getattr(table, op)(e)
+                    assert got == want, (op, dims, e)
+                    assert packed.visits == table.visits, (op, dims, e)
+    assert zero_vertices >= 5

@@ -128,6 +128,10 @@ def test_quiver_json_accepts_indices():
     assert q.arrows == ((0, 1),)
     with pytest.raises(ValueError):
         quiver_from_json({"vertices": ["a"], "arrows": [["a", "bogus"]]})
+    labels = ["1", "2", "3"]
+    for arrows in ([[1, "2"]], [[0, 1], ["2", "3"]], [[True, 2]], [["1", True]]):
+        with pytest.raises(ValueError):  # one endpoint kind per file, and no booleans
+            quiver_from_json({"vertices": labels, "arrows": arrows})
 
 
 def test_invalid_quivers_rejected():
