@@ -130,10 +130,10 @@ def _verdict_exit(v: Verdict) -> int:
     return EXIT_FAILS
 
 
-def _table_for(rep, seed):
+def _table_for(rep):
     if not is_dynkin(rep.quiver):
         raise ValueError("this check requires a Dynkin quiver")
-    return cached_table(rep.quiver, rep.field, seed=seed)
+    return cached_table(rep.quiver, rep.field)
 
 
 def cmd_roots(args, config: RunConfig) -> int:
@@ -159,7 +159,7 @@ def cmd_ext(args, config: RunConfig) -> int:
 
 def cmd_decompose(args, config: RunConfig) -> int:
     m = load_rep(args.rep)
-    table = _table_for(m, config.seed)
+    table = _table_for(m)
     mults = decompose(m, table)
     lines = [f"{list(root)} x {mult}" for root, mult in sorted(mults.items())]
     _emit(config, lines or ["0"], {"multiplicities": [[list(r), c] for r, c in sorted(mults.items())]})
@@ -169,7 +169,7 @@ def cmd_decompose(args, config: RunConfig) -> int:
 def cmd_check_sub(args, config: RunConfig) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
-    table = _table_for(m, config.seed)
+    table = _table_for(m)
     v = check_grassmannian_nonempty(m, e, table)
     _emit(config, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)
@@ -178,7 +178,7 @@ def cmd_check_sub(args, config: RunConfig) -> int:
 def cmd_check_irred(args, config: RunConfig) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
-    table = _table_for(m, config.seed)
+    table = _table_for(m)
     v = check_grassmannian_irreducible(m, e, table)
     lines = _verdict_lines(v)
     lines.append("note: sufficient criterion only; a failing verdict draws no conclusion")
@@ -254,7 +254,7 @@ def cmd_semistable(args, config: RunConfig) -> int:
     table = None
     q_enum = args.q_enum
     if is_dynkin(m.quiver) and not args.force_enum:
-        table = cached_table(m.quiver, m.field, seed=config.seed)
+        table = cached_table(m.quiver, m.field)
         q_enum = None
     v = is_semistable(m, e, q_enum=q_enum, table=table, budget=config.enum_budget)
     _emit(config, _verdict_lines(v), v.to_json())
@@ -308,7 +308,7 @@ def cmd_dual_surj(args, config: RunConfig) -> int:
 
 def cmd_check_an(args, config: RunConfig) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
-    table = _table_for(n, config.seed)
+    table = _table_for(n)
     v = an_criterion(n, m, table, seed=config.seed)
     _emit(config, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)

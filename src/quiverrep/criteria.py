@@ -3,6 +3,7 @@ recomputable witness and a full inequality ledger."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -34,6 +35,7 @@ from .rep import (
     power,
     quotient,
     random_representation,
+    search_hom,
     socle_at,
 )
 
@@ -95,7 +97,8 @@ class GrassmannianChecker:
     """Criterion evaluator for one representation against a table.
 
     The Hom dimensions [U, m] and [m, U] do not depend on the queried e,
-    so they are computed once here, and so are the Euler coefficients
+    so they are computed once: [U, m] here, [m, U] on the first
+    `irreducible` call, the only reader.  So are the Euler coefficients
     <dim U, eps_v> and <eps_v, dim U> on the unit vectors; by bilinearity,
     checking a given e is then a dot product per root.
     """
@@ -106,13 +109,16 @@ class GrassmannianChecker:
         self.m = m
         self.table = table
         self.hom_into_m = tuple(hom_dim(u, m) for u in table.reps)
-        self.hom_from_m = tuple(hom_dim(m, u) for u in table.reps)
         self.injective = set(table.injective_root_indices())
         self.projective = set(table.projective_root_indices())
         q = m.quiver
         units = [tuple(int(v == w) for w in range(q.vertex_count)) for v in range(q.vertex_count)]
         self.euler_from_root = tuple(tuple(euler_form(q, r, u) for u in units) for r in table.roots)
         self.euler_into_root = tuple(tuple(euler_form(q, u, r) for u in units) for r in table.roots)
+
+    @functools.cached_property
+    def hom_from_m(self) -> tuple[int, ...]:
+        return tuple(hom_dim(self.m, u) for u in self.table.reps)
 
     def nonempty(self, e: DimVector) -> Verdict:
         m, table = self.m, self.table
@@ -216,10 +222,8 @@ class CheckConfig:
     """Knobs for the quotient-estimate checkers.
 
     mode: "auto" picks "subspaces" over a finite field and "sampling" over
-    Q.  "subspaces" and "vectors" are both exhaustive and equivalent;
-    "vectors" enumerates socle vectors of n^k up to scalar literally, while
-    "subspaces" dedups them by their span, which the brackets only depend
-    on.
+    Q.  "subspaces" is exhaustive: it enumerates the socle subspaces, the
+    spans of the socle vectors of n^k, which the brackets only depend on.
     """
 
     mode: str = "auto"
@@ -280,12 +284,10 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
         raise ValueError("representations live over different fields")
     config = config or CheckConfig()
     mode = config.resolve_mode(n)
-    if mode in ("subspaces", "vectors") and not n.field.is_finite:
-        raise ValueError("exhaustive modes require a finite ground field")
     if mode == "subspaces":
+        if not n.field.is_finite:
+            raise ValueError("the exhaustive mode requires a finite ground field")
         return _check_nc2_subspaces(n, m, config)
-    if mode == "vectors":
-        return _check_nc2_vectors(n, m, config)
     if mode == "sampling":
         return _check_nc2_sampling(n, m, config)
     raise ValueError(f"unknown mode {config.mode!r}")
@@ -380,55 +382,6 @@ def _simple_sub_quotient(nk: Representation, vertex: int, vec) -> Representation
         else:
             sub.append(Matrix.zeros(f, nk.dims[v], 0))
     return quotient(nk, sub)[0]
-
-
-def _check_nc2_vectors(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
-    """Literal exhaustive check: socle vectors of n^k up to scalar (each
-    projectively normalized coefficient vector once), for every k up to
-    [S_i, n]."""
-    f = n.field
-    q = f.order
-    details = []
-    witness = None
-    checked = 0
-    socles = _socles(n)
-    total = sum(
-        (q ** (k * soc.ncols) - 1) // (q - 1) for soc in socles.values() for k in range(1, soc.ncols + 1)
-    )
-    if total > config.class_budget:
-        raise ValueError(f"exhaustive vector mode needs {total} classes, over the budget")
-    for i, soc in socles.items():
-        for k in range(1, soc.ncols + 1):
-            nk, soc_k, hom_nk_n, hom_nk_m = _power_data(n, m, i, k)
-            for coeffs in _projective_vectors(f, soc_k.ncols):
-                quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
-                lhs = hom_nk_n - hom_dim(quot, n)
-                rhs = hom_nk_m - hom_dim(quot, m)
-                ok = lhs <= rhs
-                entry = _bracket_payload(i, k, list(coeffs), hom_nk_n, hom_nk_m, lhs, rhs)
-                entry["ok"] = ok
-                details.append(entry)
-                checked += 1
-                if not ok and witness is None:
-                    witness = entry | {"kind": "quotient"}
-    context = {
-        "criterion": "nc2",
-        "mode": "vectors",
-        "field": f.name,
-        "conclusive": True,
-        "checked": checked,
-    }
-    return Verdict(holds=witness is None, witness=witness, details=details, context=context)
-
-
-def _projective_vectors(field, dim):
-    """Nonzero vectors of F_q^dim with first nonzero coordinate 1, in
-    lexicographic order of the full coefficient tuple."""
-    q = field.order
-    for first in range(dim):
-        prefix = (0,) * first + (1,)
-        for rest in itertools.product(range(q), repeat=dim - first - 1):
-            yield prefix + rest
 
 
 def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
@@ -653,13 +606,14 @@ def _find_iso(a: Representation, b: Representation, seed: int, trials: int = 128
     """An isomorphism a -> b found by sampling Hom(a, b); requires a ~ b."""
     if a == b:
         return identity_morphism(a)
-    basis = hom_basis(a, b)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        mor = basis.combination([a.field.random(rng, 50) for _ in range(basis.dim)])
-        if all(mat.nrows == mat.ncols and mat.rank() == mat.nrows for mat in mor.vertex_mats):
-            return mor
-    raise RuntimeError("no isomorphism found by sampling; inputs may not be isomorphic")
+
+    def is_iso(mor: Morphism) -> bool:
+        return all(mat.nrows == mat.ncols and mat.rank() == mat.nrows for mat in mor.vertex_mats)
+
+    mor = search_hom(hom_basis(a, b), is_iso, seed, trials)
+    if mor is None:
+        raise RuntimeError("no isomorphism found by sampling; inputs may not be isomorphic")
+    return mor
 
 
 def _invert_iso(f: Morphism) -> Morphism:

@@ -1,5 +1,5 @@
-"""Dynkin-specific machinery: positive roots, certified indecomposables,
-Hom-matrix decomposition, and generic representations."""
+"""Dynkin-specific machinery: positive roots, indecomposables by reflection
+functors, Hom-matrix decomposition, and generic representations."""
 
 from __future__ import annotations
 
@@ -15,14 +15,14 @@ from .quiver import (
     dim_leq,
     dim_sub,
     euler_form,
+    opposite,
     quiver_from_json,
     quiver_to_json,
     require_dynkin,
 )
 from .rep import (
     Representation,
-    build_injective,
-    build_projective,
+    _paths_from,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -30,6 +30,7 @@ from .rep import (
     random_representation,
     rep_from_json,
     rep_to_json,
+    search_hom,
     zero_representation,
 )
 
@@ -56,54 +57,57 @@ def positive_roots(q: Quiver) -> list[DimVector]:
     return sorted(roots)
 
 
-def indecomposable(
-    q: Quiver,
-    root: DimVector,
-    field: FieldSpec,
-    seed: int = 0,
-    retries: int = 32,
-    reduction_orders: tuple[int, ...] = (),
-) -> Representation:
-    """The indecomposable of a real root, by certified random sampling.
+def indecomposable(q: Quiver, root: DimVector, field: FieldSpec) -> Representation:
+    """The indecomposable of a positive root, by BGP reflection functors.
 
-    A sample certifies as the indecomposable when dim End = 1 (which for a
-    root dimension vector forces Ext(X, X) = 0 as well).  The coefficient
-    box over Q escalates across retries.
-
-    Over Q, `reduction_orders` additionally requires the sample to stay
-    End-dimension 1 after reduction into each listed finite field, so the
-    result can feed finite-field point counts.
+    Reflecting d at sinks of the current orientation, d -> s_k(d), reaches
+    a simple root alpha_k (Bernstein-Gelfand-Ponomarev, 1973).  Starting
+    from the simple S_k, the functors S_k^- undo those reflections in
+    reverse order: at a source k of the current orientation, V_k is
+    replaced by the cokernel of V_k -> (+)_j V_j, and the reversed arrows
+    j -> k are the blocks of the quotient map.  The matrices have entries
+    in {0, +-1}.  Certified by dim End = 1, else RuntimeError.
     """
     root = check_dimvector(q, root)
     if euler_form(q, root, root) != 1 or not any(root):
         raise ValueError(f"{root} is not a positive root")
-    for attempt in range(retries):
-        box = 2 if (reduction_orders and attempt < retries // 2) else 10 * (2**min(attempt, 10))
-        x = random_representation(q, root, field, seed=seed + 7919 * attempt, box=box)
-        if hom_dim(x, x) != 1:
-            continue
-        if reduction_orders and field.is_rationals:
-            try:
-                reduced = [x.change_field(FieldSpec.of_order(o)) for o in reduction_orders]
-            except ValueError:
-                continue
-            if any(hom_dim(r, r) != 1 for r in reduced):
-                continue
-        return x
-    raise RuntimeError(
-        f"could not certify an indecomposable of dimension vector {root} "
-        f"over {field} within {retries} attempts"
-    )
+    require_dynkin(q)
+    arrows = list(q.arrows)
+    dims = list(root)
+    sinks = []
+    while sum(dims) != 1:
+        k = min(v for v in range(q.vertex_count) if all(s != v for s, _ in arrows))
+        dims[k] = sum(dims[s] for s, t in arrows if t == k) - dims[k]
+        arrows = [(t, s) if t == k else (s, t) for s, t in arrows]
+        sinks.append(k)
+    mats = [Matrix.zeros(field, dims[t], dims[s]) for s, t in arrows]
+    for k in reversed(sinks):
+        out = [a for a, (s, _) in enumerate(arrows) if s == k]
+        coker = Matrix.vstack([mats[a] for a in out]).transpose().kernel_basis().transpose()
+        col = 0
+        for a in out:
+            j = arrows[a][1]
+            mats[a] = coker.submatrix(range(coker.nrows), range(col, col + dims[j]))
+            arrows[a] = (j, k)
+            col += dims[j]
+        dims[k] = coker.nrows
+    x = Representation(q, field, root, mats)
+    if hom_dim(x, x) != 1:
+        raise RuntimeError(f"the reflection-functor module of {root} over {field} has End != 1")
+    return x
 
 
 @dataclass(frozen=True)
 class IndecomposableTable:
     """All indecomposables of a Dynkin quiver plus their Hom matrix.
 
-    hom_matrix[u][v] = dim Hom(reps[u], reps[v]).  It is unitriangular in
-    an order refining Hom-nonvanishing, so its inverse is integral; the
-    table keeps that inverse and refuses to exist without it.  Roots are
-    kept in lexicographic order.
+    hom_matrix[u][v] = dim Hom(reps[u], reps[v]) = max(<u, v>, 0): the
+    category is directed (Ringel, 1998), so Hom and Ext between two
+    indecomposables are never both nonzero.  It is unitriangular in an
+    order refining Hom-nonvanishing, so its inverse is integral; the table
+    keeps that inverse and refuses to exist without it.  Roots are kept in
+    lexicographic order.  Path counts give the roots of the projectives
+    and injectives.
     """
 
     quiver: Quiver
@@ -112,6 +116,8 @@ class IndecomposableTable:
     reps: tuple[Representation, ...]
     hom_matrix: tuple[tuple[int, ...], ...]
     inverse_hom: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+    _projective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+    _injective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i in range(self.size):
@@ -124,6 +130,10 @@ class IndecomposableTable:
         if inv is None or any(x.denominator != 1 for row in inv.rows for x in row):
             raise RuntimeError("table invalid: Hom matrix has no integral inverse")
         object.__setattr__(self, "inverse_hom", tuple(tuple(int(x) for x in row) for row in inv.rows))
+        q = self.quiver
+        for name, quiver in (("_projective", q), ("_injective", opposite(q))):
+            dims = {tuple(map(len, _paths_from(quiver, v).values())) for v in range(q.vertex_count)}
+            object.__setattr__(self, name, tuple(i for i, r in enumerate(self.roots) if r in dims))
 
     @property
     def size(self) -> int:
@@ -136,32 +146,32 @@ class IndecomposableTable:
         return self.hom_matrix[u][v] - euler_form(self.quiver, self.roots[u], self.roots[v])
 
     def projective_root_indices(self) -> tuple[int, ...]:
-        return self._root_indices_of(build_projective)
+        return self._projective
 
     def injective_root_indices(self) -> tuple[int, ...]:
-        return self._root_indices_of(build_injective)
-
-    def _root_indices_of(self, build) -> tuple[int, ...]:
-        dims = {build(self.quiver, v, self.field).dims for v in range(self.quiver.vertex_count)}
-        return tuple(i for i, r in enumerate(self.roots) if r in dims)
+        return self._injective
 
 
 def build_table(
-    q: Quiver,
-    field: FieldSpec,
-    seed: int = 0,
-    retries: int = 256,
-    reduction_orders: tuple[int, ...] = (),
+    q: Quiver, field: FieldSpec, seed: int = 0, reduction_orders: tuple[int, ...] = ()
 ) -> IndecomposableTable:
+    """The table of a Dynkin quiver over `field`, with no random draws.
+
+    `seed` is ignored: the table does not depend on it.  Over Q, each
+    indecomposable reduced into each of `reduction_orders` must keep
+    End = 1, so the reps can feed finite-field point counts; a failure is
+    a RuntimeError, never a retry.
+    """
     require_dynkin(q)
     roots = tuple(positive_roots(q))
-    reps = tuple(
-        indecomposable(
-            q, r, field, seed=seed + 104729 * i, retries=retries, reduction_orders=reduction_orders
-        )
-        for i, r in enumerate(roots)
-    )
-    hom = tuple(tuple(hom_dim(u, v) for v in reps) for u in reps)
+    reps = tuple(indecomposable(q, r, field) for r in roots)
+    if field.is_rationals:
+        for x in reps:
+            for order in reduction_orders:
+                reduced = x.change_field(FieldSpec.of_order(order))
+                if hom_dim(reduced, reduced) != 1:
+                    raise RuntimeError(f"the indecomposable of {x.dims} has End != 1 over F_{order}")
+    hom = tuple(tuple(max(euler_form(q, u, v), 0) for v in roots) for u in roots)
     return IndecomposableTable(q, field, roots, reps, hom)
 
 
@@ -292,25 +302,12 @@ def check_generic_embedding(
         return holds, None
     ge = assemble(table, me)
     gd = assemble(table, canonical_decomposition(q, d, table, seed=seed + 2))
-    mor = _search_injective(ge, gd, seed=seed, trials=trials)
-    return holds, mor
-
-
-def _search_injective(n: Representation, m: Representation, seed: int, trials: int):
-    """Sample Hom(n, m) for an injective element; None if none found."""
-    import random
-
-    basis = hom_basis(n, m)
-    if n.total_dim == 0:
-        return basis.combination([n.field.zero] * basis.dim)
+    basis = hom_basis(ge, gd)
+    if ge.total_dim == 0:
+        return holds, basis.combination([ge.field.zero] * basis.dim)
     if basis.dim == 0:
-        return None
-    rng = random.Random(seed)
-    for _ in range(trials):
-        mor = basis.combination([n.field.random(rng, 50) for _ in range(basis.dim)])
-        if is_injective_morphism(mor):
-            return mor
-    return None
+        return holds, None
+    return holds, search_hom(basis, is_injective_morphism, seed, trials)
 
 
 # ----------------------------------------------------------------------
@@ -353,9 +350,9 @@ def load_table(path) -> IndecomposableTable:
 _TABLE_CACHE: dict = {}
 
 
-def cached_table(q: Quiver, field: FieldSpec, seed: int = 0) -> IndecomposableTable:
+def cached_table(q: Quiver, field: FieldSpec) -> IndecomposableTable:
     """Process-local memoization of table construction."""
-    key = (q, field, seed)
+    key = (q, field)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = build_table(q, field, seed=seed)
+        _TABLE_CACHE[key] = build_table(q, field)
     return _TABLE_CACHE[key]

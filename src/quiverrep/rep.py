@@ -240,6 +240,18 @@ class HomBasis:
         return Morphism(self.source, self.target, mats, validate=False)
 
 
+def search_hom(basis: HomBasis, accept, seed: int, trials: int) -> Morphism | None:
+    """The first of `trials` seeded random combinations of `basis` (integer
+    box 50 over Q) that `accept` holds for, or None."""
+    rng = random.Random(seed)
+    field = basis.source.field
+    for _ in range(trials):
+        mor = basis.combination([field.random(rng, 50) for _ in range(basis.dim)])
+        if accept(mor):
+            return mor
+    return None
+
+
 def hom_basis(x: Representation, y: Representation) -> HomBasis:
     kern = _hom_system(x, y).kernel_basis()
     morphisms = [_unflatten_morphism(x, y, kern.col(j)) for j in range(kern.ncols)]

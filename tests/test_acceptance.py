@@ -66,8 +66,8 @@ def _report(number: int, elapsed: float, limit: float, text: str):
 
 @pytest.fixture(scope="module")
 def a3_tables():
-    t_f2 = build_table(A3, F2, seed=0)
-    t_q = build_table(A3, QQ, seed=0, reduction_orders=COUNT_ORDERS + CONFIRM_ORDERS)
+    t_f2 = build_table(A3, F2)
+    t_q = build_table(A3, QQ, reduction_orders=COUNT_ORDERS + CONFIRM_ORDERS)
     return t_f2, t_q
 
 
@@ -86,7 +86,7 @@ def a3_suite(a3_tables):
 
 @pytest.fixture(scope="module")
 def d4_tables():
-    return build_table(D4, F2, seed=0)
+    return build_table(D4, F2)
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +292,7 @@ def test_acceptance_6_decomposition_roundtrip():
     rng = random.Random(6060)
     recovered = 0
     for quiver_name, q in (("A3", A3), ("D4", D4)):
-        table = build_table(q, F5, seed=1)
+        table = build_table(q, F5)
         for _ in range(100):
             mults = {r: rng.randint(0, 3) for r in table.roots}
             mults = {r: c for r, c in mults.items() if c}

@@ -75,7 +75,7 @@ def test_check_embed_failing_pair(tmp_path):
     from quiverrep.rep import direct_sum
 
     f2 = GF(2)
-    t = build_table(a_n(2), f2, seed=0)
+    t = build_table(a_n(2), f2)
     u12 = assemble(t, {(1, 1): 1})
     m = direct_sum([simple(a_n(2), f2, 0), simple(a_n(2), f2, 1)])
     pn = write_rep(tmp_path, "n.json", u12)
@@ -114,7 +114,7 @@ def test_roots_and_decompose(tmp_path, capsys):
 
     from quiverrep.dynkin import assemble, build_table
 
-    t = build_table(a_n(3), GF(5), seed=0)
+    t = build_table(a_n(3), GF(5))
     m = assemble(t, {(1, 1, 0): 2, (0, 0, 1): 1})
     p = write_rep(tmp_path, "m.json", m)
     assert main(["decompose", p]) == 0
@@ -200,7 +200,7 @@ def test_check_an_command(tmp_path):
     s2 = write_rep(tmp_path, "s2.json", simple(a_n(2), f2, 1))
     from quiverrep.dynkin import assemble, build_table
 
-    t = build_table(a_n(2), f2, seed=0)
+    t = build_table(a_n(2), f2)
     u12 = write_rep(tmp_path, "u12.json", assemble(t, {(1, 1): 1}))
     assert main(["check-an", s2, u12]) == 0
     assert main(["check-an", u12, s2]) == 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quiverrep import gflin
+from quiverrep import criteria, gflin
 from quiverrep.criteria import (
     CheckConfig,
     GrassmannianChecker,
@@ -18,6 +18,10 @@ from quiverrep.criteria import (
     min_slope,
     _socle_rank_fn,
     path_order,
+    _bracket_payload,
+    _power_data,
+    _simple_sub_quotient,
+    _socles,
 )
 from quiverrep.dynkin import assemble
 from quiverrep.exactlin import GF, QQ, Matrix
@@ -30,6 +34,7 @@ from quiverrep.rep import (
     build_projective,
     direct_sum,
     dual,
+    hom_dim,
     is_injective_morphism,
     random_representation,
     simple,
@@ -196,6 +201,58 @@ def test_nc2_failing_a2_example(table_a2_f2):
     assert w["brackets"]["[n^k/S,m]"] == 1
 
 
+def _projective_vectors(field, dim):
+    """Nonzero vectors of F_q^dim with first nonzero coordinate 1, in
+    lexicographic order of the full coefficient tuple."""
+    q = field.order
+    for first in range(dim):
+        prefix = (0,) * first + (1,)
+        for rest in itertools.product(range(q), repeat=dim - first - 1):
+            yield prefix + rest
+
+
+def _check_nc2_vectors(n: Representation, m: Representation) -> Verdict:
+    """The literal nc2 check, the oracle for the "subspaces" mode: socle
+    vectors of n^k up to scalar (each projectively normalized coefficient
+    vector once), for every k up to [S_i, n], each with its own quotient
+    and Hom dimensions."""
+    f = n.field
+    details = []
+    witness = None
+    for i, soc in _socles(n).items():
+        for k in range(1, soc.ncols + 1):
+            nk, soc_k, hom_nk_n, hom_nk_m = _power_data(n, m, i, k)
+            for coeffs in _projective_vectors(f, soc_k.ncols):
+                quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
+                lhs = hom_nk_n - hom_dim(quot, n)
+                rhs = hom_nk_m - hom_dim(quot, m)
+                entry = _bracket_payload(i, k, list(coeffs), hom_nk_n, hom_nk_m, lhs, rhs)
+                entry["ok"] = lhs <= rhs
+                details.append(entry)
+                if not entry["ok"] and witness is None:
+                    witness = entry | {"kind": "quotient"}
+    return Verdict(holds=witness is None, witness=witness, details=details)
+
+
+def test_nonempty_only_checker_computes_hom_into_m_only(table_d4_f2, monkeypatch):
+    calls = []
+    real = criteria.hom_dim
+
+    def counting(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(criteria, "hom_dim", counting)
+    m = random_representation(d4_subspace(), (2, 1, 1, 1), F2, seed=4)
+    checker = GrassmannianChecker(m, table_d4_f2)
+    for e in itertools.product(*(range(d + 1) for d in m.dims)):
+        checker.nonempty(e)
+    assert len(calls) == table_d4_f2.size  # [U, m] only
+    checker.irreducible((1, 0, 0, 0))
+    checker.irreducible((1, 1, 0, 0))
+    assert len(calls) == 2 * table_d4_f2.size  # [m, U] once, on first use
+
+
 def test_nc2_vector_and_subspace_modes_agree():
     rng = random.Random(5)
     for f in (F2, F3):
@@ -205,7 +262,7 @@ def test_nc2_vector_and_subspace_modes_agree():
             n = random_representation(A2, dn, f, seed=rng.randrange(10**6))
             m = random_representation(A2, dm, f, seed=rng.randrange(10**6))
             v1 = check_nc2(n, m, CheckConfig(mode="subspaces"))
-            v2 = check_nc2(n, m, CheckConfig(mode="vectors"))
+            v2 = _check_nc2_vectors(n, m)
             assert v1.holds == v2.holds
             if not v1.holds:
                 assert v1.witness["vertex"] == v2.witness["vertex"]
@@ -253,7 +310,7 @@ def test_nc2_requires_matching_inputs():
     with pytest.raises(ValueError):
         check_nc2(n, m, CheckConfig())
     with pytest.raises(ValueError):
-        check_nc2(n, n, CheckConfig(mode="vectors" if False else "exhaustive"))
+        check_nc2(n, n, CheckConfig(mode="exhaustive"))
 
 
 def test_nc2_mode_requires_finite_field():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverrep import dynkin
 from quiverrep.dynkin import (
     assemble,
     build_table,
@@ -66,6 +67,11 @@ def _path_edges(n):
 D4_EDGES = [(0, 1), (0, 2), (0, 3)]
 D5_EDGES = [(0, 1), (0, 2), (0, 3), (3, 4)]
 E6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]
+E6 = Quiver(6, tuple(E6_EDGES))
+E6_ALTERNATING = Quiver(6, ((0, 1), (2, 1), (2, 3), (4, 3), (5, 2)))
+# path 1 - ... - 6 plus 3 -> 7, and path 1 - ... - 7 plus 3 -> 8
+E7 = Quiver(7, tuple(_path_edges(6)) + ((2, 6),))
+E8 = Quiver(8, tuple(_path_edges(7)) + ((2, 7),))
 
 
 def test_positive_roots_match_brute_force_on_every_orientation():
@@ -76,17 +82,14 @@ def test_positive_roots_match_brute_force_on_every_orientation():
 
 
 def test_positive_roots_match_brute_force_on_e6():
-    equioriented = Quiver(6, tuple(E6_EDGES))
-    alternating = Quiver(6, ((0, 1), (2, 1), (2, 3), (4, 3), (5, 2)))
-    for q in (equioriented, alternating):
+    for q in (E6, E6_ALTERNATING):
         assert positive_roots(q) == _brute_force_roots(q)
 
 
 def test_positive_roots_of_e7_e8_a9():
-    e7 = Quiver(7, tuple(_path_edges(6)) + ((2, 6),))
     e8 = Quiver(8, ((1, 0),) + tuple(_path_edges(7)[1:]) + ((7, 2),))
     a9 = Quiver(9, ((1, 0), (1, 2), (3, 2), (3, 4), (4, 5), (6, 5), (7, 6), (7, 8)))
-    for q, expected in ((e7, 63), (e8, 120), (a9, 45)):
+    for q, expected in ((E7, 63), (e8, 120), (a9, 45)):
         roots = positive_roots(q)
         assert len(roots) == expected
         assert roots == sorted(set(roots))
@@ -99,19 +102,19 @@ def test_positive_roots_reject_non_dynkin():
 
 
 def test_indecomposable_simple_roots():
-    x = indecomposable(a_n(2), (1, 0), F5, seed=0)
+    x = indecomposable(a_n(2), (1, 0), F5)
     assert x.dims == (1, 0) and hom_dim(x, x) == 1
 
 
 def test_indecomposable_a3_middle_root():
-    x = indecomposable(a_n(3), (1, 1, 1), F5, seed=0)
+    x = indecomposable(a_n(3), (1, 1, 1), F5)
     assert hom_dim(x, x) == 1
     for m in x.arrow_mats:
         assert m.rank() == 1
 
 
 def test_indecomposable_d4_big_root():
-    x = indecomposable(d4_subspace(), (2, 1, 1, 1), F5, seed=0)
+    x = indecomposable(d4_subspace(), (2, 1, 1, 1), F5)
     assert hom_dim(x, x) == 1
     p1 = build_projective(d4_subspace(), 0, F5)
     assert hom_dim(p1, x) == 2
@@ -176,7 +179,7 @@ def _fraction_solve(x, t):
 def test_decompose_of_random_reps_matches_fraction_solve(
     table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5
 ):
-    table_d4_q = build_table(d4_subspace(), QQ, seed=0)
+    table_d4_q = build_table(d4_subspace(), QQ)
     rng = random.Random(1)
     for t in (table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5, table_d4_q):
         n = t.quiver.vertex_count
@@ -297,8 +300,66 @@ def test_table_from_json_rejects_non_unimodular_hom_matrix(table_a2_f5):
 
 
 def test_table_over_small_field(table_d4_f2):
-    # small-field construction re-certifies after reduction
     t = table_d4_f2
     assert t.size == 12
     for i in range(t.size):
         assert hom_dim(t.reps[i], t.reps[i]) == 1
+
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+@pytest.mark.parametrize(
+    "q, hard_root",
+    [(E7, (1, 1, 2, 2, 2, 1, 1)), pytest.param(E8, (0, 1, 2, 2, 2, 2, 1, 1), marks=pytest.mark.slow)],
+    ids=["E7", "E8"],
+)
+def test_e7_e8_tables_build_with_integral_inverse(q, hard_root, field):
+    t = build_table(q, field)
+    assert t.size == len(positive_roots(q))
+    assert hard_root in t.roots  # random sampling could not certify it over F_2
+    assert all(x.dims == r for x, r in zip(t.reps, t.roots))
+    hom = Matrix(QQ, [[Fraction(x) for x in row] for row in t.hom_matrix])
+    inv = Matrix(QQ, [[Fraction(x) for x in row] for row in t.inverse_hom])
+    assert inv @ hom == Matrix.identity(QQ, t.size)
+
+
+@pytest.mark.parametrize("q", [a_n(3), d4_subspace(), E6, E6_ALTERNATING], ids=["A3", "D4", "E6", "E6alt"])
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_closed_form_hom_matrix_matches_hom_dim(q, field):
+    t = build_table(q, field)
+    assert t.hom_matrix == tuple(tuple(hom_dim(u, v) for v in t.reps) for u in t.reps)
+
+
+def test_build_table_draws_no_random_representations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_table sampled a representation")
+
+    monkeypatch.setattr(dynkin, "random_representation", refuse)
+    for q in (d4_subspace(), E6_ALTERNATING):
+        for field in (F3, QQ):
+            assert build_table(q, field) == build_table(q, field)
+
+
+def test_reflection_functor_matrices_have_entries_zero_and_units():
+    for q in (E6, E6_ALTERNATING, E7):
+        for r in positive_roots(q):
+            x = indecomposable(q, r, QQ)
+            assert all(e in (0, 1, -1) for m in x.arrow_mats for row in m.rows for e in row)
+
+
+@pytest.mark.parametrize("q", [a_n(3), d4_subspace(), E6], ids=["A3", "D4", "E6"])
+def test_q_tables_stay_indecomposable_in_every_counting_order(q):
+    t = build_table(q, QQ, reduction_orders=(2, 3, 4, 5, 7, 8, 9, 11, 13))
+    assert t.size == len(positive_roots(q))
+
+
+def test_reduction_orders_check_refuses_instead_of_retrying(monkeypatch):
+    real = dynkin.hom_dim
+
+    def end_two_over_f3(x, y):
+        return 2 if x.field == F3 else real(x, y)
+
+    monkeypatch.setattr(dynkin, "hom_dim", end_two_over_f3)
+    build_table(a_n(3), QQ, reduction_orders=(2, 5))
+    with pytest.raises(RuntimeError, match="F_3"):
+        build_table(a_n(3), QQ, reduction_orders=(2, 3))
