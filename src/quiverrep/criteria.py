@@ -293,30 +293,42 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
     raise ValueError(f"unknown mode {config.mode!r}")
 
 
-def _socle_rank_fn(field, acts: list[Matrix]):
-    """rank of span{A_b u : u in U} as a function of the RREF rows of U.
+def _socle_rank_fn(gf: gflin.Handle, acts: list[Matrix]):
+    """rank of span{A_b u : u in U} as a function of the RREF rows of U,
+    given in gf's row format.
 
-    That span is the sum, over the rows u of U, of the image spaces
-    span{A_b u : b}.  Each row's image space is reduced once and memoised
-    by the row, so a class costs one rank of its rows' stacked image bases.
+    That span Z(U) is the sum, over the rows u of U, of the image spaces
+    image(u) = span{A_b u : b}, each reduced once and memoised by the row.
+    The first l-1 rows of an RREF class with l rows are themselves an RREF
+    class, so
+
+        Z(u_1, ..., u_l) = Z(u_1, ..., u_{l-1}) + image(u_l),
+
+    and a class's reduced span is its prefix's span with only the last
+    row's image eliminated into it.  The spans are memoised by class; a
+    prefix not seen yet is computed first, so any call order gives the
+    same ranks.
     """
     if not acts or acts[0].nrows == 0:
         return lambda coeffs: 0
-    y_i = acts[0].nrows
-    stack = Matrix.vstack(acts)  # A_b u is the b-th y_i-slice of stack @ u
+    # A_b u as a row is u^T A_b^T: the rows of A_b^T, once, in gf's format
+    transposes = [gflin.pack_rows(gf, zip(*a.rows)) for a in acts]
     images: dict = {}
+    spans: dict = {(): ()}
 
     def image(u) -> tuple:
         if u not in images:
-            flat = (stack @ Matrix.column(field, u)).col(0)
-            vecs = [flat[k : k + y_i] for k in range(0, len(flat), y_i)]
-            red, pivots = Matrix(field, vecs, validate=False).rref()
-            images[u] = red.rows[: len(pivots)]
+            vecs = [gflin.matmul_rows(gf, (u,), at)[0] for at in transposes]
+            images[u] = gflin.rref_rows(gf, vecs)
         return images[u]
 
+    def span(coeffs) -> tuple:
+        if coeffs not in spans:
+            spans[coeffs] = gflin.rref_rows(gf, span(coeffs[:-1]) + image(coeffs[-1]))
+        return spans[coeffs]
+
     def rank(coeffs) -> int:
-        rows = [v for u in coeffs for v in image(u)]
-        return Matrix(field, rows, validate=False, ncols=y_i).rank()
+        return len(span(coeffs))
 
     return rank
 
@@ -329,9 +341,15 @@ def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConf
     through dim Z_y(U) = [n^k, y] - [n^k/S, y] where Z_y is the action of
     Hom(n, y) on the socle.  Enumerating subspaces U of the socle (all
     dims up to [S_i, n]) therefore covers exactly the spec'd family.
+
+    The classes are RREF row matrices in gflin's format (packed over F_2).
+    Dropping the last row u_l of a class leaves its prefix class, and
+    Z_y(u_1, ..., u_l) = Z_y(u_1, ..., u_{l-1}) + span{A_b u_l : b}, so a
+    class costs one reduction of its last row's image into its prefix's
+    span (`_socle_rank_fn`).  Rows are unpacked only for the payload.
     """
     f = n.field
-    gf = gflin.gfq(f.order)
+    gf = gflin.GF2_PACKED if f.order == 2 else gflin.gfq(f.order)
     basis_nn = hom_basis(n, n)
     basis_nm = hom_basis(n, m)
     hom_nn, hom_nm = basis_nn.dim, basis_nm.dim
@@ -342,8 +360,8 @@ def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConf
         s_i = soc.ncols
         acts_n = _socle_action_matrices(basis_nn, soc, i)
         acts_m = _socle_action_matrices(basis_nm, soc, i)
-        rank_n = _socle_rank_fn(f, acts_n)
-        rank_m = _socle_rank_fn(f, acts_m)
+        rank_n = _socle_rank_fn(gf, acts_n)
+        rank_m = _socle_rank_fn(gf, acts_m)
         budget = sum(gflin.gaussian_binomial(s_i, l, gf.q) for l in range(1, s_i + 1))
         if budget > config.class_budget:
             raise ValueError(
@@ -354,7 +372,7 @@ def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConf
                 zn = rank_n(coeffs)
                 zm = rank_m(coeffs)
                 ok = zn <= zm
-                vec = [list(r) for r in coeffs]
+                vec = [list(r) for r in gflin.unpack_rows(gf, coeffs, s_i)]
                 entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, zn, zm)
                 entry["ok"] = ok
                 details.append(entry)

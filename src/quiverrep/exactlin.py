@@ -437,8 +437,7 @@ class Matrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        col = Matrix.column(self.field, [self.field.coerce(v) for v in vec])
-        return (self @ col).col(0)
+        return (self @ Matrix.column(self.field, vec)).col(0)
 
     # -- stacking ----------------------------------------------------------
 
@@ -524,14 +523,14 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 v[pc] = f.neg(red.rows[i][fc])
             cols.append(v)
-        return Matrix.from_cols(f, cols, nrows=self.ncols)
+        return _from_canonical_cols(f, cols, self.ncols)
 
     def solve(self, b):
         """Some x with self @ x = b (as a tuple), or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         f = self.field
-        aug = Matrix.hstack([self, Matrix.column(f, [f.coerce(x) for x in b])])
+        aug = Matrix.hstack([self, Matrix.column(f, b)])
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -556,7 +555,7 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 x[pc] = red.rows[i][self.ncols + j]
             cols.append(x)
-        return Matrix.from_cols(f, cols, nrows=self.ncols)
+        return _from_canonical_cols(f, cols, self.ncols)
 
     def det(self):
         """Determinant: the signed product of the pivots."""
@@ -593,6 +592,12 @@ class Matrix:
         ):
             return Matrix(new_field, self.rows, validate=False, ncols=self.ncols)
         raise ValueError(f"cannot move matrix from {self.field} to {new_field}")
+
+
+def _from_canonical_cols(f: FieldSpec, cols, nrows: int) -> Matrix:
+    """``Matrix.from_cols`` for columns of canonical scalars computed here,
+    which need no validation."""
+    return Matrix(f, tuple(tuple(c[i] for c in cols) for i in range(nrows)), validate=False, ncols=len(cols))
 
 
 def _eliminate(f: FieldSpec, rows) -> tuple[list, tuple[int, ...], object]:

@@ -1,9 +1,11 @@
 """Small finite fields GF(q) and row-space linear algebra on plain rows.
 
 This is the self-contained kernel behind the brute-force subrepresentation
-enumeration.  It deliberately shares no elimination code with
-:mod:`quiverrep.exactlin`, so enumeration results can serve as an
-independent cross-check for the criterion computations.
+enumeration and nc2's socle-subspace scan.  It deliberately shares no
+elimination code with :mod:`quiverrep.exactlin`, so enumeration results can
+serve as an independent cross-check for the criterion computations, and
+nc2's exactlin cross-checks (the literal quotient check in the tests, the
+type A criterion) share no elimination with its scan.
 
 Elements of GF(q), q = p^k, are integers 0..q-1.  For k > 1 the integer
 encodes the coefficient vector of a polynomial over F_p in base p, and
@@ -14,12 +16,14 @@ Every row-space function takes a field handle first, and the handle fixes
 the row format:
 
 * a :class:`Gfq` handle (``gfq(q)``, any q, including 2) takes matrices as
-  tuples of row tuples.  nc2, the stable search and the tests use it; the
-  tests keep it as the reference for the packed format.
+  tuples of row tuples.  nc2 and the enumeration oracle over q > 2, the
+  stable search and the tests use it; the tests keep it as the reference
+  for the packed format.
 * the :data:`GF2_PACKED` handle takes each row of length n as one int, with
   column j at bit n-1-j, so integer order is the lexicographic order of the
   row tuples and a reduced echelon basis lists its rows in decreasing order.
-  Elimination is XOR on whole rows.  The enumeration oracle uses it over F_2.
+  Elimination is XOR on whole rows.  The enumeration oracle and nc2 use it
+  over F_2.
 
 ``pack_rows`` and ``unpack_rows`` convert at the boundary; both formats give
 the same subspaces, in the same order, from every function.

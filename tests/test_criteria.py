@@ -270,8 +270,9 @@ def test_nc2_vector_and_subspace_modes_agree():
 
 def test_socle_rank_matches_its_definition():
     rng = random.Random(21)
-    for q in (2, 3, 4):
-        f, gf = GF(q), gflin.gfq(q)
+    for gf in (gflin.GF2_PACKED, gflin.gfq(2), gflin.gfq(3), gflin.gfq(4)):
+        q = gf.q
+        f = GF(q)
         for _ in range(12):
             s, y = rng.randint(1, 3), rng.randint(0, 3)
 
@@ -280,12 +281,57 @@ def test_socle_rank_matches_its_definition():
 
             acts = [act() for _ in range(rng.randint(1, 3))]
             acts += [Matrix.zeros(f, y, s), acts[0] + acts[-1]]  # zero and dependent A_b
-            rank = _socle_rank_fn(f, acts)
-            # classes of every dimension share RREF rows, so the memo is reused
-            for l in range(1, s + 1):
-                for coeffs in gflin.enumerate_rref(gf, s, l):
-                    ut = Matrix(f, coeffs).transpose()
-                    assert rank(coeffs) == Matrix.hstack([a @ ut for a in acts]).rank()
+            rank = _socle_rank_fn(gf, acts)
+            # shuffled, a class may come before its prefix class, whose span
+            # the memo then computes first
+            classes = [c for l in range(1, s + 1) for c in gflin.enumerate_rref(gf, s, l)]
+            rng.shuffle(classes)
+            for coeffs in classes:
+                ut = Matrix(f, gflin.unpack_rows(gf, coeffs, s)).transpose()
+                assert rank(coeffs) == Matrix.hstack([a @ ut for a in acts]).rank()
+
+
+def test_nc2_packed_matches_tuple_handle_over_f2(monkeypatch):
+    """Over F_2 the subspace scan runs on packed int rows; with the table
+    handle swapped in it runs on tuple rows.  Both give the same verdict,
+    payloads included, on random A3, D4 and Kronecker(2) pairs, some with
+    vertices of zero socle and some failing."""
+    rng = random.Random(31)
+    zero_socles = failing = 0
+    for q, top in ((A3, 2), (d4_subspace(), 2), (kronecker(2), 3)):
+        for _ in range(6):
+            n, m = (
+                random_representation(
+                    q, tuple(rng.randint(0, top) for _ in range(q.vertex_count)), F2,
+                    seed=rng.randrange(10**6),
+                )
+                for _ in range(2)
+            )
+            packed = check_nc2(n, m).to_json()
+            with monkeypatch.context() as patch:
+                patch.setattr(gflin, "GF2_PACKED", gflin.gfq(2))
+                table = check_nc2(n, m).to_json()
+            assert packed == table, (n.dims, m.dims)
+            zero_socles += q.vertex_count - len(_socles(n))
+            failing += not packed["holds"]
+    assert zero_socles >= 5 and failing >= 2
+
+
+def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
+    """The class scan eliminates in gflin; exactlin only builds the Hom
+    bases and socles, whatever the number of classes."""
+    calls = []
+    real = Matrix.rref
+
+    def counting(self):
+        calls.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    n = direct_sum([simple(A3, F2, 2)] * 4)  # semisimple: a 4-dim socle, 66 classes
+    v = check_nc2(n, n)
+    assert v.holds and v.context["checked"] >= 63
+    assert len(calls) < v.context["checked"]
 
 
 def test_nc2_sampling_mode_on_rationals():
