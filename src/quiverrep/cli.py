@@ -108,20 +108,8 @@ def _verdict_lines(v: Verdict) -> list[str]:
             lines.append(line)
             shown += 1
     if v.witness is not None:
-        lines.append(f"witness: {json.dumps(_strip(v.witness))}")
+        lines.append(f"witness: {json.dumps(v.witness)}")
     return lines
-
-
-def _strip(obj):
-    from .rep import Morphism
-
-    if isinstance(obj, Morphism):
-        return "<morphism>"
-    if isinstance(obj, dict):
-        return {k: _strip(x) for k, x in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strip(x) for x in obj]
-    return obj
 
 
 def _verdict_exit(v: Verdict) -> int:

@@ -217,25 +217,21 @@ def check_grassmannian_irreducible(
 # The quotient estimate (nc2)
 
 
+# Largest number of socle subspaces the exhaustive scan visits at a vertex.
+CLASS_BUDGET = 200000
+
+
 @dataclass
 class CheckConfig:
-    """Knobs for the quotient-estimate checkers.
+    """Sampling knobs of the quotient-estimate checkers.
 
-    mode: "auto" picks "subspaces" over a finite field and "sampling" over
-    Q.  "subspaces" is exhaustive: it enumerates the socle subspaces, the
-    spans of the socle vectors of n^k, which the brackets only depend on.
+    Over a finite field nc2 scans every socle subspace (the spans of the
+    socle vectors of n^k, which the brackets only depend on) and uses
+    neither; over Q it draws `trials` samples seeded by `seed`.
     """
 
-    mode: str = "auto"
     trials: int = 256
     seed: int = 0
-    box: int = 100
-    class_budget: int = 200000
-
-    def resolve_mode(self, n: Representation) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return "subspaces" if n.field.is_finite else "sampling"
 
 
 def _socle_action_matrices(basis: HomBasis, soc: Matrix, vertex: int) -> list[Matrix]:
@@ -282,15 +278,9 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
         raise ValueError("representations live over different quivers")
     if n.field != m.field:
         raise ValueError("representations live over different fields")
-    config = config or CheckConfig()
-    mode = config.resolve_mode(n)
-    if mode == "subspaces":
-        if not n.field.is_finite:
-            raise ValueError("the exhaustive mode requires a finite ground field")
-        return _check_nc2_subspaces(n, m, config)
-    if mode == "sampling":
-        return _check_nc2_sampling(n, m, config)
-    raise ValueError(f"unknown mode {config.mode!r}")
+    if n.field.is_finite:
+        return _check_nc2_subspaces(n, m)
+    return _check_nc2_sampling(n, m, config or CheckConfig())
 
 
 def _socle_rank_fn(gf: gflin.Handle, acts: list[Matrix]):
@@ -333,7 +323,7 @@ def _socle_rank_fn(gf: gflin.Handle, acts: list[Matrix]):
     return rank
 
 
-def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
+def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     """Exhaustive check, deduplicating socle vectors by their span.
 
     A socle vector of n^k at vertex i is a k-tuple (u_1, ..., u_k) of
@@ -363,7 +353,7 @@ def _check_nc2_subspaces(n: Representation, m: Representation, config: CheckConf
         rank_n = _socle_rank_fn(gf, acts_n)
         rank_m = _socle_rank_fn(gf, acts_m)
         budget = sum(gflin.gaussian_binomial(s_i, l, gf.q) for l in range(1, s_i + 1))
-        if budget > config.class_budget:
+        if budget > CLASS_BUDGET:
             raise ValueError(
                 f"socle subspace count {budget} at vertex {i} exceeds the class budget"
             )
@@ -418,7 +408,7 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
             if (i, k) not in powers:
                 powers[i, k] = _power_data(n, m, i, k)
             nk, soc_k, hom_nk_n, hom_nk_m = powers[i, k]
-            coeffs = [f.random(rng, config.box) for _ in range(soc_k.ncols)]
+            coeffs = [f.random(rng) for _ in range(soc_k.ncols)]
             if all(c == f.zero for c in coeffs):
                 coeffs[0] = f.one
             quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))

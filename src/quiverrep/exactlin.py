@@ -220,8 +220,11 @@ class FieldSpec:
     def coerce(self, value):
         """Canonicalize a scalar given as int, Fraction, or string.
 
-        Raises ValueError for anything that is not a scalar of this field.
+        Raises ValueError for anything that is not a scalar of this field,
+        booleans included.
         """
+        if isinstance(value, bool):
+            raise ValueError(f"a boolean is not a scalar: {value!r}")
         if isinstance(value, str):
             return self.parse_scalar(value)
         if self.is_rationals:
@@ -334,14 +337,8 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int):
-        return self.rows[i]
-
     def col(self, j: int):
         return tuple(r[j] for r in self.rows)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
         return Matrix(

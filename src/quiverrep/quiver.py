@@ -184,10 +184,6 @@ def functional(q: Quiver, e: DimVector, d: DimVector) -> int:
     return euler_form(q, d, e)
 
 
-def dim_add(d: DimVector, e: DimVector) -> DimVector:
-    return tuple(x + y for x, y in zip(d, e))
-
-
 def dim_sub(d: DimVector, e: DimVector) -> DimVector:
     out = tuple(x - y for x, y in zip(d, e))
     return out

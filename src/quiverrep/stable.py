@@ -164,8 +164,8 @@ def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> 
 # Injective block matrices: one search for Z-spaces and Hom spaces
 
 
-def _random_coeff_grid(field: FieldSpec, rng, r: int, k: int, box: int):
-    return [[[field.random(rng, box) for _ in range(k)] for _ in range(r)] for _ in range(r)]
+def _random_coeff_grid(field: FieldSpec, rng, r: int, k: int):
+    return [[[field.random(rng) for _ in range(k)] for _ in range(r)] for _ in range(r)]
 
 
 def _block_matrices(field: FieldSpec, bases, dims, coeffs, r: int) -> list[Matrix]:
@@ -214,7 +214,7 @@ def _grid_certificate_no_injective(field: FieldSpec, bases, dims) -> bool:
 
 
 def _search_blocks(
-    field: FieldSpec, bases, dims, r_max: int, trials: int, seed: int, box: int, space: str
+    field: FieldSpec, bases, dims, r_max: int, trials: int, seed: int, space: str
 ) -> StableSearchReport:
     """Search r = 1..r_max for r x r coefficient grids whose assembled
     block matrix has full column rank at every vertex.
@@ -224,8 +224,11 @@ def _search_blocks(
     EXHAUSTIVE_LIMIT, so a miss certifies impossibility at that r;
     otherwise, over Q at r = 1, the determinant-identity certificate;
     otherwise `trials` samples from one seeded generator carried across r.
-    A found report carries the list of vertex block matrices.
+    A found report carries the list of vertex block matrices.  An empty
+    range, r_max < 1, is a ValueError.
     """
+    if r_max < 1:
+        raise ValueError(f"r_max = {r_max}: the search needs r_max >= 1")
     if all(cols == 0 for _, cols in dims):
         zero = _block_matrices(field, bases, dims, [[[]]], 1)
         return StableSearchReport(True, 1, zero, 0, seed, [])
@@ -254,7 +257,7 @@ def _search_blocks(
             continue
         else:
             how = "sampled"
-            grids = (_random_coeff_grid(field, rng, r, h, box) for _ in range(trials))
+            grids = (_random_coeff_grid(field, rng, r, h) for _ in range(trials))
         for coeffs in grids:
             used += 1
             mats = _block_matrices(field, bases, dims, coeffs, r)
@@ -269,7 +272,7 @@ def _search_blocks(
 
 
 def find_injective_block(
-    z: ZSpace, r_max: int = 8, trials: int = 256, seed: int = 0, box: int = 100
+    z: ZSpace, r_max: int = 8, trials: int = 256, seed: int = 0
 ) -> StableSearchReport:
     """Search for F in M_{r x r}(Z) injective as a map V^r -> W^r,
     r = 1..r_max; a returned matrix is certified by exact rank.
@@ -278,7 +281,7 @@ def find_injective_block(
     A not-found report after sampling is inconclusive, never a disproof.
     """
     report = _search_blocks(
-        z.field, [z.basis], [(z.w_dim, z.v_dim)], r_max, trials, seed, box, "Z"
+        z.field, [z.basis], [(z.w_dim, z.v_dim)], r_max, trials, seed, "Z"
     )
     if report.found:
         report.block_matrix = report.block_matrix[0]
@@ -295,7 +298,6 @@ def search_stable_embedding(
     r_max: int = 8,
     trials: int = 256,
     seed: int = 0,
-    box: int = 100,
 ) -> StableSearchReport:
     """Search for an injective morphism n^r -> m^r, r = 1..r_max, with
     r x r blocks of Hom(n, m)-basis combinations.
@@ -317,7 +319,6 @@ def search_stable_embedding(
         r_max,
         trials,
         seed,
-        box,
         "Hom(n, m)",
     )
     if report.found:
@@ -348,7 +349,6 @@ def generic_hom(
     r: int,
     samples: int = 64,
     seed: int = 0,
-    box: int = 100,
 ) -> GenericHomEstimate:
     """min over sampled X of dim vector r.e of dim Hom(m, X): an upper
     bound for the generic hom dimension hom(m, r.e)."""
@@ -356,7 +356,7 @@ def generic_hom(
     target = dim_scale(r, e)
     best = None
     for t in range(samples):
-        x = random_representation(m.quiver, target, m.field, seed=seed + 31 * t, box=box)
+        x = random_representation(m.quiver, target, m.field, seed=seed + 31 * t)
         d = hom_dim(m, x)
         best = d if best is None else min(best, d)
         if best == max(0, functional(m.quiver, e, m.dims) * r):
@@ -367,7 +367,7 @@ def generic_hom(
 
 
 def generic_rank_vector(
-    m: Representation, e: DimVector, samples: int = 64, seed: int = 0, box: int = 100
+    m: Representation, e: DimVector, samples: int = 64, seed: int = 0
 ) -> DimVector:
     """Coordinatewise-maximal vertex rank vector of sampled maps from m to
     sampled representations of dimension vector e."""
@@ -375,11 +375,11 @@ def generic_rank_vector(
     rng = random.Random(seed)
     best = [0] * m.quiver.vertex_count
     for t in range(samples):
-        x = random_representation(m.quiver, e, m.field, seed=seed + 127 * t, box=box)
+        x = random_representation(m.quiver, e, m.field, seed=seed + 127 * t)
         basis = hom_basis(m, x)
         if basis.dim == 0:
             continue
-        mor = basis.combination([m.field.random(rng, box) for _ in range(basis.dim)])
+        mor = basis.combination([m.field.random(rng) for _ in range(basis.dim)])
         for v, mat in enumerate(mor.vertex_mats):
             best[v] = max(best[v], mat.rank())
     return tuple(best)
@@ -423,9 +423,12 @@ def check_stabilization(
     The hypothesis is verified by exhaustive min-slope over F_{q_enum}
     (reducing m if it is given over Q); with assume_hypothesis=True an
     unverifiable hypothesis is assumed and flagged.  Estimates below the
-    target are impossible under the hypothesis and raise.
+    target are impossible under the hypothesis and raise.  An empty
+    r_range, or one starting below r = 1, is a ValueError.
     """
     e = check_dimvector(m.quiver, e)
+    if not r_range or min(r_range) < 1:
+        raise ValueError(f"r range {r_range} must be nonempty and start at r >= 1")
     hypothesis_checked = False
     hypothesis_field = None
     if m.field.is_finite:

@@ -195,6 +195,18 @@ def test_stabilize_command(tmp_path, fixture_dir):
     assert rc in (0, 2)
 
 
+def test_empty_search_ranges_exit_3(fixture_dir, capsys):
+    pi, m = str(fixture_dir / "kronecker3.pi.json"), str(fixture_dir / "kronecker3.m.json")
+    for args in (
+        ["stabilize", m, "--e", "2,1", "--r-range", "3:1", "--q-enum", "2"],
+        ["stabilize", m, "--e", "2,1", "--r-range", "0:2", "--q-enum", "2"],
+        ["check-embed", pi, m, "--stable", "--rmax", "0"],
+    ):
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+
 def test_check_an_command(tmp_path):
     f2 = GF(2)
     s2 = write_rep(tmp_path, "s2.json", simple(a_n(2), f2, 1))
@@ -251,7 +263,7 @@ def test_input_errors(tmp_path):
 
 def test_malformed_scalars_exit_3(tmp_path, capsys):
     data = rep_to_json(Representation(a_n(2), QQ, (1, 1), [Matrix.identity(QQ, 1)]))
-    for field, entry in (("Q", "1/0"), ("F_2", 1.5)):
+    for field, entry in (("Q", "1/0"), ("F_2", 1.5), ("F_2", True), ("Q", False)):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data | {"field": field, "matrices": [[[entry]]]}))
         assert main(["hom", str(bad), str(bad)]) == 3

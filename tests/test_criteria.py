@@ -261,7 +261,7 @@ def test_nc2_vector_and_subspace_modes_agree():
             dm = tuple(rng.randint(0, 2) for _ in range(2))
             n = random_representation(A2, dn, f, seed=rng.randrange(10**6))
             m = random_representation(A2, dm, f, seed=rng.randrange(10**6))
-            v1 = check_nc2(n, m, CheckConfig(mode="subspaces"))
+            v1 = check_nc2(n, m)
             v2 = _check_nc2_vectors(n, m)
             assert v1.holds == v2.holds
             if not v1.holds:
@@ -337,7 +337,7 @@ def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
 def test_nc2_sampling_mode_on_rationals():
     n = kronecker3_pi(QQ)
     m = kronecker3_m(QQ)
-    v = check_nc2(n, m, CheckConfig(mode="sampling", trials=40, seed=0))
+    v = check_nc2(n, m, CheckConfig(trials=40, seed=0))
     assert v.holds
     assert not v.conclusive
 
@@ -345,7 +345,7 @@ def test_nc2_sampling_mode_on_rationals():
 def test_nc2_sampling_finds_violation():
     u12 = _m_over_q({(1, 1, 0): 1})
     m = _m_over_q({(1, 0, 0): 1, (0, 1, 0): 1})
-    v = check_nc2(u12, m, CheckConfig(mode="sampling", trials=64, seed=0))
+    v = check_nc2(u12, m, CheckConfig(trials=64, seed=0))
     assert not v.holds
     assert v.conclusive  # a found violation is certified
 
@@ -355,14 +355,6 @@ def test_nc2_requires_matching_inputs():
     m = random_representation(A2, (1, 1), F3, seed=0)
     with pytest.raises(ValueError):
         check_nc2(n, m, CheckConfig())
-    with pytest.raises(ValueError):
-        check_nc2(n, n, CheckConfig(mode="exhaustive"))
-
-
-def test_nc2_mode_requires_finite_field():
-    n = kronecker3_pi(QQ)
-    with pytest.raises(ValueError):
-        check_nc2(n, n, CheckConfig(mode="subspaces"))
 
 
 def test_stable_embedding_implies_nc2():
