@@ -10,6 +10,7 @@ certificate never looks like a negative verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -303,7 +304,9 @@ def cmd_check_an(args, config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # allow_abbrev=False everywhere: a prefix such as --e must not silently
+    # resolve to another option (--enum-budget) on a subcommand without it
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--rmax", type=int, default=8, dest="r_max")
     common.add_argument("--trials", type=int, default=256)
@@ -313,40 +316,42 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None)
     parser = argparse.ArgumentParser(
         prog="quiverrep",
+        allow_abbrev=False,
         description="Exact criteria, oracles, and searches for embeddings of quiver representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("roots", help="positive roots of a Dynkin quiver", parents=[common])
+    p = add("roots", help="positive roots of a Dynkin quiver")
     p.add_argument("quiver")
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("hom", help="dim Hom(N, M)", parents=[common])
+    p = add("hom", help="dim Hom(N, M)")
     p.add_argument("n")
     p.add_argument("m")
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("ext", help="dim Ext^1(N, M)", parents=[common])
+    p = add("ext", help="dim Ext^1(N, M)")
     p.add_argument("n")
     p.add_argument("m")
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(func=cmd_ext)
 
-    p = sub.add_parser("decompose", help="indecomposable multiplicities (Dynkin)", parents=[common])
+    p = add("decompose", help="indecomposable multiplicities (Dynkin)")
     p.add_argument("rep")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("check-sub", help="subrepresentation existence criterion", parents=[common])
+    p = add("check-sub", help="subrepresentation existence criterion")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.set_defaults(func=cmd_check_sub)
 
-    p = sub.add_parser("check-irred", help="Grassmannian irreducibility criterion (sufficient)", parents=[common])
+    p = add("check-irred", help="Grassmannian irreducibility criterion (sufficient)")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.set_defaults(func=cmd_check_irred)
 
-    p = sub.add_parser("check-embed", help="quotient estimate, optionally with stable search", parents=[common])
+    p = add("check-embed", help="quotient estimate, optionally with stable search")
     p.add_argument("n")
     p.add_argument("m")
     p.add_argument("--stable", action="store_true")
@@ -354,37 +359,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reduce rational input mod this order for the exhaustive check")
     p.set_defaults(func=cmd_check_embed)
 
-    p = sub.add_parser("check-an", help="equioriented type A prefix criterion with embedding", parents=[common])
+    p = add("check-an", help="equioriented type A prefix criterion with embedding")
     p.add_argument("n")
     p.add_argument("m")
     p.set_defaults(func=cmd_check_an)
 
-    p = sub.add_parser("dual-surj", help="surjection criterion via duality", parents=[common])
+    p = add("dual-surj", help="surjection criterion via duality")
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--exhaustive-q", type=int, default=None)
     p.set_defaults(func=cmd_dual_surj)
 
-    p = sub.add_parser("enum-gr", help="enumerate subrepresentations over a finite field", parents=[common])
+    p = add("enum-gr", help="enumerate subrepresentations over a finite field")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.set_defaults(func=cmd_enum_gr)
 
-    p = sub.add_parser("count-poly", help="counting polynomial of a quiver Grassmannian", parents=[common])
+    p = add("count-poly", help="counting polynomial of a quiver Grassmannian")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--qs", default="2,3,4,5,7")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_count_poly)
 
-    p = sub.add_parser("semistable", help="e-semistability", parents=[common])
+    p = add("semistable", help="e-semistability")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--q-enum", type=int, default=None)
     p.add_argument("--force-enum", action="store_true")
     p.set_defaults(func=cmd_semistable)
 
-    p = sub.add_parser("stabilize", help="generic hom stabilization report", parents=[common])
+    p = add("stabilize", help="generic hom stabilization report")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--r-range", default="1:8")
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-hypothesis", action="store_true")
     p.set_defaults(func=cmd_stabilize)
 
-    p = sub.add_parser("fixtures", help="emit the worked counterexample files", parents=[common])
+    p = add("fixtures", help="emit the worked counterexample files")
     p.add_argument("--out", default="fixtures")
     p.add_argument("--field", default="Q")
     p.set_defaults(func=cmd_fixtures)

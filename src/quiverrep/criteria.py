@@ -24,15 +24,14 @@ from .quiver import (
     require_dynkin,
 )
 from .rep import (
-    HomBasis,
     Morphism,
     Representation,
     dual,
     hom_basis,
     hom_dim,
+    hom_evaluations,
     identity_morphism,
     is_injective_morphism,
-    power,
     quotient,
     random_representation,
     search_hom,
@@ -234,11 +233,6 @@ class CheckConfig:
     seed: int = 0
 
 
-def _socle_action_matrices(basis: HomBasis, soc: Matrix, vertex: int) -> list[Matrix]:
-    """For each hom-basis element phi, the matrix phi_vertex @ soc."""
-    return [mor.vertex_mats[vertex] @ soc for mor in basis.morphisms]
-
-
 def _bracket_payload(i, k, vec, hom_nk_n, hom_nk_m, zn, zm):
     return {
         "vertex": i,
@@ -258,12 +252,6 @@ def _bracket_payload(i, k, vec, hom_nk_n, hom_nk_m, zn, zm):
 def _socles(n: Representation) -> dict[int, Matrix]:
     """The nonzero socles of n, by vertex."""
     return {i: soc for i in range(n.quiver.vertex_count) if (soc := socle_at(n, i)).ncols}
-
-
-def _power_data(n: Representation, m: Representation, i: int, k: int):
-    """n^k, its socle at vertex i, [n^k, n] and [n^k, m]."""
-    nk = power(n, k)
-    return nk, socle_at(nk, i), hom_dim(nk, n), hom_dim(nk, m)
 
 
 def check_nc2(n: Representation, m: Representation, config: CheckConfig | None = None) -> Verdict:
@@ -340,18 +328,16 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     """
     f = n.field
     gf = gflin.GF2_PACKED if f.order == 2 else gflin.gfq(f.order)
-    basis_nn = hom_basis(n, n)
-    basis_nm = hom_basis(n, m)
-    hom_nn, hom_nm = basis_nn.dim, basis_nm.dim
+    socles = _socles(n)
+    hom_nn, acts_n = hom_evaluations(n, n, socles)
+    hom_nm, acts_m = hom_evaluations(n, m, socles)
     details = []
     witness = None
     checked = 0
-    for i, soc in _socles(n).items():
+    for i, soc in socles.items():
         s_i = soc.ncols
-        acts_n = _socle_action_matrices(basis_nn, soc, i)
-        acts_m = _socle_action_matrices(basis_nm, soc, i)
-        rank_n = _socle_rank_fn(gf, acts_n)
-        rank_m = _socle_rank_fn(gf, acts_m)
+        rank_n = _socle_rank_fn(gf, acts_n[i])
+        rank_m = _socle_rank_fn(gf, acts_m[i])
         budget = sum(gflin.gaussian_binomial(s_i, l, gf.q) for l in range(1, s_i + 1))
         if budget > CLASS_BUDGET:
             raise ValueError(
@@ -379,41 +365,41 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     return Verdict(holds=witness is None, witness=witness, details=details, context=context)
 
 
-def _simple_sub_quotient(nk: Representation, vertex: int, vec) -> Representation:
-    """Quotient of nk by the simple subrepresentation spanned by `vec` at
-    `vertex` (vec must lie in the socle there)."""
-    f = nk.field
-    sub = []
-    for v in range(nk.quiver.vertex_count):
-        if v == vertex:
-            sub.append(Matrix.column(f, vec))
-        else:
-            sub.append(Matrix.zeros(f, nk.dims[v], 0))
-    return quotient(nk, sub)[0]
+def _evaluation_rank(acts: list[Matrix], c: Matrix) -> int:
+    """dim span{A_b c_t : b, t}, the rank of [A_1 C | ... | A_h C]."""
+    return Matrix.hstack([a @ c for a in acts]).rank() if acts else 0
 
 
 def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
+    """Sampled check over Q.
+
+    The socle of n^k at vertex i is k diagonal copies of n's socle there,
+    so a socle vector of n^k is k socle vectors soc c_1, ..., soc c_k of
+    n, and each side of the estimate is the evaluation rank
+    dim{f(s) : f in Hom(n^k, y)} = dim span{A_b c_t : b, t}, with A_b the
+    action of the b-th basis element of Hom(n, y) on the socle.  No power
+    or quotient is built.
+    """
     f = n.field
     rng = random.Random(config.seed)
     socles = _socles(n)
-    powers: dict = {}
     details = []
     witness = None
     if socles:
+        acts_n = hom_evaluations(n, n, socles)[1]
+        acts_m = hom_evaluations(n, m, socles)[1]
         verts = sorted(socles)
         for _ in range(config.trials):
             i = verts[rng.randrange(len(verts))]
             s_i = socles[i].ncols
             k = rng.randint(1, s_i)
-            if (i, k) not in powers:
-                powers[i, k] = _power_data(n, m, i, k)
-            nk, soc_k, hom_nk_n, hom_nk_m = powers[i, k]
-            coeffs = [f.random(rng) for _ in range(soc_k.ncols)]
+            coeffs = [f.random(rng) for _ in range(k * s_i)]
             if all(c == f.zero for c in coeffs):
                 coeffs[0] = f.one
-            quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
-            lhs = hom_nk_n - hom_dim(quot, n)
-            rhs = hom_nk_m - hom_dim(quot, m)
+            # column t of C holds the coefficients of the t-th copy
+            c = Matrix(f, [coeffs[a::s_i] for a in range(s_i)], validate=False, ncols=k)
+            lhs = _evaluation_rank(acts_n[i], c)
+            rhs = _evaluation_rank(acts_m[i], c)
             ok = lhs <= rhs
             entry = {
                 "vertex": i,

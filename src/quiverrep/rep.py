@@ -258,6 +258,30 @@ def hom_basis(x: Representation, y: Representation) -> HomBasis:
     return HomBasis(x, y, morphisms)
 
 
+def hom_evaluations(x: Representation, y: Representation, bases) -> tuple[int, dict]:
+    """dim Hom(x, y) and, for each vertex v of `bases` (a dict of column
+    bases B_v of subspaces of x_v), the list [phi_v @ B_v for phi in
+    hom_basis(x, y).morphisms], in the same basis order.
+
+    The basis elements' blocks at v are stacked into one (h*y_v) x x_v
+    matrix and multiplied with B_v once; no morphism is built.
+    """
+    kern = _hom_system(x, y).kernel_basis()
+    h = kern.ncols
+    phis = list(zip(*kern.rows))  # the h kernel vectors
+    out = {}
+    for v, b in bases.items():
+        off = sum(x.dims[w] * y.dims[w] for w in range(v))
+        r, c = y.dims[v], x.dims[v]
+        stack = [phi[off + a * c : off + (a + 1) * c] for phi in phis for a in range(r)]
+        rows = (Matrix(x.field, stack, validate=False, ncols=c) @ b).rows
+        out[v] = [
+            Matrix(x.field, rows[j * r : (j + 1) * r], validate=False, ncols=b.ncols)
+            for j in range(h)
+        ]
+    return h, out
+
+
 def hom_dim(x: Representation, y: Representation) -> int:
     system = _hom_system(x, y)
     return system.ncols - system.rank()

@@ -351,8 +351,11 @@ def generic_hom(
     seed: int = 0,
 ) -> GenericHomEstimate:
     """min over sampled X of dim vector r.e of dim Hom(m, X): an upper
-    bound for the generic hom dimension hom(m, r.e)."""
+    bound for the generic hom dimension hom(m, r.e).  At least one sample
+    is required."""
     e = check_dimvector(m.quiver, e)
+    if samples < 1:
+        raise ValueError(f"samples = {samples}: at least one sample is required")
     target = dim_scale(r, e)
     best = None
     for t in range(samples):
@@ -361,8 +364,6 @@ def generic_hom(
         best = d if best is None else min(best, d)
         if best == max(0, functional(m.quiver, e, m.dims) * r):
             break  # cannot go below the Euler lower bound
-    if best is None:
-        best = 0
     return GenericHomEstimate(e, r, best, samples)
 
 
@@ -424,11 +425,13 @@ def check_stabilization(
     (reducing m if it is given over Q); with assume_hypothesis=True an
     unverifiable hypothesis is assumed and flagged.  Estimates below the
     target are impossible under the hypothesis and raise.  An empty
-    r_range, or one starting below r = 1, is a ValueError.
+    r_range, one starting below r = 1, or samples < 1 is a ValueError.
     """
     e = check_dimvector(m.quiver, e)
     if not r_range or min(r_range) < 1:
         raise ValueError(f"r range {r_range} must be nonempty and start at r >= 1")
+    if samples < 1:
+        raise ValueError(f"samples = {samples}: at least one sample is required")
     hypothesis_checked = False
     hypothesis_field = None
     if m.field.is_finite:

@@ -207,6 +207,26 @@ def test_empty_search_ranges_exit_3(fixture_dir, capsys):
         assert "error:" in captured.err and captured.out == ""
 
 
+def test_nonpositive_samples_exit_3(fixture_dir, capsys):
+    """No samples measure nothing, whether e(m) > 0 (1,0) or e(m) = 0 (2,1):
+    a usage error, not an estimate."""
+    m = str(fixture_dir / "kronecker3.m.json")
+    for e, samples in (("1,0", "0"), ("2,1", "0"), ("2,1", "-3")):
+        assert main(["stabilize", m, "--e", e, "--samples", samples, "--q-enum", "2"]) == 3
+        captured = capsys.readouterr()
+        assert "samples" in captured.err and captured.out == ""
+
+
+def test_option_prefixes_are_not_abbreviations(fixture_dir, capsys):
+    """decompose has no --e; the prefix must not resolve to --enum-budget."""
+    x = str(fixture_dir / "d4.x.json")
+    for value in ("1,1", "5"):
+        assert main(["decompose", x, "--e", value]) == 3
+        assert "unrecognized arguments: --e" in capsys.readouterr().err
+    assert main(["decompose", x, "--enum-b", "5"]) == 3
+    assert main(["decompose", x, "--enum-budget", "5"]) == 0
+
+
 def test_check_an_command(tmp_path):
     f2 = GF(2)
     s2 = write_rep(tmp_path, "s2.json", simple(a_n(2), f2, 1))

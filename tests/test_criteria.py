@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quiverrep import criteria, gflin
+from quiverrep import criteria, gflin, rep
 from quiverrep.criteria import (
     CheckConfig,
     GrassmannianChecker,
@@ -19,8 +19,6 @@ from quiverrep.criteria import (
     _socle_rank_fn,
     path_order,
     _bracket_payload,
-    _power_data,
-    _simple_sub_quotient,
     _socles,
 )
 from quiverrep.dynkin import assemble
@@ -36,8 +34,11 @@ from quiverrep.rep import (
     dual,
     hom_dim,
     is_injective_morphism,
+    power,
+    quotient,
     random_representation,
     simple,
+    socle_at,
 )
 from quiverrep.stable import search_stable_embedding
 
@@ -211,6 +212,25 @@ def _projective_vectors(field, dim):
             yield prefix + rest
 
 
+def _power_data(n: Representation, m: Representation, i: int, k: int):
+    """n^k, its socle at vertex i, [n^k, n] and [n^k, m]."""
+    nk = power(n, k)
+    return nk, socle_at(nk, i), hom_dim(nk, n), hom_dim(nk, m)
+
+
+def _simple_sub_quotient(nk: Representation, vertex: int, vec) -> Representation:
+    """Quotient of nk by the simple subrepresentation spanned by `vec` at
+    `vertex` (vec must lie in the socle there)."""
+    f = nk.field
+    sub = []
+    for v in range(nk.quiver.vertex_count):
+        if v == vertex:
+            sub.append(Matrix.column(f, vec))
+        else:
+            sub.append(Matrix.zeros(f, nk.dims[v], 0))
+    return quotient(nk, sub)[0]
+
+
 def _check_nc2_vectors(n: Representation, m: Representation) -> Verdict:
     """The literal nc2 check, the oracle for the "subspaces" mode: socle
     vectors of n^k up to scalar (each projectively normalized coefficient
@@ -332,6 +352,100 @@ def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
     v = check_nc2(n, n)
     assert v.holds and v.context["checked"] >= 63
     assert len(calls) < v.context["checked"]
+
+
+def _check_nc2_sampled_quotients(n: Representation, m: Representation, config: CheckConfig) -> Verdict:
+    """The literal sampled nc2 check, the oracle for the "sampling" mode:
+    the same draws, but every trial builds n^k, its socle, the quotient by
+    the drawn socle vector and two Hom systems."""
+    f = n.field
+    rng = random.Random(config.seed)
+    socles = _socles(n)
+    powers: dict = {}
+    details = []
+    witness = None
+    if socles:
+        verts = sorted(socles)
+        for _ in range(config.trials):
+            i = verts[rng.randrange(len(verts))]
+            s_i = socles[i].ncols
+            k = rng.randint(1, s_i)
+            if (i, k) not in powers:
+                powers[i, k] = _power_data(n, m, i, k)
+            nk, soc_k, hom_nk_n, hom_nk_m = powers[i, k]
+            coeffs = [f.random(rng) for _ in range(soc_k.ncols)]
+            if all(c == f.zero for c in coeffs):
+                coeffs[0] = f.one
+            quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
+            lhs = hom_nk_n - hom_dim(quot, n)
+            rhs = hom_nk_m - hom_dim(quot, m)
+            ok = lhs <= rhs
+            entry = {
+                "vertex": i,
+                "k": k,
+                "socle_vector": [str(c) for c in coeffs],
+                "lhs": lhs,
+                "rhs": rhs,
+                "ok": ok,
+            }
+            details.append(entry)
+            if not ok and witness is None:
+                witness = entry | {"kind": "quotient"}
+                break
+    context = {
+        "criterion": "nc2",
+        "mode": "sampling",
+        "field": f.name,
+        "conclusive": witness is not None,
+        "trials": config.trials,
+    }
+    return Verdict(holds=witness is None, witness=witness, details=details, context=context)
+
+
+def test_nc2_sampling_matches_literal_quotients():
+    """Over Q each sampled bracket is an evaluation rank on Hom(n, y); the
+    verdicts, payloads included, equal those of the literal quotients on
+    seeded A2, A3, D4, Kronecker(2) and Kronecker(3) pairs."""
+    rng = random.Random(41)
+    pairs = failing = 0
+    for q in (A2, A3, d4_subspace(), kronecker(2), kronecker(3)):
+        for _ in range(6):
+            n, m = (
+                random_representation(
+                    q, tuple(rng.randint(0, 2) for _ in range(q.vertex_count)), QQ,
+                    seed=rng.randrange(10**6), box=3,
+                )
+                for _ in range(2)
+            )
+            for config in (CheckConfig(), CheckConfig(trials=64, seed=3)):
+                got = check_nc2(n, m, config).to_json()
+                assert got == _check_nc2_sampled_quotients(n, m, config).to_json(), (n.dims, m.dims)
+                failing += not got["holds"]
+            pairs += 1
+    assert pairs >= 30 and 5 <= failing <= 2 * pairs - 5
+
+
+def test_nc2_builds_no_quotient_power_or_hom_basis(monkeypatch):
+    """Both nc2 modes take their brackets from the Hom kernel: no quotient,
+    no power, no HomBasis and no hom_dim call."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nc2 must not call this")
+
+    for module in (rep, criteria):
+        for name in ("hom_basis", "quotient", "power"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    calls = []
+    real = criteria.hom_dim
+    monkeypatch.setattr(criteria, "hom_dim", lambda x, y: calls.append(1) or real(x, y))
+    for field in (F2, F3, QQ):
+        n = random_representation(A3, (2, 2, 1), field, seed=4, box=3)
+        m = random_representation(A3, (1, 2, 2), field, seed=5, box=3)
+        for x, y in ((n, m), (m, n), (n, n), (kronecker3_pi(field), kronecker3_m(field))):
+            v = check_nc2(x, y, CheckConfig(trials=32))
+            assert v.details
+    assert calls == []
 
 
 def test_nc2_sampling_mode_on_rationals():

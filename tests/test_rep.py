@@ -16,6 +16,7 @@ from quiverrep.rep import (
     ext_dim,
     hom_basis,
     hom_dim,
+    hom_evaluations,
     identity_morphism,
     is_injective_morphism,
     is_surjective_morphism,
@@ -69,6 +70,45 @@ def test_hom_simple_self():
     assert ext_dim(x, y, cross_check=True) == 0
     flat = [[e for mat in phi.vertex_mats for e in mat.flatten()] for phi in basis.morphisms]
     assert flat == [[int(i == j) for j in range(5)] for i in range(5)]
+
+
+def test_hom_evaluations_match_the_hom_basis():
+    """hom_evaluations gives dim Hom(x, y) and, at each requested vertex,
+    phi_v @ B_v for the Hom basis in hom_basis's order, on random pairs
+    over F_2, F_3, F_4 and Q with zero-dimensional vertices, empty bases
+    and Hom = 0 among them."""
+    rng = random.Random(12)
+    zero_homs = zero_vertices = 0
+    for field in (GF(2), GF(3), GF(4), QQ):
+        for q in (A3, d4_subspace(), K3):
+            for _ in range(6):
+                x, y = (
+                    random_representation(
+                        q, tuple(rng.randint(0, 2) for _ in range(q.vertex_count)), field,
+                        seed=rng.randrange(10**6), box=3,
+                    )
+                    for _ in range(2)
+                )
+                verts = [v for v in range(q.vertex_count) if rng.random() < 0.7]
+                bases = {
+                    v: Matrix(
+                        field,
+                        [[field.random(rng, 3) for _ in range(b)] for _ in range(x.dims[v])],
+                        ncols=b,
+                    )
+                    for v in verts
+                    for b in [rng.randint(0, 2)]
+                }
+                basis = hom_basis(x, y)
+                dim, evals = hom_evaluations(x, y, bases)
+                assert dim == basis.dim == hom_dim(x, y)
+                assert sorted(evals) == verts
+                for v, b in bases.items():
+                    assert evals[v] == [phi.vertex_mats[v] @ b for phi in basis.morphisms]
+                    assert all(a.shape == (y.dims[v], b.ncols) for a in evals[v])
+                zero_homs += dim == 0
+                zero_vertices += sum(1 for v in verts if 0 in (x.dims[v], y.dims[v]))
+    assert 10 <= zero_homs <= 60 and zero_vertices >= 50  # 72 pairs
 
 
 def test_hom_between_intervals_on_a3():

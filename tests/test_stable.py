@@ -295,6 +295,15 @@ def test_stabilization_semistable_reaches_zero():
     assert not report.inconclusive
 
 
+def test_nonpositive_samples_are_refused():
+    m = kronecker3_m(F5)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="sample"):
+            generic_hom(m, (2, 1), r=1, samples=samples)
+        with pytest.raises(ValueError, match="sample"):
+            check_stabilization(m, (2, 1), r_range=range(1, 3), samples=samples, q_enum=5)
+
+
 def test_stabilization_refuses_violated_hypothesis():
     q = kronecker(2)
     from quiverrep.rep import Representation
