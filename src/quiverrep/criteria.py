@@ -29,6 +29,7 @@ from .rep import (
     dual,
     hom_basis,
     hom_dim,
+    hom_evaluation_rows,
     hom_evaluations,
     identity_morphism,
     is_injective_morphism,
@@ -271,38 +272,38 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
     return _check_nc2_sampling(n, m, config or CheckConfig())
 
 
-def _socle_rank_fn(gf: gflin.Handle, acts: list[Matrix]):
-    """rank of span{A_b u : u in U} as a function of the RREF rows of U,
-    given in gf's row format.
+def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
+    """rank of span{A_b u : b, u in U} as a function of the RREF rows of U,
+    given in gf's row format, for the h actions A_b (width x s) stacked in
+    `table` = [A_1^T | ... | A_h^T] (`rep.hom_evaluation_rows`).
 
     That span Z(U) is the sum, over the rows u of U, of the image spaces
-    image(u) = span{A_b u : b}, each reduced once and memoised by the row.
-    The first l-1 rows of an RREF class with l rows are themselves an RREF
-    class, so
+    image(u) = span{A_b u : b}: the product u table cut into h rows of
+    `width` entries, reduced once and memoised by the row.  The first l-1
+    rows of an RREF class with l rows are themselves an RREF class, so
 
         Z(u_1, ..., u_l) = Z(u_1, ..., u_{l-1}) + image(u_l),
 
     and a class's reduced span is its prefix's span with only the last
-    row's image eliminated into it.  The spans are memoised by class; a
-    prefix not seen yet is computed first, so any call order gives the
-    same ranks.
+    row's image eliminated into it (`gflin.extend_rref`).  The spans are
+    memoised by class; a prefix not seen yet is computed first, so any call
+    order gives the same ranks.
     """
-    if not acts or acts[0].nrows == 0:
+    if not h or not width:
         return lambda coeffs: 0
-    # A_b u as a row is u^T A_b^T: the rows of A_b^T, once, in gf's format
-    transposes = [gflin.pack_rows(gf, zip(*a.rows)) for a in acts]
     images: dict = {}
     spans: dict = {(): ()}
 
     def image(u) -> tuple:
         if u not in images:
-            vecs = [gflin.matmul_rows(gf, (u,), at)[0] for at in transposes]
-            images[u] = gflin.rref_rows(gf, vecs)
+            product = gflin.matmul_rows(gf, (u,), table)
+            images[u] = gflin.rref_rows(gf, gflin.row_blocks(gf, product, h * width, 0, h, width))
         return images[u]
 
     def span(coeffs) -> tuple:
         if coeffs not in spans:
-            spans[coeffs] = gflin.rref_rows(gf, span(coeffs[:-1]) + image(coeffs[-1]))
+            prefix, last = span(coeffs[:-1]), image(coeffs[-1])
+            spans[coeffs] = gflin.extend_rref(gf, prefix, last) if prefix else last
         return spans[coeffs]
 
     def rank(coeffs) -> int:
@@ -324,31 +325,38 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     Dropping the last row u_l of a class leaves its prefix class, and
     Z_y(u_1, ..., u_l) = Z_y(u_1, ..., u_{l-1}) + span{A_b u_l : b}, so a
     class costs one reduction of its last row's image into its prefix's
-    span (`_socle_rank_fn`).  Rows are unpacked only for the payload.
+    span (`_socle_rank_fn`).  After the socles everything runs on gflin
+    rows: the Hom kernels and action tables come from
+    `rep.hom_evaluation_rows`, and each distinct row is unpacked once for
+    the payload.
     """
     f = n.field
     gf = gflin.GF2_PACKED if f.order == 2 else gflin.gfq(f.order)
     socles = _socles(n)
-    hom_nn, acts_n = hom_evaluations(n, n, socles)
-    hom_nm, acts_m = hom_evaluations(n, m, socles)
+    hom_nn, tables_n = hom_evaluation_rows(gf, n, n, socles)
+    hom_nm, tables_m = hom_evaluation_rows(gf, n, m, socles)
     details = []
     witness = None
     checked = 0
     for i, soc in socles.items():
         s_i = soc.ncols
-        rank_n = _socle_rank_fn(gf, acts_n[i])
-        rank_m = _socle_rank_fn(gf, acts_m[i])
+        rank_n = _socle_rank_fn(gf, tables_n[i], hom_nn, n.dims[i])
+        rank_m = _socle_rank_fn(gf, tables_m[i], hom_nm, m.dims[i])
         budget = sum(gflin.gaussian_binomial(s_i, l, gf.q) for l in range(1, s_i + 1))
         if budget > CLASS_BUDGET:
             raise ValueError(
                 f"socle subspace count {budget} at vertex {i} exceeds the class budget"
             )
+        unpacked: dict = {}
         for l in range(1, s_i + 1):
             for coeffs in gflin.enumerate_rref(gf, s_i, l):
                 zn = rank_n(coeffs)
                 zm = rank_m(coeffs)
                 ok = zn <= zm
-                vec = [list(r) for r in gflin.unpack_rows(gf, coeffs, s_i)]
+                for u in coeffs:
+                    if u not in unpacked:
+                        unpacked[u] = gflin.unpack_rows(gf, (u,), s_i)[0]
+                vec = [list(unpacked[u]) for u in coeffs]
                 entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, zn, zm)
                 entry["ok"] = ok
                 details.append(entry)

@@ -5,7 +5,12 @@ enumeration and nc2's socle-subspace scan.  It deliberately shares no
 elimination code with :mod:`quiverrep.exactlin`, so enumeration results can
 serve as an independent cross-check for the criterion computations, and
 nc2's exactlin cross-checks (the literal quotient check in the tests, the
-type A criterion) share no elimination with its scan.
+type A criterion) share no elimination with its scan.  Over a finite field
+nc2 runs here end to end once the socles are known: the Hom kernel of the
+intertwining equations (emitted in the handle's row format by
+``rep.hom_evaluation_rows``), the stacked evaluation tables cut apart by
+``row_blocks`` and reassembled by ``transpose_rows``, and each class's
+span grown from its prefix's by ``extend_rref``.
 
 Elements of GF(q), q = p^k, are integers 0..q-1.  For k > 1 the integer
 encodes the coefficient vector of a polynomial over F_p in base p, and
@@ -286,6 +291,46 @@ def rref_rows(gf: Handle, rows) -> Rows:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
+def extend_rref(gf: Handle, span_rref: Rows, rows) -> Rows:
+    """RREF of span(span_rref) + span(rows), span_rref already in RREF: the
+    one rref_rows(span_rref + rows) gives.
+
+    On packed rows only `rows` are eliminated, against the span and each
+    other, and the span's rows are only cleared at the new pivots.  Tuple
+    rows go through rref_rows, which passes over reduced rows cheaply.
+    """
+    if gf.packed:
+        return _rref_packed(rows, span_rref)
+    return rref_rows(gf, span_rref + tuple(rows))
+
+
+def row_blocks(gf: Handle, rows, n: int, start: int, count: int, width: int) -> Rows:
+    """For each row of length n in turn, the `count` consecutive blocks of
+    `width` entries that begin at its entry `start` (the rows of a
+    count x width matrix stored row-major there), stacked into one row
+    matrix in gf's format."""
+    if gf.packed:
+        mask = (1 << width) - 1
+        shifts = [n - start - (a + 1) * width for a in range(count)]
+        return tuple([(x >> s) & mask for x in rows for s in shifts])
+    return tuple(
+        tuple(r[start + a * width : start + (a + 1) * width]) for r in rows for a in range(count)
+    )
+
+
+def transpose_rows(gf: Handle, rows, n: int) -> Rows:
+    """The n x len(rows) transpose of rows of length n."""
+    if gf.packed:
+        out = []
+        for j in range(n - 1, -1, -1):
+            x = 0
+            for r in rows:
+                x = x << 1 | (r >> j) & 1
+            out.append(x)
+        return tuple(out)
+    return tuple(tuple(r[j] for r in rows) for j in range(n))
+
+
 def right_kernel_rows(gf: Handle, rows, ncols: int) -> Rows:
     """Basis (as rows, in RREF) of {v in F^ncols : M v = 0}."""
     if gf.packed:
@@ -462,15 +507,21 @@ def _reduce_packed(basis, x: int) -> int:
     return x
 
 
-def _rref_packed(rows) -> Rows:
-    basis: list[int] = []
+def _rref_packed(rows, span=()) -> Rows:
+    # `span`, if given, is a reduced echelon basis (a tuple) the rows are
+    # added to; it comes back as it is when they all lie in it
+    basis = list(span)
     for x in rows:
-        x = _reduce_packed(basis, x)
+        for b in basis:
+            if x ^ b < x:
+                x ^= b
         if x:
             for i, b in enumerate(basis):
                 if b ^ x < b:
                     basis[i] = b ^ x
             basis.append(x)
+    if len(basis) == len(span):
+        return tuple(span)
     basis.sort(reverse=True)
     return tuple(basis)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+from . import gflin
 from .exactlin import FieldSpec, Matrix
 from .quiver import (
     DimVector,
@@ -156,45 +157,65 @@ def _check_pair(x: Representation, y: Representation):
         raise ValueError("representations live over different fields")
 
 
-def _hom_system(x: Representation, y: Representation) -> Matrix:
-    """Coefficient matrix of the intertwining equations.
-
-    Unknowns are the entries of the vertex matrices f_v (shape y_v x x_v),
-    flattened row-major, blocks ordered by vertex.  One equation block per
-    arrow a: i -> j, expressing f_j X_a - Y_a f_i = 0.
-    """
+def _hom_offsets(x: Representation, y: Representation) -> tuple[list[int], int]:
+    """Where each vertex's block of Hom unknowns starts, and their count."""
     _check_pair(x, y)
-    f = x.field
-    nq = x.quiver
     offsets = []
     off = 0
-    for v in range(nq.vertex_count):
+    for v in range(x.quiver.vertex_count):
         offsets.append(off)
         off += x.dims[v] * y.dims[v]
-    ncols = off
-    rows = []
-    zero = f.zero
-    for (i, j), xa, ya in zip(nq.arrows, x.arrow_mats, y.arrow_mats):
+    return offsets, off
+
+
+def _intertwining_equations(x: Representation, y: Representation, offsets):
+    """The intertwining equations, one per entry (r, c) of each arrow block.
+
+    Unknowns are the entries of the vertex matrices f_v (shape y_v x x_v),
+    flattened row-major, blocks starting at `offsets`.  For an arrow
+    a: i -> j the equation at (r, c) expresses (f_j X_a - Y_a f_i)[r, c] = 0.
+    It is yielded as (plus_base, plus, minus_base, minus): the terms
+    X_a[t, c] f_j[r, t] as (t, X_a[t, c]) pairs at unknown plus_base + t,
+    and the terms Y_a[r, s] f_i[s, c] as (s * x_i, Y_a[r, s]) pairs at
+    unknown minus_base + s * x_i, nonzero coefficients only.  The pair
+    lists are shared between equations.
+    """
+    zero = x.field.zero
+    for (i, j), xa, ya in zip(x.quiver.arrows, x.arrow_mats, y.arrow_mats):
         xi, xj = x.dims[i], x.dims[j]
-        yi, yj = y.dims[i], y.dims[j]
-        for r in range(yj):
-            for c in range(xi):
-                row = [zero] * ncols
-                # (f_j X_a)[r, c]: coefficient X_a[t, c] at f_j[r, t]
-                base_j = offsets[j] + r * xj
-                for t in range(xj):
-                    v = xa.rows[t][c]
-                    if v != zero:
-                        row[base_j + t] = f.add(row[base_j + t], v)
-                # -(Y_a f_i)[r, c]: coefficient -Y_a[r, s] at f_i[s, c]
-                base_i = offsets[i]
-                yr = ya.rows[r]
-                for s in range(yi):
-                    v = yr[s]
-                    if v != zero:
-                        idx = base_i + s * xi + c
-                        row[idx] = f.sub(row[idx], v)
-                rows.append(tuple(row))
+        if not (xi and y.dims[j]):
+            continue
+        # column c of X_a, as (t, X_a[t, c]) pairs
+        if xj:
+            cols = [[(t, v) for t, v in enumerate(col) if v != zero] for col in zip(*xa.rows)]
+        else:
+            cols = [[]] * xi
+        for r, yrow in enumerate(ya.rows):
+            yr = [(s * xi, v) for s, v in enumerate(yrow) if v != zero]
+            base_j = offsets[j] + r * xj
+            for c, col in enumerate(cols):
+                yield base_j, col, offsets[i] + c, yr
+
+
+def _equation_rows(equations, ncols: int, zero, add, sub) -> list[tuple]:
+    """The equations as dense coefficient rows, with the field's add/sub."""
+    rows = []
+    for plus_base, plus, minus_base, minus in equations:
+        row = [zero] * ncols
+        for t, v in plus:
+            row[plus_base + t] = add(row[plus_base + t], v)
+        for s, v in minus:
+            row[minus_base + s] = sub(row[minus_base + s], v)
+        rows.append(tuple(row))
+    return rows
+
+
+def _hom_system(x: Representation, y: Representation) -> Matrix:
+    """Coefficient matrix of the intertwining equations
+    (`_intertwining_equations`), one row per equation."""
+    f = x.field
+    offsets, ncols = _hom_offsets(x, y)
+    rows = _equation_rows(_intertwining_equations(x, y, offsets), ncols, f.zero, f.add, f.sub)
     return Matrix(f, tuple(rows), validate=False, ncols=ncols)
 
 
@@ -280,6 +301,44 @@ def hom_evaluations(x: Representation, y: Representation, bases) -> tuple[int, d
             for j in range(h)
         ]
     return h, out
+
+
+def hom_evaluation_rows(
+    gf: gflin.Handle, x: Representation, y: Representation, bases
+) -> tuple[int, dict]:
+    """`hom_evaluations` over a finite field, in gflin's row format for the
+    handle gf: h = dim Hom(x, y) and, for each vertex v of `bases`, the
+    stacked table T_v = B_v^T [phi_1,v^T | ... | phi_h,v^T].
+
+    T_v has one row per column of B_v and h * y_v entries per row, grouped
+    by basis element: u T_v holds the h evaluations (phi_b,v B_v u)^T side
+    by side.  The intertwining equations are emitted in gf's format and
+    their kernel is taken by `gflin.right_kernel_rows`; no `Matrix` is
+    built after the bases.
+    """
+    offsets, ncols = _hom_offsets(x, y)
+    equations = _intertwining_equations(x, y, offsets)
+    if gf.packed:
+        top = ncols - 1
+        rows = []
+        for plus_base, plus, minus_base, minus in equations:
+            row = 0
+            for t, _ in plus:
+                row ^= 1 << (top - plus_base - t)
+            for s, _ in minus:
+                row ^= 1 << (top - minus_base - s)
+            rows.append(row)
+    else:
+        rows = _equation_rows(equations, ncols, 0, gf.add, gf.sub)
+    kern = gflin.right_kernel_rows(gf, rows, ncols)
+    tables = {}
+    for v, b in bases.items():
+        off, r, c = offsets[v], y.dims[v], x.dims[v]
+        # the rows of every phi_b,v, stacked, times B_v: (h*y_v) x s_v
+        blocks = gflin.row_blocks(gf, kern, ncols, off, r, c)
+        evaluations = gflin.matmul_rows(gf, blocks, gflin.pack_rows(gf, b.rows))
+        tables[v] = gflin.transpose_rows(gf, evaluations, b.ncols)
+    return len(kern), tables
 
 
 def hom_dim(x: Representation, y: Representation) -> int:

@@ -371,8 +371,11 @@ def generic_rank_vector(
     m: Representation, e: DimVector, samples: int = 64, seed: int = 0
 ) -> DimVector:
     """Coordinatewise-maximal vertex rank vector of sampled maps from m to
-    sampled representations of dimension vector e."""
+    sampled representations of dimension vector e.  At least one sample is
+    required."""
     e = check_dimvector(m.quiver, e)
+    if samples < 1:
+        raise ValueError(f"samples = {samples}: at least one sample is required")
     rng = random.Random(seed)
     best = [0] * m.quiver.vertex_count
     for t in range(samples):

@@ -33,6 +33,7 @@ from quiverrep.rep import (
     direct_sum,
     dual,
     hom_dim,
+    hom_evaluations,
     is_injective_morphism,
     power,
     quotient,
@@ -301,7 +302,11 @@ def test_socle_rank_matches_its_definition():
 
             acts = [act() for _ in range(rng.randint(1, 3))]
             acts += [Matrix.zeros(f, y, s), acts[0] + acts[-1]]  # zero and dependent A_b
-            rank = _socle_rank_fn(gf, acts)
+            # [A_1^T | ... | A_h^T]: row t holds column t of every A_b in turn
+            table = gflin.pack_rows(
+                gf, ([a.rows[r][t] for a in acts for r in range(y)] for t in range(s))
+            )
+            rank = _socle_rank_fn(gf, table, len(acts), y)
             # shuffled, a class may come before its prefix class, whose span
             # the memo then computes first
             classes = [c for l in range(1, s + 1) for c in gflin.enumerate_rref(gf, s, l)]
@@ -311,35 +316,74 @@ def test_socle_rank_matches_its_definition():
                 assert rank(coeffs) == Matrix.hstack([a @ ut for a in acts]).rank()
 
 
-def test_nc2_packed_matches_tuple_handle_over_f2(monkeypatch):
-    """Over F_2 the subspace scan runs on packed int rows; with the table
-    handle swapped in it runs on tuple rows.  Both give the same verdict,
-    payloads included, on random A3, D4 and Kronecker(2) pairs, some with
-    vertices of zero socle and some failing."""
-    rng = random.Random(31)
-    zero_socles = failing = 0
-    for q, top in ((A3, 2), (d4_subspace(), 2), (kronecker(2), 3)):
-        for _ in range(6):
-            n, m = (
-                random_representation(
-                    q, tuple(rng.randint(0, top) for _ in range(q.vertex_count)), F2,
-                    seed=rng.randrange(10**6),
+def _check_nc2_exactlin_evaluations(n: Representation, m: Representation) -> Verdict:
+    """The subspace scan on exactlin matrices, the oracle for the gflin scan:
+    the same classes, each with zn and zm the rank of [A_1 U^T | ... |
+    A_h U^T] over the actions that `hom_evaluations` gives."""
+    f = n.field
+    socles = _socles(n)
+    hom_nn, acts_n = hom_evaluations(n, n, socles)
+    hom_nm, acts_m = hom_evaluations(n, m, socles)
+    details = []
+    witness = None
+    for i, soc in socles.items():
+        for l in range(1, soc.ncols + 1):
+            for coeffs in gflin.enumerate_rref(gflin.gfq(f.order), soc.ncols, l):
+                ut = Matrix(f, coeffs).transpose()
+                zn, zm = (
+                    Matrix.hstack([a @ ut for a in acts[i]]).rank() if acts[i] else 0
+                    for acts in (acts_n, acts_m)
                 )
-                for _ in range(2)
-            )
-            packed = check_nc2(n, m).to_json()
-            with monkeypatch.context() as patch:
-                patch.setattr(gflin, "GF2_PACKED", gflin.gfq(2))
-                table = check_nc2(n, m).to_json()
-            assert packed == table, (n.dims, m.dims)
-            zero_socles += q.vertex_count - len(_socles(n))
-            failing += not packed["holds"]
-    assert zero_socles >= 5 and failing >= 2
+                vec = [list(r) for r in coeffs]
+                entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, zn, zm)
+                entry["ok"] = zn <= zm
+                details.append(entry)
+                if not entry["ok"] and witness is None:
+                    witness = entry | {"kind": "quotient"}
+    context = {
+        "criterion": "nc2",
+        "mode": "subspaces",
+        "field": f.name,
+        "conclusive": True,
+        "checked": len(details),
+    }
+    return Verdict(holds=witness is None, witness=witness, details=details, context=context)
+
+
+def test_nc2_scan_matches_exactlin_evaluation_oracle(monkeypatch):
+    """The gflin scan's verdicts, payloads included, equal the exactlin
+    oracle's on seeded A3, D4 and Kronecker(2) pairs over F_2 (packed rows,
+    and tuple rows with the table handle swapped in), F_3, F_4 and F_5,
+    some with vertices of zero socle and some failing."""
+    rng = random.Random(31)
+    pairs = zero_socles = failing = 0
+    for f in (F2, F3, GF(4), F5):
+        for q, top in ((A3, 2), (d4_subspace(), 2), (kronecker(2), 3 if f.order < 4 else 2)):
+            for _ in range(9):
+                n, m = (
+                    random_representation(
+                        q, tuple(rng.randint(0, top) for _ in range(q.vertex_count)), f,
+                        seed=rng.randrange(10**6),
+                    )
+                    for _ in range(2)
+                )
+                want = _check_nc2_exactlin_evaluations(n, m).to_json()
+                assert check_nc2(n, m).to_json() == want, (f, n.dims, m.dims)
+                if f.order == 2:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(gflin, "GF2_PACKED", gflin.gfq(2))
+                        assert check_nc2(n, m).to_json() == want, (n.dims, m.dims)
+                pairs += 1
+                zero_socles += q.vertex_count - len(_socles(n))
+                failing += not want["holds"]
+    assert pairs >= 100 and zero_socles >= 20 and 10 <= failing <= pairs - 10  # 108, 167, 80
 
 
 def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
-    """The class scan eliminates in gflin; exactlin only builds the Hom
-    bases and socles, whatever the number of classes."""
+    """Over a finite field the class scan, the Hom kernels and the action
+    tables all run in gflin: exactlin builds no Hom system and makes at
+    most one elimination per vertex (the socles), whatever the number of
+    classes."""
     calls = []
     real = Matrix.rref
 
@@ -347,11 +391,27 @@ def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
         calls.append(self.shape)
         return real(self)
 
+    def refuse(x, y):
+        raise AssertionError("finite-field nc2 must not build an exactlin Hom system")
+
     monkeypatch.setattr(Matrix, "rref", counting)
-    n = direct_sum([simple(A3, F2, 2)] * 4)  # semisimple: a 4-dim socle, 66 classes
-    v = check_nc2(n, n)
-    assert v.holds and v.context["checked"] >= 63
-    assert len(calls) < v.context["checked"]
+    monkeypatch.setattr(rep, "_hom_system", refuse)
+    for f in (F2, F3, GF(4)):
+        pairs = [
+            (direct_sum([simple(A3, f, 2)] * 4),) * 2,  # semisimple: a 4-dim socle
+            (
+                random_representation(A3, (2, 2, 1), f, seed=4),
+                random_representation(A3, (1, 2, 2), f, seed=5),
+            ),
+            (kronecker3_pi(f), kronecker3_m(f)),
+        ]
+        checked = []
+        for n, m in pairs:
+            calls.clear()
+            v = check_nc2(n, m)
+            assert v.details and len(calls) <= n.quiver.vertex_count
+            checked.append(v.context["checked"])
+        assert checked[0] >= 63  # the semisimple n: far more classes than eliminations
 
 
 def _check_nc2_sampled_quotients(n: Representation, m: Representation, config: CheckConfig) -> Verdict:

@@ -85,6 +85,40 @@ def test_complement_in():
         assert len(combined) == 3
 
 
+def test_extend_rref_is_the_rref_of_the_union():
+    """Adding rows to an RREF span gives rref_rows of the union, on seeded
+    random rows of width 0 to 6 over F_2 (both handles), F_3, F_4 and F_5."""
+    rng = random.Random(9)
+    for gf in _handles(2, 3, 4, 5):
+        for _ in range(60):
+            nc = rng.randint(0, 6)
+            a, b = (
+                tuple(tuple(rng.randrange(gf.q) * (rng.random() < 0.6) for _ in range(nc))
+                      for _ in range(rng.randint(0, 4)))
+                for _ in range(2)
+            )
+            pa, pb = gflin.pack_rows(gf, a), gflin.pack_rows(gf, b)
+            got = gflin.extend_rref(gf, gflin.rref_rows(gf, pa), pb)
+            assert got == gflin.rref_rows(gf, pa + pb), (gf.q, a, b)
+
+
+def test_row_blocks_and_transpose_match_tuple_slicing():
+    """Both handles cut rows into blocks and transpose them as tuple
+    slicing does, for zero to three rows and empty shapes."""
+    rng = random.Random(10)
+    for gf in _handles(2, 3):
+        for n, start, count, width in ((1, 0, 1, 1), (5, 0, 5, 1), (7, 1, 3, 2), (9, 3, 2, 3), (4, 0, 1, 4)):
+            rows = tuple(tuple(rng.randrange(gf.q) for _ in range(n)) for _ in range(rng.randint(0, 3)))
+            blocks = gflin.row_blocks(gf, gflin.pack_rows(gf, rows), n, start, count, width)
+            assert gflin.unpack_rows(gf, blocks, width) == tuple(
+                row[start + a * width : start + (a + 1) * width] for row in rows for a in range(count)
+            )
+        for nr, nc in ((0, 3), (3, 0), (2, 5), (4, 1)):
+            rows = tuple(tuple(rng.randrange(gf.q) for _ in range(nc)) for _ in range(nr))
+            t = gflin.transpose_rows(gf, gflin.pack_rows(gf, rows), nc)
+            assert gflin.unpack_rows(gf, t, nr) == tuple(tuple(r[j] for r in rows) for j in range(nc))
+
+
 def _random_f2_rows(rng, nr, nc):
     """A random F_2 row matrix; every fourth one is zero (rank 0)."""
     zero = rng.randrange(4) == 0

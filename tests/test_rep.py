@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quiverrep import gflin
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.quiver import Quiver, a_n, d4_subspace, euler_form, kronecker, opposite
 from quiverrep.rep import (
@@ -16,6 +17,7 @@ from quiverrep.rep import (
     ext_dim,
     hom_basis,
     hom_dim,
+    hom_evaluation_rows,
     hom_evaluations,
     identity_morphism,
     is_injective_morphism,
@@ -109,6 +111,55 @@ def test_hom_evaluations_match_the_hom_basis():
                 zero_homs += dim == 0
                 zero_vertices += sum(1 for v in verts if 0 in (x.dims[v], y.dims[v]))
     assert 10 <= zero_homs <= 60 and zero_vertices >= 50  # 72 pairs
+
+
+def test_hom_evaluation_rows_span_the_hom_evaluations():
+    """hom_evaluation_rows gives dim Hom(x, y) and, at each requested vertex,
+    a table whose h chunks A_b^T span the same space of maps as
+    hom_evaluations' phi_v @ B_v (the kernel bases may differ), over F_2
+    (packed and tuple rows), F_3, F_4 and F_5, on A3, Kronecker(3) and the
+    non-bipartite triangle, with End(x) among them (on the triangle a
+    sign error in the equations shows there), zero-dimensional vertices,
+    empty bases and Hom = 0.  A basis has at most x_v columns, as a socle
+    basis does."""
+    rng = random.Random(13)
+    triangle = Quiver(3, ((0, 1), (1, 2), (0, 2)))
+    pairs = []
+    for gf in (gflin.GF2_PACKED, gflin.gfq(2), gflin.gfq(3), gflin.gfq(4), gflin.gfq(5)):
+        field = GF(gf.q)
+        for q in (A3, K3, triangle):
+            for _ in range(5):
+                x, y = (
+                    random_representation(
+                        q, tuple(rng.randint(0, 2) for _ in range(q.vertex_count)), field,
+                        seed=rng.randrange(10**6),
+                    )
+                    for _ in range(2)
+                )
+                bases = {
+                    v: Matrix(
+                        field, [[field.random(rng) for _ in range(b)] for _ in range(x.dims[v])], ncols=b
+                    )
+                    for v in range(q.vertex_count)
+                    for b in [rng.randint(0, min(2, x.dims[v]))]
+                }
+                pairs.append((gf, x, y if rng.random() < 0.5 else x, bases))
+    dims = []
+    for gf, x, y, bases in pairs:
+        flat = gflin.gfq(gf.q)
+        dim, evals = hom_evaluations(x, y, bases)
+        h, tables = hom_evaluation_rows(gf, x, y, bases)
+        assert h == dim and sorted(tables) == sorted(bases)
+        for v, b in bases.items():
+            s, w = b.ncols, y.dims[v]
+            rows = gflin.unpack_rows(gf, tables[v], h * w)
+            assert len(rows) == s
+            # A_b^T flattened row-major, from the table's chunks and from evals
+            got = [[e for r in rows for e in r[k * w : (k + 1) * w]] for k in range(h)]
+            want = [[a.rows[i][t] for t in range(s) for i in range(w)] for a in evals[v]]
+            assert gflin.rref_rows(flat, got) == gflin.rref_rows(flat, want)
+        dims.append(dim)
+    assert dims.count(0) >= 10 and sum(d >= 2 for d in dims) >= 20  # 75 pairs
 
 
 def test_hom_between_intervals_on_a3():

@@ -302,6 +302,8 @@ def test_nonpositive_samples_are_refused():
             generic_hom(m, (2, 1), r=1, samples=samples)
         with pytest.raises(ValueError, match="sample"):
             check_stabilization(m, (2, 1), r_range=range(1, 3), samples=samples, q_enum=5)
+        with pytest.raises(ValueError, match="sample"):
+            generic_rank_vector(m, (2, 1), samples=samples)
 
 
 def test_stabilization_refuses_violated_hypothesis():
