@@ -285,14 +285,17 @@ def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
         Z(u_1, ..., u_l) = Z(u_1, ..., u_{l-1}) + image(u_l),
 
     and a class's reduced span is its prefix's span with only the last
-    row's image eliminated into it (`gflin.extend_rref`).  The spans are
-    memoised by class; a prefix not seen yet is computed first, so any call
-    order gives the same ranks.
+    row's image eliminated into it (`gflin.extend_rref`), or the prefix's
+    span itself once that is all of Z(socle).  The spans are memoised by
+    class; a prefix not seen yet is computed first, so any call order gives
+    the same ranks.
     """
     if not h or not width:
         return lambda coeffs: 0
     images: dict = {}
     spans: dict = {(): ()}
+    # dim Z(socle): the rows of table cut apart are every A_b e_t
+    full = len(gflin.rref_rows(gf, gflin.row_blocks(gf, table, h * width, 0, h, width)))
 
     def image(u) -> tuple:
         if u not in images:
@@ -302,8 +305,13 @@ def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
 
     def span(coeffs) -> tuple:
         if coeffs not in spans:
-            prefix, last = span(coeffs[:-1]), image(coeffs[-1])
-            spans[coeffs] = gflin.extend_rref(gf, prefix, last) if prefix else last
+            prefix = span(coeffs[:-1])
+            if len(prefix) == full:
+                spans[coeffs] = prefix
+            elif prefix:
+                spans[coeffs] = gflin.extend_rref(gf, prefix, image(coeffs[-1]))
+            else:
+                spans[coeffs] = image(coeffs[-1])
         return spans[coeffs]
 
     def rank(coeffs) -> int:

@@ -197,13 +197,15 @@ def _intertwining_equations(x: Representation, y: Representation, offsets):
                 yield base_j, col, offsets[i] + c, yr
 
 
-def _equation_rows(equations, ncols: int, zero, add, sub) -> list[tuple]:
-    """The equations as dense coefficient rows, with the field's add/sub."""
+def _equation_rows(equations, ncols: int, zero, sub) -> list[tuple]:
+    """The equations as dense coefficient rows, with the field's sub.  The
+    plus terms of one equation sit at distinct unknowns, so they are
+    written, not added."""
     rows = []
     for plus_base, plus, minus_base, minus in equations:
         row = [zero] * ncols
         for t, v in plus:
-            row[plus_base + t] = add(row[plus_base + t], v)
+            row[plus_base + t] = v
         for s, v in minus:
             row[minus_base + s] = sub(row[minus_base + s], v)
         rows.append(tuple(row))
@@ -215,7 +217,7 @@ def _hom_system(x: Representation, y: Representation) -> Matrix:
     (`_intertwining_equations`), one row per equation."""
     f = x.field
     offsets, ncols = _hom_offsets(x, y)
-    rows = _equation_rows(_intertwining_equations(x, y, offsets), ncols, f.zero, f.add, f.sub)
+    rows = _equation_rows(_intertwining_equations(x, y, offsets), ncols, f.zero, f.sub)
     return Matrix(f, tuple(rows), validate=False, ncols=ncols)
 
 
@@ -329,7 +331,7 @@ def hom_evaluation_rows(
                 row ^= 1 << (top - minus_base - s)
             rows.append(row)
     else:
-        rows = _equation_rows(equations, ncols, 0, gf.add, gf.sub)
+        rows = _equation_rows(equations, ncols, 0, gf.sub)
     kern = gflin.right_kernel_rows(gf, rows, ncols)
     tables = {}
     for v, b in bases.items():
