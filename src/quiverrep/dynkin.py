@@ -124,7 +124,7 @@ class IndecomposableTable:
     order refining Hom-nonvanishing, so its inverse is integral; the table
     keeps that inverse and refuses to exist without it.  Roots are kept in
     lexicographic order.  Path counts give the roots of the projectives
-    and injectives.
+    and injectives.  euler[u][v] = <u, v>, computed with the table.
     """
 
     quiver: Quiver
@@ -132,11 +132,13 @@ class IndecomposableTable:
     roots: tuple[DimVector, ...]
     reps: tuple[Representation, ...]
     hom_matrix: tuple[tuple[int, ...], ...]
+    euler: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     inverse_hom: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     _projective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     _injective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "euler", _euler_values(self.quiver, self.roots))
         for i in range(self.size):
             if self.hom_matrix[i][i] != 1:
                 raise RuntimeError("table invalid: an entry has End dimension != 1")
@@ -160,7 +162,7 @@ class IndecomposableTable:
         return self.roots.index(tuple(root))
 
     def ext_entry(self, u: int, v: int) -> int:
-        return self.hom_matrix[u][v] - euler_form(self.quiver, self.roots[u], self.roots[v])
+        return self.hom_matrix[u][v] - self.euler[u][v]
 
     def projective_root_indices(self) -> tuple[int, ...]:
         return self._projective
@@ -188,8 +190,20 @@ def build_table(
                 reduced = x.change_field(FieldSpec.of_order(order))
                 if hom_dim(reduced, reduced) != 1:
                     raise RuntimeError(f"the indecomposable of {x.dims} has End != 1 over F_{order}")
-    hom = tuple(tuple(max(euler_form(q, u, v), 0) for v in roots) for u in roots)
+    hom = tuple(tuple(max(x, 0) for x in row) for row in _euler_values(q, roots))
     return IndecomposableTable(q, field, roots, reps, hom)
+
+
+def _euler_values(q: Quiver, dims) -> tuple[tuple[int, ...], ...]:
+    """<u, v> for every pair of dimension vectors in dims, as the integer
+    product D E D^T with the Euler matrix E (1 on the diagonal, minus the
+    number of arrows i -> j at (i, j))."""
+    n = q.vertex_count
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s, t in q.arrows:
+        e[s][t] -= 1
+    de = [[sum(u[i] * e[i][j] for i in range(n)) for j in range(n)] for u in dims]
+    return tuple(tuple(sum(a * b for a, b in zip(row, v)) for v in dims) for row in de)
 
 
 def decompose(x: Representation, table: IndecomposableTable) -> dict[DimVector, int]:

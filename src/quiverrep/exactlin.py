@@ -285,12 +285,12 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: FieldSpec, rows, validate: bool = True, ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if validate:
-            rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+            rows = tuple(tuple(map(field.coerce, r)) for r in rows)
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            if len(set(map(len, rows))) != 1:
                 raise ValueError("ragged rows")
             if ncols is not None and ncols != width:
                 raise ValueError("ncols disagrees with row width")

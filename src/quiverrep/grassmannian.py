@@ -17,14 +17,40 @@ subrepresentation and infeasible branches die at a dimension count.  A
 composite-path rank prune rejects impossible dimension vectors up front.
 
 Once a single vertex v is left, every arrow at v has both endpoints
-assigned, so the sandwich span(w) <= U <= span(w) + span(complement) is
-exact: the admissible U at v are precisely the subspaces between the two
-bounds, and there are [len(complement), e_v - w]_q of them (a Gaussian
-binomial).  ``count`` adds that number instead of building each U, and
-charges the budget one visit per U, as enumerating them would; visits
-therefore still count echelon patterns whichever operation ran.  The other
-operations need the rows of each leaf, or stop at the first one, so they
-still enumerate the last vertex.
+assigned, so the sandwich W <= U <= B is exact: the admissible U at v are
+precisely the subspaces between the two bounds, and there are
+[dim B - dim W, e_v - dim W]_q of them (a Gaussian binomial).  ``count``
+adds that number instead of building each U.
+
+``count`` also sums the leaves below the last two vertices in closed form.
+Let v1 be the vertex the search would enumerate next, with bounds
+W1 <= U1 <= B1, and v2 the other one, with bounds W2, B2 from the assigned
+vertices alone.  With no arrow between them the leaves number b1 * b2, the
+product of their branches.  With one arrow A the leaves below U1 depend
+only on j = dim(U1 cap L):
+
+- A: v1 -> v2.  U1 must lie in B = B1 cap A^-1(B2); then v2's lower bound
+  grows to W2 + A(U1), of dimension w' = |W2| + e1 - j with L = A^-1(W2),
+  and U1 has [|B2| - w', e2 - w']_q leaves.
+- A: v2 -> v1.  U1 must contain W = W1 + A(W2); then v2's upper bound
+  shrinks to B2 cap A^-1(U1), of dimension k0 + j with L = A(B2) and
+  k0 = dim(B2 cap ker A), and U1 has [k0 + j - |W2|, e2 - |W2|]_q leaves.
+
+The U1 are grouped by j in the quotient B/W, of dimension n, where L
+leaves a subspace of dimension lam = dim((L + W) cap B / W): there are
+q^((lam-i)(eps-i)) [lam, i]_q [n-lam, eps-i]_q subspaces of dimension
+eps = e1 - |W| meeting it in dimension i (the terms of the q-Vandermonde
+identity), and for them j = i + dim(L cap W).  With several arrows between
+v1 and v2 (a Kronecker pair), or when v1 has a single candidate, ``count``
+enumerates v1 and counts v2.
+
+Either way ``count`` charges the budget the visits enumeration would: one
+per candidate at each enumerated vertex and one per leaf, so b1 plus the
+leaves below a closed-form pair.  Visits therefore still count echelon
+patterns whichever operation ran, and a budget refusal happens exactly
+when enumeration would refuse (its ``visits`` may include a pair's whole
+charge).  The other operations need the rows of each leaf, or stop at the
+first one, so they enumerate every vertex.
 """
 
 from __future__ import annotations
@@ -62,6 +88,8 @@ class SubrepOracle:
     """
 
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
+        if budget < 0:
+            raise ValueError(f"enumeration budget must be nonnegative, got {budget}")
         if not m.field.is_finite:
             raise ValueError("enumeration requires a finite ground field")
         order = topological_order(m.quiver)
@@ -151,16 +179,14 @@ class SubrepOracle:
             self._preimage_cache[key] = got
         return got
 
-    def _sandwich(self, v: int, e_v: int, chosen: dict):
-        """Exact bounds at v from the assigned neighbours.
-
-        Returns (w_rows, complement_rows, branch_count): any admissible
-        subspace satisfies span(w) <= U <= span(w) + span(complement), and
-        branch_count is the number of such U.  branch_count = 0 marks an
-        infeasible vertex.
-        """
+    def _bounds(self, v: int, e_v: int, chosen: dict):
+        """Exact bounds at v from the assigned neighbours: (w_rows, bound),
+        the RREF span of the assigned incoming images and the intersection
+        of the assigned outgoing preimages (the whole space when there are
+        none).  Any admissible subspace U satisfies span(w) <= U <= bound.
+        bound is None when len(w_rows) > e_v: no U of dimension e_v exists,
+        and no preimage is computed."""
         gf = self.gf
-        dim_v = self.m.dims[v]
         image_rows = []
         for arrow_idx, src in self.in_arrows_[v]:
             if src in chosen and chosen[src]:
@@ -168,9 +194,8 @@ class SubrepOracle:
                     gflin.matmul_rows(gf, chosen[src], self.arrow_rows_t[arrow_idx])
                 )
         w_rows = gflin.rref_rows(gf, image_rows) if image_rows else ()
-        w = len(w_rows)
-        if w > e_v:
-            return w_rows, (), 0
+        if len(w_rows) > e_v:
+            return w_rows, None
         bound = None
         for arrow_idx, tgt in self.out_arrows[v]:
             if tgt in chosen:
@@ -178,36 +203,117 @@ class SubrepOracle:
                 if bound is None:
                     bound = pre
                 else:
-                    bound = gflin.intersect_rows(gf, bound, pre, dim_v)
-        if bound is None:
-            bound = self.full_rows[v]
-        if e_v > len(bound):
-            return w_rows, (), 0
-        if w and any(not gflin.row_in_span(gf, bound, row) for row in w_rows):
-            return w_rows, (), 0
-        comp = gflin.complement_in(gf, w_rows, bound) if w else bound
-        branch = gflin.gaussian_binomial(len(comp), e_v - w, gf.q)
-        return w_rows, comp, branch
+                    bound = gflin.intersect_rows(gf, bound, pre, self.m.dims[v])
+        return w_rows, self.full_rows[v] if bound is None else bound
 
-    def _candidates(self, v: int, e_v: int, chosen: dict, w_rows, comp):
-        """Yield the admissible subspaces at v given sandwich bounds."""
+    def _sandwich(self, v: int, e_v: int, chosen: dict):
+        """(w_rows, bound, branch_count): the bounds at v and the number of
+        e_v-dimensional subspaces between them.  branch_count = 0 marks an
+        infeasible vertex."""
+        w_rows, bound = self._bounds(v, e_v, chosen)
+        w = len(w_rows)
+        if bound is None or e_v > len(bound):
+            return w_rows, bound, 0
+        if w and any(not gflin.row_in_span(self.gf, bound, row) for row in w_rows):
+            return w_rows, bound, 0
+        return w_rows, bound, gflin.gaussian_binomial(len(bound) - w, e_v - w, self.gf.q)
+
+    def _candidates(self, e_v: int, w_rows, bound):
+        """Yield the admissible subspaces at v given its sandwich bounds."""
         gf = self.gf
         w = len(w_rows)
         if e_v == w:
             self._charge()
             yield w_rows
             return
+        comp = gflin.complement_in(gf, w_rows, bound) if w else bound
         for coeffs in gflin.enumerate_rref(gf, len(comp), e_v - w):
             self._charge()
             rows = gflin.matmul_rows(gf, coeffs, comp)
             yield gflin.rref_rows(gf, w_rows + rows)
+
+    def _count_pair(self, e: DimVector, chosen: dict, best) -> int | None:
+        """Leaves below a node whose two unassigned vertices are v1, the
+        one the search would enumerate, and v2, by the rule in the module
+        docstring; None when several arrows join them.  ``best`` is v1's
+        (branch, v1, w1_rows, b1_rows)."""
+        gf = self.gf
+        b1, v1, w1_rows, b1_rows = best
+        v2 = next(u for u in range(self.q.vertex_count) if u not in chosen and u != v1)
+        forward = [a for a, t in self.out_arrows[v1] if t == v2]
+        backward = [a for a, s in self.in_arrows_[v1] if s == v2]
+        if not forward and not backward:
+            return b1 * self._sandwich(v2, e[v2], chosen)[2]
+        if len(forward) + len(backward) > 1:
+            return None
+        e1, e2 = e[v1], e[v2]
+        w2_rows, b2_rows = self._bounds(v2, e2, chosen)
+        if b2_rows is None or any(not gflin.row_in_span(gf, b2_rows, row) for row in w2_rows):
+            return 0
+        w2 = len(w2_rows)
+        if forward:
+            # A: v1 -> v2.  Below U1 <= A^-1(B2), W2' = W2 + A(U1) has
+            # dimension w2 + e1 - dim(U1 cap A^-1(W2)), and B2' = B2.
+            (a,) = forward
+            bound = gflin.intersect_rows(gf, b1_rows, self._preimage(a, b2_rows), self.m.dims[v1])
+            meet = self._preimage(a, w2_rows)
+            beta2 = len(b2_rows)
+
+            def leaves(j: int) -> int:
+                w = w2 + e1 - j
+                return gflin.gaussian_binomial(beta2 - w, e2 - w, gf.q)
+
+            return self._count_by_meet(v1, e1, w1_rows, bound, meet, leaves)
+        # A: v2 -> v1.  Below U1 >= A(W2), W2' = W2, and B2' = B2 cap A^-1(U1)
+        # has dimension dim(B2 cap ker A) + dim(U1 cap A(B2)).
+        (a,) = backward
+        at = self.arrow_rows_t[a]
+        if w2_rows:
+            w1_rows = gflin.rref_rows(gf, w1_rows + gflin.matmul_rows(gf, w2_rows, at))
+        meet = gflin.rref_rows(gf, gflin.matmul_rows(gf, b2_rows, at)) if b2_rows else ()
+        k0 = len(gflin.intersect_rows(gf, b2_rows, self._preimage(a, ()), self.m.dims[v2]))
+
+        def leaves(j: int) -> int:
+            return gflin.gaussian_binomial(k0 + j - w2, e2 - w2, gf.q)
+
+        return self._count_by_meet(v1, e1, w1_rows, b1_rows, meet, leaves)
+
+    def _count_by_meet(self, v: int, e_v: int, w_rows, bound, meet, leaves) -> int:
+        """Sum of leaves(dim(U cap meet)) over the e_v-dimensional U with
+        span(w) <= U <= bound.
+
+        In the quotient bound/W, of dimension n, the image of meet has
+        dimension lam = dim(meet cap bound + W) - w, and
+        q^((lam-i)(eps-i)) [lam, i]_q [n-lam, eps-i]_q of the eps-dimensional
+        subspaces meet it in dimension i (the q-Vandermonde terms); for
+        those, dim(U cap meet) = i + dim(meet cap W).
+        """
+        gf, q, dim_v = self.gf, self.gf.q, self.m.dims[v]
+        w = len(w_rows)
+        if any(not gflin.row_in_span(gf, bound, row) for row in w_rows):
+            return 0
+        eps, n = e_v - w, len(bound) - w
+        if eps < 0 or eps > n:
+            return 0
+        meet_b = gflin.intersect_rows(gf, meet, bound, dim_v)
+        lam = gflin.rank_rows(gf, meet_b + w_rows) - w if meet_b else 0
+        shift = len(gflin.intersect_rows(gf, meet, w_rows, dim_v))
+        return sum(
+            q ** ((lam - i) * (eps - i))
+            * gflin.gaussian_binomial(lam, i, q)
+            * gflin.gaussian_binomial(n - lam, eps - i, q)
+            * leaves(i + shift)
+            for i in range(max(0, eps - n + lam), min(lam, eps) + 1)
+        )
 
     def _dfs(self, e: DimVector, collect, early_exit: bool, tally=None) -> bool:
         """Most-constrained-vertex-first search; True if anything found.
 
         With ``tally``, the last unassigned vertex is counted rather than
         enumerated: its sandwich is exact, so ``tally(branch)`` stands for
-        ``branch`` leaves, and ``branch`` visits are charged.
+        ``branch`` leaves, and ``branch`` visits are charged.  So are the
+        last two when at most one arrow joins them (`_count_pair`), charging
+        the first one's branch plus the leaves, as enumerating it would.
         """
         nverts = self.q.vertex_count
         found = False
@@ -231,15 +337,25 @@ class SubrepOracle:
             for v in range(nverts):
                 if v in chosen:
                     continue
-                w_rows, comp, branch = self._sandwich(v, e[v], chosen)
+                w_rows, bound, branch = self._sandwich(v, e[v], chosen)
                 if branch == 0:
                     return False
                 if best is None or branch < best[0]:
-                    best = (branch, v, w_rows, comp)
+                    best = (branch, v, w_rows, bound)
                     if branch == 1:
                         break
-            _, v, w_rows, comp = best
-            for rows in self._candidates(v, e[v], chosen, w_rows, comp):
+            branch, v, w_rows, bound = best
+            # a single candidate at v is cheaper to enumerate than to count
+            if tally is not None and len(chosen) == nverts - 2 and branch > 1:
+                leaves = self._count_pair(e, chosen, best)
+                if leaves is not None:
+                    self._charge(branch + leaves)
+                    if not leaves:
+                        return False
+                    tally(leaves)
+                    found = True
+                    return early_exit
+            for rows in self._candidates(e[v], w_rows, bound):
                 chosen[v] = rows
                 if recurse(chosen):
                     del chosen[v]
@@ -440,22 +556,31 @@ def counting_poly(
 
     The representation must be given over Q with entries reducible modulo
     every requested order; an order where the reduction changes dim End is
-    rejected (recorded in `rejected`).  The fit fails loudly when the
-    samples do not overdetermine it (at least degree + 2 points are
-    required, so at least one acts as a held-out confirmation), when a
-    coefficient is non-integral, or when the degree exceeds the total
-    dimension of m.
+    rejected (recorded in `rejected`), checked once per characteristic.
+    The fit fails loudly when the samples do not overdetermine it (at
+    least degree + 2 points are required, so at least one acts as a
+    held-out confirmation), when a coefficient is non-integral, or when
+    the degree exceeds the total dimension of m.
     """
     if not m.field.is_rationals:
         raise ValueError("counting_poly expects a representation over Q")
     e = check_dimvector(m.quiver, e)
     end_q = hom_dim(m, m)
+    # End(m mod p) for each characteristic p: the Hom system of m over
+    # F_{p^k} has its entries in the prime field, so its kernel dimension
+    # does not depend on k
+    end_mod: dict[int, int] = {}
     samples: list[tuple[int, int]] = []
     visits: list[tuple[int, int]] = []
     rejected: list[int] = []
     for q in sorted(set(int(q) for q in qs)):
-        mq = m.change_field(FieldSpec.of_order(q))
-        if hom_dim(mq, mq) != end_q:
+        field = FieldSpec.of_order(q)
+        mq = m.change_field(field)
+        p = field.characteristic
+        if p not in end_mod:
+            mp = mq if q == p else m.change_field(FieldSpec.of_order(p))
+            end_mod[p] = hom_dim(mp, mp)
+        if end_mod[p] != end_q:
             rejected.append(q)
             continue
         oracle = SubrepOracle(mq, budget)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import accumulate
+from operator import mul
 
 from . import gflin
 from .exactlin import FieldSpec, Matrix
@@ -151,74 +153,69 @@ def is_surjective_morphism(f: Morphism) -> bool:
 
 
 def _check_pair(x: Representation, y: Representation):
-    if x.quiver != y.quiver:
+    if x.quiver is not y.quiver and x.quiver != y.quiver:
         raise ValueError("representations live over different quivers")
-    if x.field != y.field:
+    if x.field is not y.field and x.field != y.field:
         raise ValueError("representations live over different fields")
 
 
 def _hom_offsets(x: Representation, y: Representation) -> tuple[list[int], int]:
     """Where each vertex's block of Hom unknowns starts, and their count."""
     _check_pair(x, y)
-    offsets = []
-    off = 0
-    for v in range(x.quiver.vertex_count):
-        offsets.append(off)
-        off += x.dims[v] * y.dims[v]
-    return offsets, off
+    offsets = list(accumulate(map(mul, x.dims, y.dims), initial=0))
+    return offsets, offsets.pop()
 
 
-def _intertwining_equations(x: Representation, y: Representation, offsets):
-    """The intertwining equations, one per entry (r, c) of each arrow block.
+def _intertwining_blocks(x: Representation, y: Representation, offsets):
+    """The intertwining equations, one block per arrow and row.
 
     Unknowns are the entries of the vertex matrices f_v (shape y_v x x_v),
     flattened row-major, blocks starting at `offsets`.  For an arrow
     a: i -> j the equation at (r, c) expresses (f_j X_a - Y_a f_i)[r, c] = 0.
-    It is yielded as (plus_base, plus, minus_base, minus): the terms
-    X_a[t, c] f_j[r, t] as (t, X_a[t, c]) pairs at unknown plus_base + t,
-    and the terms Y_a[r, s] f_i[s, c] as (s * x_i, Y_a[r, s]) pairs at
-    unknown minus_base + s * x_i, nonzero coefficients only.  The pair
-    lists are shared between equations.
+    Row r of the arrow yields the block (plus_base, cols, minus): equation
+    (r, c) has the terms X_a[t, c] f_j[r, t] at unknown plus_base + t, for
+    the (t, X_a[t, c]) pairs of cols[c], and the terms Y_a[r, s] f_i[s, c]
+    at unknown c + u, for the (u, Y_a[r, s]) pairs of minus; nonzero
+    coefficients only.  The plus terms of one equation sit at distinct
+    unknowns.  cols is shared between the blocks of an arrow.
     """
-    zero = x.field.zero
     for (i, j), xa, ya in zip(x.quiver.arrows, x.arrow_mats, y.arrow_mats):
         xi, xj = x.dims[i], x.dims[j]
         if not (xi and y.dims[j]):
             continue
         # column c of X_a, as (t, X_a[t, c]) pairs
         if xj:
-            cols = [[(t, v) for t, v in enumerate(col) if v != zero] for col in zip(*xa.rows)]
+            cols = [[(t, v) for t, v in enumerate(col) if v] for col in zip(*xa.rows)]
         else:
-            cols = [[]] * xi
-        for r, yrow in enumerate(ya.rows):
-            yr = [(s * xi, v) for s, v in enumerate(yrow) if v != zero]
-            base_j = offsets[j] + r * xj
-            for c, col in enumerate(cols):
-                yield base_j, col, offsets[i] + c, yr
+            cols = [()] * xi
+        base_i, plus_base = offsets[i], offsets[j]
+        for yrow in ya.rows:
+            yield plus_base, cols, [(base_i + s * xi, v) for s, v in enumerate(yrow) if v]
+            plus_base += xj
 
 
-def _equation_rows(equations, ncols: int, zero, sub) -> list[tuple]:
-    """The equations as dense coefficient rows, with the field's sub.  The
-    plus terms of one equation sit at distinct unknowns, so they are
-    written, not added."""
+def _equation_rows(blocks, ncols: int, zero, sub) -> list[tuple]:
+    """The equations of `_intertwining_blocks` as dense coefficient rows,
+    with the field's sub."""
     rows = []
-    for plus_base, plus, minus_base, minus in equations:
-        row = [zero] * ncols
-        for t, v in plus:
-            row[plus_base + t] = v
-        for s, v in minus:
-            row[minus_base + s] = sub(row[minus_base + s], v)
-        rows.append(tuple(row))
+    for plus_base, cols, minus in blocks:
+        for c, col in enumerate(cols):
+            row = [zero] * ncols
+            for t, v in col:
+                row[plus_base + t] = v
+            for u, v in minus:
+                row[c + u] = sub(row[c + u], v)
+            rows.append(tuple(row))
     return rows
 
 
 def _hom_system(x: Representation, y: Representation) -> Matrix:
     """Coefficient matrix of the intertwining equations
-    (`_intertwining_equations`), one row per equation."""
+    (`_intertwining_blocks`), one row per equation."""
     f = x.field
     offsets, ncols = _hom_offsets(x, y)
-    rows = _equation_rows(_intertwining_equations(x, y, offsets), ncols, f.zero, f.sub)
-    return Matrix(f, tuple(rows), validate=False, ncols=ncols)
+    rows = _equation_rows(_intertwining_blocks(x, y, offsets), ncols, f.zero, f.sub)
+    return Matrix(f, rows, validate=False, ncols=ncols)
 
 
 def _unflatten_morphism(x: Representation, y: Representation, vec) -> Morphism:
@@ -319,19 +316,20 @@ def hom_evaluation_rows(
     built after the bases.
     """
     offsets, ncols = _hom_offsets(x, y)
-    equations = _intertwining_equations(x, y, offsets)
+    blocks = _intertwining_blocks(x, y, offsets)
     if gf.packed:
         top = ncols - 1
         rows = []
-        for plus_base, plus, minus_base, minus in equations:
-            row = 0
-            for t, _ in plus:
-                row ^= 1 << (top - plus_base - t)
-            for s, _ in minus:
-                row ^= 1 << (top - minus_base - s)
-            rows.append(row)
+        for plus_base, cols, minus in blocks:
+            for c, col in enumerate(cols):
+                row = 0
+                for t, _ in col:
+                    row ^= 1 << (top - plus_base - t)
+                for u, _ in minus:
+                    row ^= 1 << (top - c - u)
+                rows.append(row)
     else:
-        rows = _equation_rows(equations, ncols, 0, gf.sub)
+        rows = _equation_rows(blocks, ncols, 0, gf.sub)
     kern = gflin.right_kernel_rows(gf, rows, ncols)
     tables = {}
     for v, b in bases.items():

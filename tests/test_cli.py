@@ -158,6 +158,17 @@ def test_count_poly_json_reports_visits(tmp_path, capsys):
     assert result["visits"] == [[2, 3], [3, 4], [5, 6]]
 
 
+def test_negative_enum_budget_exits_3(tmp_path, capsys):
+    one_vertex = __import__("quiverrep.quiver", fromlist=["Quiver"]).Quiver(1, ())
+    p = write_rep(tmp_path, "p1.json", Representation(one_vertex, QQ, (2,), []))
+    assert main(["count-poly", p, "--e", "1", "--qs", "2,3,5", "--enum-budget", "-5"]) == 3
+    err = capsys.readouterr().err
+    assert "nonnegative" in err and "exceeded" not in err
+    # 0 is a valid budget, refused only once something is visited
+    assert main(["count-poly", p, "--e", "1", "--qs", "2,3,5", "--enum-budget", "0"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_malformed_representation_exits_3(tmp_path, capsys):
     assert main(["fixtures", "--out", str(tmp_path / "fx")]) == 0
     good = tmp_path / "fx" / "d4.x.json"

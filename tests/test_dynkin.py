@@ -407,6 +407,12 @@ def test_closed_form_hom_matrix_matches_hom_dim(q, field):
     assert t.hom_matrix == tuple(tuple(hom_dim(u, v) for v in t.reps) for u in t.reps)
 
 
+@pytest.mark.parametrize("q", [a_n(3), d4_subspace(), E6, E6_ALTERNATING], ids=["A3", "D4", "E6", "E6alt"])
+def test_table_euler_values_match_the_euler_form(q):
+    t = build_table(q, F2)
+    assert t.euler == tuple(tuple(euler_form(q, u, v) for v in t.roots) for u in t.roots)
+
+
 def test_build_table_draws_no_random_representations(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("build_table sampled a representation")

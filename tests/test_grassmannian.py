@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quiverrep import gflin
+from quiverrep import gflin, grassmannian
 
 from quiverrep.dynkin import assemble
 from quiverrep.exactlin import GF, QQ
@@ -162,7 +162,7 @@ def test_counting_poly_refuses_unconfirmed_fit():
     assert gc2.poly_degree() == 4 and gc2.leading_coefficient() == 1
 
 
-def test_counting_poly_rejects_bad_reduction():
+def test_counting_poly_rejects_bad_reduction(monkeypatch):
     # a representation whose mod-2 reduction degenerates: End dimension
     # jumps, so order 2 must be rejected
     q = a_n(2)
@@ -172,6 +172,25 @@ def test_counting_poly_rejects_bad_reduction():
     gc = counting_poly(m, (0, 1), [2, 3, 5, 7])
     assert 2 in gc.rejected
     assert gc.poly == [1]
+    # F_4 and F_8 reduce through F_2, so they share its verdict; End is
+    # computed over Q and once per characteristic
+    calls = 0
+    real = grassmannian.hom_dim
+
+    def counting_hom_dim(x, y):
+        nonlocal calls
+        calls += 1
+        return real(x, y)
+
+    monkeypatch.setattr(grassmannian, "hom_dim", counting_hom_dim)
+    gc = counting_poly(m, (0, 1), [2, 3, 4, 5, 7, 8])
+    assert gc.rejected == [2, 4, 8]
+    assert [q for q, _ in gc.samples] == [3, 5, 7]
+    assert calls == 1 + 4
+    calls = 0
+    gc = counting_poly(m, (0, 1), [3, 4, 5, 8])
+    assert gc.rejected == [4, 8]
+    assert calls == 1 + 3
 
 
 def test_zero_counts_match_criterion_failures(table_a3_f2):
@@ -322,6 +341,111 @@ def test_count_does_not_enumerate_the_last_vertex(monkeypatch):
     assert oracle.visits == branch + 1
     assert calls < branch
     assert len(oracle.enumerate((1, 2))) == branch
+
+
+def _pair_kind(oracle, chosen, v1):
+    """How the arrows join v1 to the other unassigned vertex."""
+    v2 = next(u for u in range(oracle.q.vertex_count) if u not in chosen and u != v1)
+    out = sum(1 for _, t in oracle.out_arrows[v1] if t == v2)
+    inn = sum(1 for _, s in oracle.in_arrows_[v1] if s == v2)
+    return {(0, 0): "none", (1, 0): "v1 -> v2", (0, 1): "v2 -> v1"}.get((out, inn), "several")
+
+
+def test_pair_counting_matches_enumeration(monkeypatch):
+    """count sums the leaves below the last two vertices in closed form;
+    it must give the count and charge the visits of enumerating them, on
+    every way two vertices can be joined: no arrow (D4), one arrow either
+    way (A2, every orientation of A3, the triangle) and several
+    (Kronecker(2), which enumerates the first one)."""
+    from quiverrep.quiver import d4_subspace
+
+    kinds = set()
+    real = SubrepOracle._count_pair
+
+    def recording(self, e, chosen, best):
+        kinds.add(_pair_kind(self, chosen, best[1]))
+        return real(self, e, chosen, best)
+
+    monkeypatch.setattr(SubrepOracle, "_count_pair", recording)
+    quivers = [
+        a_n(2),
+        a_n(3),
+        Quiver(3, ((1, 0), (1, 2))),
+        Quiver(3, ((0, 1), (2, 1))),
+        Quiver(3, ((1, 0), (2, 1))),
+        d4_subspace(),
+        Quiver(3, ((0, 1), (1, 2), (0, 2))),
+        kronecker(2),
+    ]
+    rng = random.Random(41)
+    refusals = zero_vertices = 0
+    for q in quivers:
+        for order in (2, 3, 4, 5, 9):
+            top = 3 if order <= 3 else 2
+            for _ in range(2):
+                dims = [rng.randint(0, top) for _ in range(q.vertex_count)]
+                if rng.randrange(2):
+                    dims[rng.randrange(q.vertex_count)] = 0
+                zero_vertices += dims.count(0)
+                m = random_representation(q, tuple(dims), GF(order), seed=rng.randrange(10**6))
+                oracle = SubrepOracle(m)
+                assert (oracle.gf is gflin.GF2_PACKED) == (order == 2)
+                for e in itertools.product(*(range(d + 1) for d in dims)):
+                    n = oracle.count(e)
+                    visits = oracle.visits
+                    assert n == len(oracle.enumerate(e)), (q.arrows, order, dims, e)
+                    assert visits == oracle.visits, (q.arrows, order, dims, e)
+                    if visits == 0:
+                        continue
+                    assert SubrepOracle(m, budget=visits).count(e) == n
+                    with pytest.raises(BudgetExceeded):
+                        SubrepOracle(m, budget=visits - 1).count(e)
+                    refusals += 1
+    assert kinds == {"none", "v1 -> v2", "v2 -> v1", "several"}
+    assert zero_vertices >= 20 and refusals > 500
+
+
+def test_count_does_not_enumerate_the_last_two_vertices(monkeypatch):
+    # A3 with vertex 0 of dimension 1 and vertex 1 -> vertex 2 the identity
+    # on F_5^3, at e = (0, 1, 2): vertex 0 is assigned first (branch 1),
+    # then each of the 31 lines at vertex 1 lies in the [2, 1]_5 = 6 planes
+    # at vertex 2 through its image, 186 leaves in all.
+    from quiverrep.exactlin import Matrix
+
+    f5 = GF(5)
+    ident = Matrix.identity(f5, 3)
+    m = Representation(a_n(3), f5, (1, 3, 3), [Matrix(f5, [[1], [0], [0]]), ident])
+    leaves = gflin.gaussian_binomial(3, 1, 5) * gflin.gaussian_binomial(2, 1, 5)
+    assert leaves == 186
+    oracle = SubrepOracle(m)
+    patterns = 0
+    real = gflin.enumerate_rref
+
+    def counting_enumerate(*args):
+        nonlocal patterns
+        for coeffs in real(*args):
+            patterns += 1
+            yield coeffs
+
+    monkeypatch.setattr(gflin, "enumerate_rref", counting_enumerate)
+    assert oracle.count((0, 1, 2)) == leaves
+    # enumeration charges the zero subspace at vertex 0, the 31 lines and
+    # the 186 leaves
+    assert oracle.visits == 1 + 31 + leaves
+    assert patterns * 10 < leaves
+    assert len(oracle.enumerate((0, 1, 2))) == leaves
+    assert oracle.visits == 1 + 31 + leaves
+
+
+def test_oracle_refuses_a_negative_budget():
+    m = random_representation(a_n(2), (1, 1), F2, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        SubrepOracle(m, budget=-5)
+    # budget 0 stays valid: it admits queries that visit nothing
+    oracle = SubrepOracle(m, budget=0)
+    assert oracle.count((2, 0)) == 0
+    with pytest.raises(BudgetExceeded):
+        oracle.count((0, 0))
 
 
 def test_visit_counter_resets_on_pruned_queries():
