@@ -36,6 +36,7 @@ the same subspaces, in the same order, from every function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 _TABLE_LIMIT = 64
@@ -438,7 +439,18 @@ def intersect_rows(gf: Handle, a: Rows, b: Rows, ncols: int) -> Rows:
 
 
 def preimage_rows(gf: Handle, x_mat: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
-    """Basis rows of {v in F^src : X v in rowspace(sub)} for X a tgt x src matrix."""
+    """RREF basis rows of {v in F^src : X v in rowspace(sub)} for X a
+    tgt x src matrix and sub in RREF.
+
+    On packed rows this is one elimination (the Zassenhaus trick of
+    `intersect_rows`): the rows (X e_j mod sub | e_j), one per unit vector
+    e_j of F^src, are reduced, and the rows whose left half vanishes span
+    the preimage in their right half.  Tuple rows take the functionals
+    N vanishing on sub and return the kernel of N X.  RREF is unique, so
+    both give the same rows.
+    """
+    if gf.packed:
+        return _preimage_packed(x_mat, sub_rref, src_dim)
     n_funcs = right_kernel_rows(gf, sub_rref, tgt_dim)
     if not n_funcs:
         return pack_rows(gf, identity_rows(src_dim))
@@ -450,6 +462,7 @@ def identity_rows(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+@functools.cache
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:
@@ -560,6 +573,16 @@ def _intersect_packed(a, b, ncols: int) -> Rows:
     # left half vanishes span the intersection in their right half.
     red = _rref_packed([(x << ncols) | x for x in a] + [y << ncols for y in b])
     return tuple(r for r in red if r >> ncols == 0)
+
+
+def _preimage_packed(x_mat, sub_rref, src_dim: int) -> Rows:
+    # the columns of X are its transpose's rows; the bit of e_j in the
+    # right half is the one pack_rows gives column j of a src-wide row
+    cols = transpose_rows(GF2_PACKED, x_mat, src_dim)
+    red = _rref_packed(
+        [(_reduce_packed(sub_rref, c) << src_dim) | 1 << (src_dim - 1 - j) for j, c in enumerate(cols)]
+    )
+    return tuple(r for r in red if r >> src_dim == 0)
 
 
 def _submasks(mask: int):

@@ -49,8 +49,25 @@ per candidate at each enumerated vertex and one per leaf, so b1 plus the
 leaves below a closed-form pair.  Visits therefore still count echelon
 patterns whichever operation ran, and a budget refusal happens exactly
 when enumeration would refuse (its ``visits`` may include a pair's whole
-charge).  The other operations need the rows of each leaf, or stop at the
-first one, so they enumerate every vertex.
+charge).
+
+``nonempty`` stops at the last vertex too: once a single vertex is left
+and its sandwich holds a subspace, the search has found a leaf, and it
+charges the one visit that enumerating that vertex's first candidate
+would.  It does not close pairs: an existence search stops at the first
+leaf, so its charge below a pair depends on the order of v1's candidates.
+``first_subrep`` and ``enumerate`` need the rows of each leaf, so they
+enumerate every vertex.
+
+The candidates at a vertex depend only on its sandwich (e_v, span(w), B),
+so the oracle memoizes each sandwich's candidate sequence, as it does
+preimages, and a query for the next e replays the subspaces an earlier
+query built instead of eliminating again.  The sequence is extended
+lazily, one candidate when a consumer first reads that far, and every
+consumer is charged one visit per candidate it reads, in the same order,
+so answers and visits do not depend on what the oracle answered before.
+The memo holds no more candidates than the visits already charged, the
+same growth order as the preimage cache.
 """
 
 from __future__ import annotations
@@ -82,8 +99,9 @@ class BudgetExceeded(RuntimeError):
 class SubrepOracle:
     """Reusable enumerator for subrepresentations of one representation.
 
-    Preimage computations are memoized per (arrow, target subspace), which
-    pays off when many dimension vectors e are queried against the same
+    Preimage computations are memoized per (arrow, target subspace), and
+    candidate sequences per sandwich (see the module docstring), which pays
+    off when many dimension vectors e are queried against the same
     representation.
     """
 
@@ -117,6 +135,7 @@ class SubrepOracle:
             for v in range(self.q.vertex_count)
         )
         self._preimage_cache: dict = {}
+        self._candidate_cache: dict = {}
         self._visits = 0
         self._path_nullities = self._composite_path_nullities()
 
@@ -218,19 +237,35 @@ class SubrepOracle:
             return w_rows, bound, 0
         return w_rows, bound, gflin.gaussian_binomial(len(bound) - w, e_v - w, self.gf.q)
 
-    def _candidates(self, e_v: int, w_rows, bound):
-        """Yield the admissible subspaces at v given its sandwich bounds."""
+    def _candidates(self, e_v: int, w_rows, bound, branch: int):
+        """Yield the ``branch`` admissible subspaces at v given its sandwich
+        bounds, charging one visit before each.  They come from the memo of
+        the sequence for (e_v, w_rows, bound), which builds a candidate only
+        when a consumer first reads that far."""
+        key = (e_v, w_rows, bound)
+        memo = self._candidate_cache.get(key)
+        if memo is None:
+            memo = self._candidate_cache[key] = self._candidate_source(e_v, w_rows, bound)
+        built, build_next = memo
+        for i in range(branch):
+            self._charge()
+            # another consumer of the same sequence may have built further
+            if i == len(built):
+                built.append(build_next())
+            yield built[i]
+
+    def _candidate_source(self, e_v: int, w_rows, bound):
+        """A fresh memo entry: (the candidates built so far, a function
+        building the next one).  The candidates are span(w) plus the rows
+        of each RREF coefficient matrix, in enumerate_rref's order, times a
+        complement of span(w) in the bound."""
         gf = self.gf
         w = len(w_rows)
         if e_v == w:
-            self._charge()
-            yield w_rows
-            return
+            return [w_rows], None
         comp = gflin.complement_in(gf, w_rows, bound) if w else bound
-        for coeffs in gflin.enumerate_rref(gf, len(comp), e_v - w):
-            self._charge()
-            rows = gflin.matmul_rows(gf, coeffs, comp)
-            yield gflin.rref_rows(gf, w_rows + rows)
+        coeffs = gflin.enumerate_rref(gf, len(comp), e_v - w)
+        return [], lambda: gflin.rref_rows(gf, w_rows + gflin.matmul_rows(gf, next(coeffs), comp))
 
     def _count_pair(self, e: DimVector, chosen: dict, best) -> int | None:
         """Leaves below a node whose two unassigned vertices are v1, the
@@ -311,9 +346,11 @@ class SubrepOracle:
 
         With ``tally``, the last unassigned vertex is counted rather than
         enumerated: its sandwich is exact, so ``tally(branch)`` stands for
-        ``branch`` leaves, and ``branch`` visits are charged.  So are the
-        last two when at most one arrow joins them (`_count_pair`), charging
-        the first one's branch plus the leaves, as enumerating it would.
+        ``branch`` leaves, and ``branch`` visits are charged, or 1 with
+        ``early_exit``, as enumeration stops at the first leaf.  Without
+        ``early_exit`` so are the last two when at most one arrow joins them
+        (`_count_pair`), charging the first one's branch plus the leaves, as
+        enumerating it would.
         """
         nverts = self.q.vertex_count
         found = False
@@ -329,7 +366,9 @@ class SubrepOracle:
                 branch = self._sandwich(v, e[v], chosen)[2]
                 if branch == 0:
                     return False
-                self._charge(branch)
+                # an existence search enumerating v would stop at its first
+                # candidate, which is a leaf
+                self._charge(1 if early_exit else branch)
                 tally(branch)
                 found = True
                 return early_exit
@@ -346,7 +385,7 @@ class SubrepOracle:
                         break
             branch, v, w_rows, bound = best
             # a single candidate at v is cheaper to enumerate than to count
-            if tally is not None and len(chosen) == nverts - 2 and branch > 1:
+            if tally is not None and not early_exit and len(chosen) == nverts - 2 and branch > 1:
                 leaves = self._count_pair(e, chosen, best)
                 if leaves is not None:
                     self._charge(branch + leaves)
@@ -355,7 +394,7 @@ class SubrepOracle:
                     tally(leaves)
                     found = True
                     return early_exit
-            for rows in self._candidates(e[v], w_rows, bound):
+            for rows in self._candidates(e[v], w_rows, bound, branch):
                 chosen[v] = rows
                 if recurse(chosen):
                     del chosen[v]
@@ -409,7 +448,7 @@ class SubrepOracle:
         e = check_dimvector(self.q, e)
         if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
             return False
-        return self._dfs(e, lambda chosen: None, early_exit=True)
+        return self._dfs(e, lambda chosen: None, early_exit=True, tally=lambda k: None)
 
     def first_subrep(self, e: DimVector):
         """Per-vertex column bases of the first subrepresentation found, or None."""

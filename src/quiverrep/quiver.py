@@ -161,10 +161,10 @@ def require_dynkin(q: Quiver) -> str:
 
 
 def check_dimvector(q: Quiver, d: DimVector) -> DimVector:
-    d = tuple(int(x) for x in d)
+    d = tuple(map(int, d))
     if len(d) != q.vertex_count:
         raise ValueError(f"dimension vector length {len(d)} != vertex count {q.vertex_count}")
-    if any(x < 0 for x in d):
+    if d and min(d) < 0:
         raise ValueError("dimension vector entries must be nonnegative")
     return d
 

@@ -163,3 +163,30 @@ def test_packed_handle_matches_tuple_rows_on_random_f2():
         product = gflin.matmul_rows(F2, a, c) if nc else tuple((0,) * t for _ in a)
         same(gflin.matmul_rows(PACKED, pa, gflin.pack_rows(PACKED, c)), product, t)
     assert widths == set(range(7))
+
+
+def test_packed_preimage_matches_the_tuple_path():
+    """The packed preimage is one elimination, the tuple one two kernels
+    and a product; both return the RREF of the same subspace, so the rows
+    agree exactly: on zero-dimensional source and target, on sub = 0 and
+    sub = the whole target, and on seeded random maps and subspaces."""
+    rng = random.Random(15)
+    edges = {"src 0": 0, "tgt 0": 0, "sub 0": 0, "sub whole": 0}
+    for case in range(3000):
+        src, tgt = rng.randint(0, 6), rng.randint(0, 6)
+        x = _random_f2_rows(rng, tgt, src)
+        kind = case % 4
+        if kind == 0:
+            sub = ()
+        elif kind == 1:
+            sub = gflin.identity_rows(tgt)
+        else:
+            sub = gflin.rref_rows(F2, _random_f2_rows(rng, rng.randint(0, tgt), tgt))
+        edges["src 0"] += src == 0
+        edges["tgt 0"] += tgt == 0
+        edges["sub 0"] += not sub
+        edges["sub whole"] += tgt > 0 and len(sub) == tgt
+        want = gflin.preimage_rows(F2, x, sub, src, tgt)
+        got = gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, x), gflin.pack_rows(PACKED, sub), src, tgt)
+        assert gflin.unpack_rows(PACKED, got, src) == want, (x, sub)
+    assert min(edges.values()) > 100, edges

@@ -497,3 +497,114 @@ def test_packed_oracle_matches_the_table_handle_over_f2(monkeypatch):
                     assert got == want, (op, dims, e)
                     assert packed.visits == table.visits, (op, dims, e)
     assert zero_vertices >= 5
+
+
+def _existence_cases():
+    """Representations for the existence tests: over F_2 (packed), F_3 and
+    F_4 on A2, every orientation of A3, D4, the triangle and Kronecker(2),
+    random ones (some with a zero-dimensional vertex) and direct sums of
+    two small random ones, whose searches meet more dead ends.  First, an
+    A2 case where e = (2, 1) needs the root's later candidates: only the
+    planes through the kernel of diag(1, 1, 0) map onto a line, and the
+    first plane, span(e_0, e_1), does not contain it, while e = (2, 2)
+    stops at that first plane."""
+    from quiverrep.exactlin import Matrix
+    from quiverrep.quiver import d4_subspace
+
+    yield Representation(a_n(2), F2, (3, 3), [Matrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])])
+    quivers = [
+        a_n(2),
+        a_n(3),
+        Quiver(3, ((1, 0), (1, 2))),
+        Quiver(3, ((0, 1), (2, 1))),
+        Quiver(3, ((1, 0), (2, 1))),
+        d4_subspace(),
+        Quiver(3, ((0, 1), (1, 2), (0, 2))),
+        kronecker(2),
+    ]
+    rng = random.Random(43)
+    for q in quivers:
+        for order in (2, 3, 4):
+            field, top = GF(order), 3 if order == 2 else 2
+            for _ in range(3):
+                dims = [rng.randint(0, top) for _ in range(q.vertex_count)]
+                if rng.randrange(2):
+                    dims[rng.randrange(q.vertex_count)] = 0
+                yield random_representation(q, tuple(dims), field, seed=rng.randrange(10**6))
+            for _ in range(2):
+                parts = [
+                    random_representation(
+                        q, tuple(rng.randint(0, top - 1) for _ in range(q.vertex_count)), field,
+                        seed=rng.randrange(10**6),
+                    )
+                    for _ in range(2)
+                ]
+                yield direct_sum(parts)
+
+
+def test_existence_queries_match_enumeration():
+    """nonempty stops at the last vertex and replays memoized candidate
+    sequences; it must answer as enumeration does and charge the visits of
+    a fresh oracle even when the oracle has answered every other e (in
+    the reverse order, so that an e stopping at a sandwich's first
+    candidate often comes before one that needs more), and first_subrep
+    must return a fresh oracle's bases."""
+    refusals = zero_vertices = found = 0
+    for m in _existence_cases():
+        where = (m.quiver.arrows, m.field.order, m.dims)
+        zero_vertices += m.dims.count(0)
+        es = list(itertools.product(*(range(d + 1) for d in m.dims)))
+        warm = SubrepOracle(m)
+        assert (warm.gf is gflin.GF2_PACKED) == (m.field.order == 2)
+        for e in reversed(es):
+            warm.nonempty(e)
+        for e in es:
+            fresh = SubrepOracle(m)
+            answer = fresh.nonempty(e)
+            visits = fresh.visits
+            assert answer == bool(SubrepOracle(m).enumerate(e)), (where, e)
+            assert warm.nonempty(e) == answer and warm.visits == visits, (where, e)
+            assert warm.first_subrep(e) == fresh.first_subrep(e), (where, e)
+            assert warm.visits == fresh.visits, (where, e)
+            found += answer
+            if visits == 0:
+                continue
+            assert SubrepOracle(m, budget=visits).nonempty(e) == answer
+            with pytest.raises(BudgetExceeded):
+                SubrepOracle(m, budget=visits - 1).nonempty(e)
+            refusals += 1
+    assert zero_vertices >= 50 and refusals > 800 and found > 800
+
+
+def test_nonempty_does_not_enumerate_the_last_vertex(monkeypatch):
+    # A3 with vertex 0 -> vertex 1 the identity on F_2^2 and vertex 1 ->
+    # vertex 2 an injection into F_2^4.  At e = (1, 1, 2) the search
+    # assigns vertex 0 first (3 lines), then vertex 1 (the image line,
+    # branch 1), and the last vertex has the [3, 1]_2 = 7 planes through
+    # the image of that line.
+    from quiverrep.exactlin import Matrix
+
+    inject = Matrix(F2, [[1, 0], [0, 1], [0, 0], [0, 0]])
+    m = Representation(a_n(3), F2, (2, 2, 4), [Matrix.identity(F2, 2), inject])
+    calls = []
+    real = gflin.enumerate_rref
+
+    def recording(gf, n, k):
+        calls.append((n, k))
+        return real(gf, n, k)
+
+    monkeypatch.setattr(gflin, "enumerate_rref", recording)
+    oracle = SubrepOracle(m)
+    assert oracle.nonempty((1, 1, 2))
+    # one visit per vertex, as enumeration charges up to its first leaf
+    assert oracle.visits == 3
+    assert calls == [(2, 1)]
+    # (1, 1, 3) shares the root sandwich: its candidates are replayed
+    calls.clear()
+    assert oracle.nonempty((1, 1, 3))
+    assert oracle.visits == 3
+    assert calls == []
+    # first_subrep needs the rows of a leaf, so it enumerates the last vertex
+    assert oracle.first_subrep((1, 1, 2)) is not None
+    assert oracle.visits == 3
+    assert calls == [(3, 1)]

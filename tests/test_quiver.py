@@ -7,6 +7,7 @@ import pytest
 from quiverrep.quiver import (
     Quiver,
     a_n,
+    check_dimvector,
     d4_subspace,
     dynkin_type,
     euler_form,
@@ -21,6 +22,18 @@ from quiverrep.quiver import (
     save_quiver,
     topological_order,
 )
+
+
+def test_check_dimvector_normalizes_and_rejects():
+    assert check_dimvector(a_n(3), [1, "2", 0]) == (1, 2, 0)
+    assert check_dimvector(a_n(2), (x for x in (0, 3))) == (0, 3)
+    assert check_dimvector(Quiver(0, ()), []) == ()
+    with pytest.raises(ValueError, match="length 2 != vertex count 3"):
+        check_dimvector(a_n(3), (1, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_dimvector(a_n(3), (1, -1, 0))
+    with pytest.raises(ValueError):
+        check_dimvector(a_n(2), ("x", 1))
 
 
 def test_euler_a2_diagonal():
