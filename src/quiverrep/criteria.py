@@ -261,7 +261,10 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
 
         [n^k, n] - [n^k/S, n] <= [n^k, m] - [n^k/S, m].
 
-    Exhaustive over finite fields; sampled (evidence only) over Q.
+    Exhaustive over finite fields; sampled (evidence only) over Q.  Over a
+    finite field the ledger (`details`) lists only the End(n)-closed socle
+    classes, which decide the verdict (`_check_nc2_subspaces`), and
+    `context["checked"]` counts every class they cover.
     """
     if n.quiver != m.quiver:
         raise ValueError("representations live over different quivers")
@@ -337,6 +340,18 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     rows: the Hom kernels and action tables come from
     `rep.hom_evaluation_rows`, and each distinct row is unpacked once for
     the payload.
+
+    Only the End(n)-closed classes are checked.  Since id is in End(n),
+    Z_n(U) contains U, so zn(U) >= dim U with equality exactly when U is
+    End(n)-stable.  For any class U, W = Z_n(U), read in socle
+    coordinates (End(n) maps the socle into itself), is such a class, with
+    zn(W) = dim W = zn(U), and zm(W) = zm(U) because Hom(n, m) End(n) =
+    Hom(n, m).  So U fails the estimate exactly when W does.  Every class
+    still costs its n-side span (a prefix's span is needed for the next
+    class), but the m-side rank and the ledger entry are built only for
+    closed ones: `details` lists the closed classes in scan order, the
+    witness is the first failing one, and `context["checked"]` counts
+    every class covered, sum_l [s_i, l]_q per vertex.
     """
     f = n.field
     gf = gflin.GF2_PACKED if f.order == 2 else gflin.gfq(f.order)
@@ -356,9 +371,12 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
                 f"socle subspace count {budget} at vertex {i} exceeds the class budget"
             )
         unpacked: dict = {}
+        checked += budget
         for l in range(1, s_i + 1):
             for coeffs in gflin.enumerate_rref(gf, s_i, l):
                 zn = rank_n(coeffs)
+                if zn != l:
+                    continue  # not closed: End(n) U is a closed class with the same zn, zm
                 zm = rank_m(coeffs)
                 ok = zn <= zm
                 for u in coeffs:
@@ -368,7 +386,6 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
                 entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, zn, zm)
                 entry["ok"] = ok
                 details.append(entry)
-                checked += 1
                 if not ok and witness is None:
                     witness = entry | {"kind": "quotient"}
     context = {

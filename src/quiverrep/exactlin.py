@@ -430,12 +430,6 @@ class Matrix:
             ncols=other.ncols,
         )
 
-    def apply(self, vec):
-        """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return (self @ Matrix.column(self.field, vec)).col(0)
-
     # -- stacking ----------------------------------------------------------
 
     @staticmethod
@@ -654,66 +648,3 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 def solve(m: Matrix, b):
     return m.solve(b)
-
-
-def rank_fraction_free(int_rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Kept separate from the field elimination so the two can cross-check
-    each other on rational inputs.
-    """
-    mat = [list(map(int, r)) for r in int_rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank_ = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            mat[r], mat[pr] = mat[pr], mat[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        prev = mat[r][c]
-        rank_ += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank_
-
-
-def det_bareiss(int_rows) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    mat = [list(map(int, r)) for r in int_rows]
-    n = len(mat)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in mat):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pr = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                mat[i][j] = (mat[c][c] * mat[i][j] - mat[i][c] * mat[c][j]) // prev
-            mat[i][c] = 0
-        prev = mat[c][c]
-    return sign * mat[n - 1][n - 1]

@@ -63,14 +63,6 @@ def kronecker3_g(field: FieldSpec = QQ) -> Morphism:
     return Morphism(pi2, m2, [gi, gj])
 
 
-def kronecker3_determined_fj(field: FieldSpec, a, b, c) -> Matrix:
-    """The vertex-j matrix forced by a vertex-i vector (a, b, c) for maps
-    P_i -> M; its determinant vanishes identically."""
-    a, b, c = (field.coerce(x) for x in (a, b, c))
-    z = field.zero
-    return Matrix(field, ((a, z, b), (z, a, c), (field.neg(c), b, z)), validate=False)
-
-
 def d4_quiver() -> Quiver:
     return d4_subspace()
 

@@ -379,17 +379,6 @@ def matmul_rows(gf: Handle, a, b) -> Rows:
     return tuple(out)
 
 
-def mat_vec(gf: Gfq, rows, vec) -> tuple[int, ...]:
-    out = []
-    for row in rows:
-        acc = 0
-        for x, v in zip(row, vec):
-            if x and v:
-                acc = gf.add(acc, gf.mul(x, v))
-        out.append(acc)
-    return tuple(out)
-
-
 def rank_rows(gf: Handle, rows) -> int:
     return len(rref_rows(gf, rows))
 

@@ -79,7 +79,7 @@ from fractions import Fraction
 from . import gflin
 from .exactlin import FieldSpec, Matrix
 from .quiver import DimVector, check_dimvector, topological_order
-from .rep import Representation, dual, hom_dim
+from .rep import Representation, hom_dim
 
 DEFAULT_BUDGET = 10**7
 
@@ -646,17 +646,6 @@ def counting_poly(
         if result.evaluate(q) != c:
             raise ValueError("interpolated polynomial fails to reproduce a sample")
     return result
-
-
-def codimension_count(m: Representation, e: DimVector, q: int, budget: int = DEFAULT_BUDGET) -> int:
-    """|Gr^e(m)|, the Grassmannian of subrepresentations of codimension e.
-
-    Computed over the opposite quiver: N of codimension e corresponds to
-    the dual of m/N, a dimension-e subrepresentation of the dual of m, so
-    |Gr^e(m)| = |Gr_e(dual m)| and also |Gr_e(m)| = |Gr_{dim m - e}(dual m)|.
-    """
-    e = check_dimvector(m.quiver, e)
-    return count(dual(m), e, q, budget)
 
 
 def export_csv(gc: GrassmannianCount, path) -> None:

@@ -244,7 +244,7 @@ def _check_nc2_vectors(n: Representation, m: Representation) -> Verdict:
         for k in range(1, soc.ncols + 1):
             nk, soc_k, hom_nk_n, hom_nk_m = _power_data(n, m, i, k)
             for coeffs in _projective_vectors(f, soc_k.ncols):
-                quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
+                quot = _simple_sub_quotient(nk, i, (soc_k @ Matrix.column(f, coeffs)).col(0))
                 lhs = hom_nk_n - hom_dim(quot, n)
                 rhs = hom_nk_m - hom_dim(quot, m)
                 entry = _bracket_payload(i, k, list(coeffs), hom_nk_n, hom_nk_m, lhs, rhs)
@@ -350,11 +350,25 @@ def _check_nc2_exactlin_evaluations(n: Representation, m: Representation) -> Ver
     return Verdict(holds=witness is None, witness=witness, details=details, context=context)
 
 
+def _assert_closed_scan(got: dict, full: dict, label) -> None:
+    """`got` is the full scan's verdict JSON `full` as the closed-class scan
+    reports it: the ledger cut to the End(n)-closed classes (lhs = zn(U)
+    equal to k = dim U), the witness the first failing one of those, and
+    holds and context, `checked` included, as they are."""
+    details = [e for e in full["details"] if e["lhs"] == e["k"]]
+    failing = [e for e in details if not e["ok"]]
+    assert got["details"] == details, label
+    assert got["holds"] == full["holds"] and got["context"] == full["context"], label
+    assert got["witness"] == (failing[0] | {"kind": "quotient"} if failing else None), label
+
+
 def test_nc2_scan_matches_exactlin_evaluation_oracle(monkeypatch):
-    """The gflin scan's verdicts, payloads included, equal the exactlin
-    oracle's on seeded A3, D4 and Kronecker(2) pairs over F_2 (packed rows,
-    and tuple rows with the table handle swapped in), F_3, F_4 and F_5,
-    some with vertices of zero socle and some failing."""
+    """The gflin scan's verdicts equal the exactlin oracle's, with the
+    ledger cut to the closed classes, on seeded A3, D4 and Kronecker(2)
+    pairs over F_2 (packed rows, and tuple rows with the table handle
+    swapped in), F_3, F_4 and F_5, some with vertices of zero socle and
+    some failing; and on Kronecker(3) pairs from the projective P_i, whose
+    endomorphisms are the scalars, so that every class is closed."""
     rng = random.Random(31)
     pairs = zero_socles = failing = 0
     for f in (F2, F3, GF(4), F5):
@@ -367,16 +381,94 @@ def test_nc2_scan_matches_exactlin_evaluation_oracle(monkeypatch):
                     )
                     for _ in range(2)
                 )
-                want = _check_nc2_exactlin_evaluations(n, m).to_json()
-                assert check_nc2(n, m).to_json() == want, (f, n.dims, m.dims)
+                full = _check_nc2_exactlin_evaluations(n, m).to_json()
+                _assert_closed_scan(check_nc2(n, m).to_json(), full, (f, n.dims, m.dims))
                 if f.order == 2:
                     with monkeypatch.context() as patch:
                         patch.setattr(gflin, "GF2_PACKED", gflin.gfq(2))
-                        assert check_nc2(n, m).to_json() == want, (n.dims, m.dims)
+                        _assert_closed_scan(check_nc2(n, m).to_json(), full, (n.dims, m.dims))
                 pairs += 1
                 zero_socles += q.vertex_count - len(_socles(n))
-                failing += not want["holds"]
+                failing += not full["holds"]
     assert pairs >= 100 and zero_socles >= 20 and 10 <= failing <= pairs - 10  # 108, 167, 80
+    scalar_failing = 0
+    for f in (F3, GF(4)):
+        n = build_projective(kronecker(3), 0, f)
+        for _ in range(4):
+            m = random_representation(kronecker(3), (rng.randint(0, 2), rng.randint(1, 3)), f,
+                                      seed=rng.randrange(10**6))
+            full = _check_nc2_exactlin_evaluations(n, m).to_json()
+            got = check_nc2(n, m).to_json()
+            _assert_closed_scan(got, full, (f, m.dims))
+            # the sink socle is all of n_j = F^3: 27 classes over F_3, 43 over F_4
+            classes = sum(gflin.gaussian_binomial(3, l, f.order) for l in (1, 2, 3))
+            assert len(got["details"]) == got["context"]["checked"] == classes
+            scalar_failing += not full["holds"]
+    assert 0 < scalar_failing < 8  # 6
+
+
+def test_nc2_closure_preserves_both_sides():
+    """The identity the closed-class scan rests on, checked in exactlin on
+    every class U: W = span{A_b u : b, u in U} over the End(n) actions,
+    written in socle coordinates, has dim W = zn(U), is closed (zn(W) =
+    dim W), has zm(W) = zm(U), and is in the ledger with those sides; the
+    whole socle at each vertex is always there."""
+    rng = random.Random(47)
+    classes = not_closed = 0
+    for f in (F2, F3, GF(4)):
+        for q in (A3, d4_subspace(), kronecker(2)):
+            for _ in range(8):
+                n, m = (
+                    random_representation(
+                        q, tuple(rng.randint(0, 2) for _ in range(q.vertex_count)), f,
+                        seed=rng.randrange(10**6),
+                    )
+                    for _ in range(2)
+                )
+                socles = _socles(n)
+                _, acts_n = hom_evaluations(n, n, socles)
+                _, acts_m = hom_evaluations(n, m, socles)
+                ledger = {
+                    (e["vertex"], tuple(map(tuple, e["socle_vector"]))): (e["lhs"], e["rhs"])
+                    for e in check_nc2(n, m).details
+                }
+
+                def z_rank(acts, ut):
+                    return Matrix.hstack([a @ ut for a in acts]).rank() if acts else 0
+
+                for i, soc in socles.items():
+                    s_i = soc.ncols
+                    assert (i, gflin.identity_rows(s_i)) in ledger, (f, n.dims, i)
+                    for l in range(1, s_i + 1):
+                        for coeffs in gflin.enumerate_rref(gflin.gfq(f.order), s_i, l):
+                            ut = Matrix(f, coeffs).transpose()
+                            zn_u, zm_u = z_rank(acts_n[i], ut), z_rank(acts_m[i], ut)
+                            # id is in End(n), so the images are socle vectors
+                            w_cols = soc.solve_matrix(Matrix.hstack([a @ ut for a in acts_n[i]]))
+                            red, pivots = w_cols.transpose().rref()
+                            w_rows = red.rows[: len(pivots)]
+                            wt = Matrix(f, w_rows, ncols=s_i).transpose()
+                            assert len(w_rows) == zn_u >= l
+                            assert z_rank(acts_n[i], wt) == len(w_rows)
+                            assert z_rank(acts_m[i], wt) == zm_u
+                            assert ledger[i, tuple(map(tuple, w_rows))] == (zn_u, zm_u)
+                            classes += 1
+                            not_closed += zn_u > l
+    assert classes >= 300 and not_closed >= 100, (classes, not_closed)  # 307, 158
+
+
+def test_nc2_ledger_lists_closed_classes_only():
+    """The ledger lists the closed classes only, while `checked` counts
+    every class: one entry for a semisimple n whose End is M_4(F_2), and
+    every class for a Kronecker(3) brick, whose End is the scalars."""
+    n = direct_sum([simple(A3, F2, 2)] * 4)
+    v = check_nc2(n, n)
+    assert v.holds and v.context["checked"] == 66  # sum_l [4, l]_2 = 15 + 35 + 15 + 1
+    assert [(e["vertex"], e["k"]) for e in v.details] == [(2, 4)]
+    brick = random_representation(kronecker(3), (2, 4), GF(4), seed=1)
+    assert hom_dim(brick, brick) == 1 and _socles(brick)[1].ncols == 4
+    v = check_nc2(brick, brick)
+    assert v.holds and len(v.details) == v.context["checked"] == 528  # 85 + 357 + 85 + 1
 
 
 def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
@@ -436,7 +528,7 @@ def _check_nc2_sampled_quotients(n: Representation, m: Representation, config: C
             coeffs = [f.random(rng) for _ in range(soc_k.ncols)]
             if all(c == f.zero for c in coeffs):
                 coeffs[0] = f.one
-            quot = _simple_sub_quotient(nk, i, soc_k.apply(coeffs))
+            quot = _simple_sub_quotient(nk, i, (soc_k @ Matrix.column(f, coeffs)).col(0))
             lhs = hom_nk_n - hom_dim(quot, n)
             rhs = hom_nk_m - hom_dim(quot, m)
             ok = lhs <= rhs

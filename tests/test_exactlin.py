@@ -8,13 +8,77 @@ from quiverrep.exactlin import (
     QQ,
     FieldSpec,
     Matrix,
-    det_bareiss,
     kernel_basis,
     rank,
-    rank_fraction_free,
     solve,
 )
 from quiverrep.gflin import gfq, rref_rows
+
+
+def _apply(m: Matrix, vec) -> tuple:
+    """m times the column vector vec, as a tuple."""
+    assert len(vec) == m.ncols
+    return (m @ Matrix.column(m.field, vec)).col(0)
+
+
+def rank_fraction_free(int_rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination,
+    independent of exactlin's field elimination."""
+    mat = [list(map(int, r)) for r in int_rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    rank_ = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if mat[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
+            mat[i][c] = 0
+        prev = mat[r][c]
+        rank_ += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank_
+
+
+def det_bareiss(int_rows) -> int:
+    """Determinant of a square integer matrix, fraction-free."""
+    mat = [list(map(int, r)) for r in int_rows]
+    n = len(mat)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in mat):
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        pr = None
+        for i in range(c, n):
+            if mat[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            return 0
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                mat[i][j] = (mat[c][c] * mat[i][j] - mat[i][c] * mat[c][j]) // prev
+            mat[i][c] = 0
+        prev = mat[c][c]
+    return sign * mat[n - 1][n - 1]
 
 
 def test_identity_rank():
@@ -70,10 +134,10 @@ def test_solve_substitutes_back():
     rng = random.Random(5)
     m = Matrix(QQ, [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)])
     x0 = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-    b = m.apply(x0)
+    b = _apply(m, x0)
     x = m.solve(b)
     assert x is not None
-    assert m.apply(x) == b
+    assert _apply(m, x) == b
 
 
 def test_solve_dimension_mismatch():

@@ -70,7 +70,7 @@ def test_z_hypothesis_single_rank_deficient_map():
     assert v.witness["dim_ZU"] < v.witness["dim_U"]
     mat = z.basis[0]
     for row in u_rows:
-        assert all(x == 0 for x in mat.apply(row))
+        assert all(x == 0 for x in (mat @ Matrix.column(mat.field, row)).col(0))
 
 
 def test_z_hypothesis_kronecker_matrices():
@@ -225,7 +225,12 @@ def test_hom_from_projective_into_counterexample_target():
 
 def test_no_injective_p_to_m_at_r_one_means_rank_deficiency():
     # every morphism P_i -> M has a forced vertex-j matrix of rank < 3
-    from quiverrep.fixtures import kronecker3_determined_fj
+    def kronecker3_determined_fj(field, a, b, c) -> Matrix:
+        """The vertex-j matrix forced by a vertex-i vector (a, b, c) for maps
+        P_i -> M; its determinant vanishes identically."""
+        a, b, c = (field.coerce(x) for x in (a, b, c))
+        z = field.zero
+        return Matrix(field, ((a, z, b), (z, a, c), (field.neg(c), b, z)), validate=False)
 
     for a in range(3):
         for b in range(3):
