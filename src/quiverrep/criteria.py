@@ -97,10 +97,10 @@ class GrassmannianChecker:
     """Criterion evaluator for one representation against a table.
 
     The Hom dimensions [U, m] and [m, U] do not depend on the queried e,
-    so they are computed once: [U, m] here, [m, U] on the first
-    `irreducible` call, the only reader.  So are the Euler coefficients
-    <dim U, eps_v> and <eps_v, dim U> on the unit vectors; by bilinearity,
-    checking a given e is then a dot product per root.
+    so they are computed once: [U, m] here, [m, U] = sum_V mu_V [V, U] over
+    m's multiplicities mu on the first `irreducible` call, its only reader.
+    So are the Euler coefficients <dim U, eps_v> and <eps_v, dim U> on the
+    unit vectors; by bilinearity, checking a given e is a dot product per root.
     """
 
     def __init__(self, m: Representation, table: IndecomposableTable):
@@ -118,7 +118,8 @@ class GrassmannianChecker:
 
     @functools.cached_property
     def hom_from_m(self) -> tuple[int, ...]:
-        return tuple(hom_dim(self.m, u) for u in self.table.reps)
+        mu = self.table.multiplicities(self.hom_into_m, self.m.dims)
+        return tuple(_dot(mu, column) for column in zip(*self.table.hom_matrix))
 
     def nonempty(self, e: DimVector) -> Verdict:
         m, table = self.m, self.table
@@ -583,7 +584,6 @@ def an_criterion(
     m: Representation,
     table: IndecomposableTable,
     seed: int = 0,
-    build_embedding: bool = True,
 ) -> Verdict:
     """Prefix-sum criterion for an embedding n -> m over equioriented A_n,
     with an explicit certified embedding on success."""
@@ -621,7 +621,7 @@ def an_criterion(
         "m_multiplicities": {str(k): v for k, v in sorted(m_ij.items()) if v},
     }
     verdict = Verdict(holds=holds, witness=witness, details=details, context=context)
-    if holds and build_embedding:
+    if holds:
         emb = _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed)
         if not is_injective_morphism(emb):
             raise RuntimeError("constructed type A embedding failed its injectivity certificate")

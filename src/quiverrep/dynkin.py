@@ -4,9 +4,9 @@ functors, Hom-matrix decomposition, and generic representations."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 
-from .exactlin import FieldSpec, Matrix, QQ
+from .exactlin import FieldSpec, Matrix
 from .quiver import (
     DimVector,
     Quiver,
@@ -121,10 +121,10 @@ class IndecomposableTable:
     hom_matrix[u][v] = dim Hom(reps[u], reps[v]) = max(<u, v>, 0): the
     category is directed (Ringel, 1998), so Hom and Ext between two
     indecomposables are never both nonzero.  It is unitriangular in an
-    order refining Hom-nonvanishing, so its inverse is integral; the table
-    keeps that inverse and refuses to exist without it.  Roots are kept in
-    lexicographic order.  Path counts give the roots of the projectives
-    and injectives.  euler[u][v] = <u, v>, computed with the table.
+    order refining Hom-nonvanishing; the table keeps one as hom_order and
+    refuses to exist without it.  Roots are kept in lexicographic order.
+    Path counts give the roots of the projectives and injectives.
+    euler[u][v] = <u, v>, computed with the table.
     """
 
     quiver: Quiver
@@ -133,7 +133,7 @@ class IndecomposableTable:
     reps: tuple[Representation, ...]
     hom_matrix: tuple[tuple[int, ...], ...]
     euler: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
-    inverse_hom: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+    hom_order: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     _projective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     _injective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
@@ -144,11 +144,12 @@ class IndecomposableTable:
                 raise RuntimeError("table invalid: an entry has End dimension != 1")
             if self.ext_entry(i, i) != 0:
                 raise RuntimeError("table invalid: an entry has self-extensions")
-        hq = Matrix(QQ, [[Fraction(x) for x in row] for row in self.hom_matrix])
-        inv = hq.solve_matrix(Matrix.identity(QQ, self.size))
-        if inv is None or any(x.denominator != 1 for row in inv.rows for x in row):
-            raise RuntimeError("table invalid: Hom matrix has no integral inverse")
-        object.__setattr__(self, "inverse_hom", tuple(tuple(int(x) for x in row) for row in inv.rows))
+        before = {v: [u for u, h in enumerate(col) if h and u != v]
+                  for v, col in enumerate(zip(*self.hom_matrix))}
+        try:
+            object.__setattr__(self, "hom_order", tuple(TopologicalSorter(before).static_order()))
+        except CycleError:
+            raise RuntimeError("table invalid: Hom matrix is not unitriangular in any order") from None
         q = self.quiver
         for name, quiver in (("_projective", q), ("_injective", opposite(q))):
             dims = {tuple(map(len, _paths_from(quiver, v).values())) for v in range(q.vertex_count)}
@@ -157,6 +158,22 @@ class IndecomposableTable:
     @property
     def size(self) -> int:
         return len(self.roots)
+
+    def multiplicities(self, hom_into, dims: DimVector) -> list[int]:
+        """Multiplicities mu of the indecomposables in an x of dimension vector
+        dims with ([U, x])_U = hom_into, indexed like roots: back-substitution
+        in reverse hom_order, where mu is still 0 at u and before it when u is
+        reached.  A negative entry or a wrong total is a RuntimeError (a
+        corrupted table, or x is not over the table's quiver)."""
+        mu = [0] * self.size
+        for u in reversed(self.hom_order):
+            mu[u] = hom_into[u] - sum(h * m for h, m in zip(self.hom_matrix[u], mu))
+        for root, value in zip(self.roots, mu):
+            if value < 0:
+                raise RuntimeError(f"negative multiplicity {value} at root {root}")
+        if tuple(sum(m * d for m, d in zip(mu, column)) for column in zip(*self.roots)) != dims:
+            raise RuntimeError("decomposition does not reconstruct the dimension vector")
+        return mu
 
     def root_index(self, root: DimVector) -> int:
         return self.roots.index(tuple(root))
@@ -207,32 +224,14 @@ def _euler_values(q: Quiver, dims) -> tuple[tuple[int, ...], ...]:
 
 
 def decompose(x: Representation, table: IndecomposableTable) -> dict[DimVector, int]:
-    """Multiplicities of the indecomposables in x, via the Hom matrix.
-
-    hom_matrix . m = ([U, x])_U, so m is the table's integral inverse Hom
-    matrix applied to ([U, x])_U.  A negative multiplicity or a wrong total
-    dimension vector is a hard error (it signals a corrupted table or an
-    input that is not a representation of the table's quiver).
-    """
+    """Multiplicities of the indecomposables in x, from ([U, x])_U by the
+    table's back-substitution (`IndecomposableTable.multiplicities`)."""
     if x.quiver != table.quiver:
         raise ValueError("representation is not over the table's quiver")
     if x.field != table.field:
         raise ValueError("representation is not over the table's field")
-    homvec = [hom_dim(u, x) for u in table.reps]
-    mults: dict[DimVector, int] = {}
-    for root, row in zip(table.roots, table.inverse_hom):
-        value = sum(a * h for a, h in zip(row, homvec))
-        if value < 0:
-            raise RuntimeError(f"negative multiplicity {value} at root {root}")
-        if value:
-            mults[root] = value
-    total = [0] * x.quiver.vertex_count
-    for root, m in mults.items():
-        for i, ri in enumerate(root):
-            total[i] += m * ri
-    if tuple(total) != x.dims:
-        raise RuntimeError("decomposition does not reconstruct the dimension vector")
-    return mults
+    mu = table.multiplicities([hom_dim(u, x) for u in table.reps], x.dims)
+    return {root: m for root, m in zip(table.roots, mu) if m}
 
 
 def assemble(table: IndecomposableTable, mults: dict[DimVector, int]) -> Representation:

@@ -21,7 +21,7 @@ from quiverrep.criteria import (
     _bracket_payload,
     _socles,
 )
-from quiverrep.dynkin import assemble
+from quiverrep.dynkin import assemble, build_table
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import kronecker3_m, kronecker3_pi
 from quiverrep.grassmannian import SubrepOracle
@@ -271,7 +271,22 @@ def test_nonempty_only_checker_computes_hom_into_m_only(table_d4_f2, monkeypatch
     assert len(calls) == table_d4_f2.size  # [U, m] only
     checker.irreducible((1, 0, 0, 0))
     checker.irreducible((1, 1, 0, 0))
-    assert len(calls) == 2 * table_d4_f2.size  # [m, U] once, on first use
+    assert len(calls) == table_d4_f2.size  # [m, U] from the multiplicities
+
+
+E6 = Quiver(6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_checker_hom_from_m_matches_hom_dim(field):
+    rng = random.Random(f"hom_from_m:{field}")
+    for q in (a_n(3), d4_subspace(), E6):
+        table = build_table(q, field)
+        for k in range(6):
+            d = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
+            m = random_representation(q, d, field, seed=k, box=3)
+            checker = GrassmannianChecker(m, table)
+            assert checker.hom_from_m == tuple(hom_dim(m, u) for u in table.reps), (q.arrows, d)
 
 
 def test_nc2_vector_and_subspace_modes_agree():

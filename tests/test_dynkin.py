@@ -132,9 +132,15 @@ def test_table_invariants(table_a3_f5):
     for i in range(t.size):
         assert t.hom_matrix[i][i] == 1
         assert t.ext_entry(i, i) == 0
-    hq = Matrix(QQ, [[Fraction(x) for x in row] for row in t.hom_matrix])
-    inv = Matrix(QQ, [[Fraction(x) for x in row] for row in t.inverse_hom])
-    assert inv @ hq == Matrix.identity(QQ, t.size)
+    _assert_unitriangular_in_hom_order(t)
+
+
+def _assert_unitriangular_in_hom_order(t):
+    order = t.hom_order
+    assert sorted(order) == list(range(t.size))
+    for a in range(t.size):
+        for b in range(a):
+            assert t.hom_matrix[order[a]][order[b]] == 0, (order[a], order[b])
 
 
 def test_table_projective_injective_roots(table_a3_f5):
@@ -181,8 +187,9 @@ def test_decompose_of_random_reps_matches_fraction_solve(
     table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5
 ):
     table_d4_q = build_table(d4_subspace(), QQ)
+    table_e6_f3 = build_table(E6, F3)
     rng = random.Random(1)
-    for t in (table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5, table_d4_q):
+    for t in (table_a3_f2, table_a3_f5, table_a3_q, table_d4_f2, table_d4_f5, table_d4_q, table_e6_f3):
         n = t.quiver.vertex_count
         for k in range(12):
             d = tuple(rng.randint(0, 3) for _ in range(n))
@@ -368,12 +375,14 @@ def test_check_generic_embedding_witnesses(table_a3_f3, table_a3_f5, table_a3_q)
 
 def test_table_rejects_non_unimodular_hom_matrix(table_a2_f5):
     # roots (0,1), (1,0), (1,1): a 2 in both corners keeps the Hom matrix
-    # invertible over Q (det -3), but its inverse is not integral
+    # invertible over Q (det -3), but its inverse is not integral.  The
+    # second matrix has an integral inverse (det -1), yet Hom runs both ways
+    # between the first two roots, so no order makes it unitriangular.
     t = table_a2_f5
     assert t.hom_matrix == ((1, 0, 1), (0, 1, 0), (0, 1, 1))
-    hom = ((1, 0, 2), (0, 1, 0), (2, 1, 1))
-    with pytest.raises(RuntimeError, match="integral inverse"):
-        IndecomposableTable(t.quiver, t.field, t.roots, t.reps, hom)
+    for hom in (((1, 0, 2), (0, 1, 0), (2, 1, 1)), ((1, 1, 0), (2, 1, 0), (0, 0, 1))):
+        with pytest.raises(RuntimeError, match="not unitriangular in any order"):
+            IndecomposableTable(t.quiver, t.field, t.roots, t.reps, hom)
 
 
 def test_table_over_small_field(table_d4_f2):
@@ -395,9 +404,11 @@ def test_e7_e8_tables_build_with_integral_inverse(q, hard_root, field):
     assert t.size == len(positive_roots(q))
     assert hard_root in t.roots  # random sampling could not certify it over F_2
     assert all(x.dims == r for x, r in zip(t.reps, t.roots))
-    hom = Matrix(QQ, [[Fraction(x) for x in row] for row in t.hom_matrix])
-    inv = Matrix(QQ, [[Fraction(x) for x in row] for row in t.inverse_hom])
-    assert inv @ hom == Matrix.identity(QQ, t.size)
+    _assert_unitriangular_in_hom_order(t)
+    rng = random.Random(f"{q.vertex_count}:{field}")
+    for _ in range(2):
+        mults = {r: rng.randint(1, 2) for r in sorted(rng.sample(t.roots, 3))}
+        assert decompose(assemble(t, mults), t) == mults
 
 
 @pytest.mark.parametrize("q", [a_n(3), d4_subspace(), E6, E6_ALTERNATING], ids=["A3", "D4", "E6", "E6alt"])
