@@ -1,7 +1,13 @@
 """Exact fields and exact matrix algebra.
 
-Scalars are either arbitrary-precision rationals (`fractions.Fraction`) or
-elements of a finite field GF(q) stored as canonical integers 0..q-1.
+Scalars are either arbitrary-precision rationals or elements of a finite
+field GF(q) stored as canonical integers 0..q-1.  A rational is a Python
+``int`` when it is integral and a ``fractions.Fraction`` otherwise: the
+constructors, coercion and parsing return ints, sums, differences and
+products of ints stay ints, and the only division is ``inv``, which
+returns an int for +-1 and the reciprocals of integers.  (A product of
+Fractions may still be an integral Fraction; it compares and hashes equal
+to the int.)  So eliminations over Q whose pivots are +-1 run on ints.
 Everything downstream (Hom spaces, criteria, enumeration cross-checks)
 reduces to the rank / kernel / solve routines here, so there is no floating
 point anywhere in this package.
@@ -10,8 +16,13 @@ One Gauss-Jordan loop serves every field and every elimination (rref,
 rank, kernel, solve, determinant), pivoting on the first nonzero entry in
 column order; one loop serves the matrix product.  The only per-field code
 is three row operations that each FieldSpec chooses once: ``dot``,
-``scale`` and ``axpy``, using ``% p`` for prime fields, Fraction arithmetic
-for the rationals and the :mod:`gflin` tables for extension fields.
+``scale`` and ``axpy``, using ``% p`` for prime fields, int and Fraction
+arithmetic for the rationals and the :mod:`gflin` tables for extension
+fields.
+
+`rank_modulo` is the one elimination outside a field: it ranks integer
+rows modulo a product N of distinct primes at once, pivoting on units mod
+N only, which gives the rank modulo every prime factor of N or no answer.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 
 from .gflin import factor_prime_power, gfq, is_prime
 
@@ -109,13 +121,9 @@ class FieldSpec:
 
     # -- scalar arithmetic ----------------------------------------------
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.is_rationals else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.is_rationals else 1
+    # every field's zero and one are the ints 0 and 1
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         if self.is_rationals:
@@ -147,9 +155,12 @@ class FieldSpec:
 
     def inv(self, a):
         if self.is_rationals:
-            if a == 0:
+            num, den = a.numerator, a.denominator
+            if num == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            if num < 0:
+                num, den = -num, -den
+            return den if num == 1 else Fraction(den, num)
         if self.degree == 1:
             if a % self.characteristic == 0:
                 raise ZeroDivisionError("inverse of zero")
@@ -158,7 +169,7 @@ class FieldSpec:
 
     def from_int(self, n: int):
         if self.is_rationals:
-            return Fraction(n)
+            return n
         if self.degree == 1:
             return n % self.characteristic
         return self._gf().from_int(n)
@@ -173,10 +184,9 @@ class FieldSpec:
         axpy(a, x, y) the row a*x + y; rows in, lists out.
         """
         if self.is_rationals:
-            zero = Fraction(0)
 
             def dot(x, y):
-                return sum([a * b for a, b in zip(x, y) if a and b], zero)
+                return sum([a * b for a, b in zip(x, y) if a and b])
 
             def scale(c, x):
                 return [c * v if v else v for v in x]
@@ -228,10 +238,10 @@ class FieldSpec:
         if isinstance(value, str):
             return self.parse_scalar(value)
         if self.is_rationals:
-            if isinstance(value, Fraction):
-                return value
             if isinstance(value, int):
-                return Fraction(value)
+                return value
+            if isinstance(value, Fraction):
+                return _canonical(value)
             raise ValueError(f"not a rational scalar: {value!r}")
         if not isinstance(value, int):
             raise ValueError(f"finite field scalar must be an integer: {value!r}")
@@ -242,7 +252,7 @@ class FieldSpec:
     def random(self, rng, box: int = 100):
         """Seeded random scalar: uniform on GF(q), uniform integer in [-box, box] on Q."""
         if self.is_rationals:
-            return Fraction(rng.randint(-box, box))
+            return rng.randint(-box, box)
         return rng.randrange(self.order)
 
     def elements(self):
@@ -258,10 +268,15 @@ class FieldSpec:
     def parse_scalar(self, s: str):
         if self.is_rationals:
             try:
-                return Fraction(s)
+                return _canonical(Fraction(s))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in scalar {s!r}") from None
         return self.coerce(int(s))
+
+
+def _canonical(x: Fraction):
+    """The rational x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 QQ = FieldSpec.rationals()
@@ -648,3 +663,43 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 def solve(m: Matrix, b):
     return m.solve(b)
+
+
+def rank_modulo(rows, modulus: int) -> int | None:
+    """The rank of integer rows modulo every prime factor of `modulus`, a
+    product of distinct primes, or None.
+
+    Forward elimination mod `modulus` that pivots only on units.  A
+    unit-pivot row operation is invertible modulo each prime p dividing
+    `modulus`, and a column with no unit left is zero mod every such p
+    when it is zero mod `modulus`, so the pivot count is the rank modulo
+    each p.  A column whose remaining entries are nonzero but none a unit
+    has different ranks modulo different p; the answer is then None.
+    """
+    mat = [[x % modulus for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(rank, len(mat)):
+            x = mat[i][c]
+            if x:
+                if gcd(x, modulus) == 1:
+                    pivot = i
+                    break
+                pivot = -1
+        if pivot is None:
+            continue
+        if pivot < 0:
+            return None
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, modulus)
+        tail = mat[rank][c + 1 :]
+        for row in mat[rank + 1 :]:
+            if row[c]:
+                a = row[c] * inv
+                row[c + 1 :] = [(v - a * u) % modulus if u else v for u, v in zip(tail, row[c + 1 :])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank

@@ -74,12 +74,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import gflin
 from .exactlin import FieldSpec, Matrix
 from .quiver import DimVector, check_dimvector, topological_order
-from .rep import Representation, hom_dim
+from .rep import Representation, hom_dim, hom_dims_mod
 
 DEFAULT_BUDGET = 10**7
 
@@ -555,29 +554,37 @@ class GrassmannianCount:
         return " + ".join(terms) if terms else "0"
 
 
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Newton interpolation; returns coefficients by ascending degree."""
-    xs = [Fraction(x) for x, _ in points]
-    divided = [Fraction(y) for _, y in points]
+def _interpolate(points: list[tuple[int, int]]) -> list[int]:
+    """Newton interpolation in integers; returns coefficients by ascending
+    degree.
+
+    Every divided difference must divide exactly, else ValueError.  That
+    is the same as asking for integer coefficients: the divided
+    differences of a polynomial with integer coefficients at integer
+    points are integers, and the Newton basis (x - x_0)...(x - x_{k-1}) is
+    monic with integer coefficients.
+    """
+    xs = [x for x, _ in points]
+    divided = [y for _, y in points]
     n = len(points)
     coeffs = [divided[0]]
     for level in range(1, n):
-        divided = [
-            (divided[i + 1] - divided[i]) / (xs[i + level] - xs[i])
-            for i in range(n - level)
-        ]
+        nxt = []
+        for i in range(n - level):
+            quo, rem = divmod(divided[i + 1] - divided[i], xs[i + level] - xs[i])
+            if rem:
+                raise ValueError(f"interpolation produced non-integer coefficients through {points}")
+            nxt.append(quo)
+        divided = nxt
         coeffs.append(divided[0])
-    # expand the Newton form
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
-    for k, c in enumerate(coeffs):
-        for i, a in enumerate(acc):
-            poly[i] += c * a
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i + 1] += a
-            nxt[i] -= xs[k] * a
-        acc = nxt
+    # expand the Newton form by Horner's rule: poly = poly * (x - x_k) + c_k
+    poly = [coeffs[-1]]
+    for k in range(n - 2, -1, -1):
+        shifted = [0] + poly
+        for i, a in enumerate(poly):
+            shifted[i] -= xs[k] * a
+        shifted[0] += coeffs[k]
+        poly = shifted
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return poly
@@ -595,25 +602,28 @@ def counting_poly(
 
     The representation must be given over Q with entries reducible modulo
     every requested order; an order where the reduction changes dim End is
-    rejected (recorded in `rejected`), checked once per characteristic.
-    The fit fails loudly when the samples do not overdetermine it (at
-    least degree + 2 points are required, so at least one acts as a
-    held-out confirmation), when a coefficient is non-integral, or when
-    the degree exceeds the total dimension of m.
+    rejected (recorded in `rejected`).  dim End is computed over Q
+    (`hom_dim`) and modulo every sample characteristic at once
+    (`hom_dims_mod`); where that elimination cannot decide, once per
+    characteristic with `hom_dim`.  The reduction of m to F_{p^k} has its
+    entries in F_p, so F_4 and F_8 share F_2's verdict.  The fit, by
+    Newton interpolation in integers, fails loudly when the samples do not
+    overdetermine it (at least degree + 2 points are required, so at least
+    one acts as a held-out confirmation), when a coefficient is
+    non-integral, or when the degree exceeds the total dimension of m.
     """
     if not m.field.is_rationals:
         raise ValueError("counting_poly expects a representation over Q")
     e = check_dimvector(m.quiver, e)
     end_q = hom_dim(m, m)
-    # End(m mod p) for each characteristic p: the Hom system of m over
-    # F_{p^k} has its entries in the prime field, so its kernel dimension
-    # does not depend on k
-    end_mod: dict[int, int] = {}
+    fields = [FieldSpec.of_order(q) for q in sorted(set(int(q) for q in qs))]
+    # End(m mod p) for each characteristic p
+    end_mod = hom_dims_mod(m, m, [f.characteristic for f in fields]) or {}
     samples: list[tuple[int, int]] = []
     visits: list[tuple[int, int]] = []
     rejected: list[int] = []
-    for q in sorted(set(int(q) for q in qs)):
-        field = FieldSpec.of_order(q)
+    for field in fields:
+        q = field.order
         mq = m.change_field(field)
         p = field.characteristic
         if p not in end_mod:
@@ -630,8 +640,6 @@ def counting_poly(
         raise ValueError(f"not enough usable sample orders (got {len(samples)}): cannot fit")
     poly = _interpolate(samples)
     degree = len(poly) - 1
-    if any(c.denominator != 1 for c in poly):
-        raise ValueError(f"interpolation produced non-integer coefficients: {poly}")
     if degree > m.total_dim:
         raise ValueError(f"fitted degree {degree} exceeds the cap dim m = {m.total_dim}")
     if len(samples) <= degree + 1:
@@ -641,7 +649,7 @@ def counting_poly(
                 "supply at least one more field order"
             )
         result.confirmed = False
-    result.poly = [int(c) for c in poly]
+    result.poly = poly
     for q, c in samples:
         if result.evaluate(q) != c:
             raise ValueError("interpolated polynomial fails to reproduce a sample")

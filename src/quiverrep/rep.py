@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import random
 from itertools import accumulate
-from operator import mul
+from math import prod
+from operator import mul, sub
 
 from . import gflin
-from .exactlin import FieldSpec, Matrix
+from .exactlin import FieldSpec, Matrix, rank_modulo
 from .quiver import (
     DimVector,
     Quiver,
@@ -344,6 +345,30 @@ def hom_evaluation_rows(
 def hom_dim(x: Representation, y: Representation) -> int:
     system = _hom_system(x, y)
     return system.ncols - system.rank()
+
+
+def hom_dims_mod(x: Representation, y: Representation, primes) -> dict[int, int] | None:
+    """dim Hom(x mod p, y mod p) for every prime p in `primes`, for x and y
+    over Q, from one elimination of their Hom system modulo the product of
+    the primes (`exactlin.rank_modulo`); None when an entry's denominator
+    shares a prime with it or the elimination finds no unit pivot.
+
+    The system of x mod p is the rational system reduced mod p, and its
+    kernel dimension over F_{p^k} does not depend on k.
+    """
+    primes = sorted(set(primes))
+    modulus = prod(primes)
+    offsets, ncols = _hom_offsets(x, y)
+    blocks = _intertwining_blocks(x, y, offsets)
+    try:
+        rows = [
+            [v and v.numerator * pow(v.denominator, -1, modulus) for v in row]
+            for row in _equation_rows(blocks, ncols, 0, sub)
+        ]
+    except ValueError:  # a denominator not invertible mod the product
+        return None
+    rank = rank_modulo(rows, modulus)
+    return None if rank is None else dict.fromkeys(primes, ncols - rank)
 
 
 def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> int:

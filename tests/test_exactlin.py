@@ -10,6 +10,7 @@ from quiverrep.exactlin import (
     Matrix,
     kernel_basis,
     rank,
+    rank_modulo,
     solve,
 )
 from quiverrep.gflin import gfq, rref_rows
@@ -207,6 +208,66 @@ def test_scalar_serialization_roundtrip():
     f5 = GF(5)
     assert f5.parse_scalar("7") == 2
     assert f5.coerce(-1) == 4
+
+
+def test_integral_rationals_are_ints():
+    two = QQ.coerce(Fraction(6, 3))
+    assert type(two) is int and two == 2
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert QQ.inv(2) == Fraction(1, 2)
+    three = QQ.inv(Fraction(1, 3))
+    assert type(three) is int and three == 3
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+    for x in (QQ.zero, QQ.one, QQ.from_int(-7), QQ.parse_scalar("4/2"), QQ.random(random.Random(0))):
+        assert type(x) is int
+    assert type(QQ.parse_scalar("-3/7")) is Fraction
+
+
+def test_rational_eliminations_yield_only_ints_and_fractions():
+    rng = random.Random(17)
+
+    def exact(values):
+        return all(type(x) in (int, Fraction) for x in values)
+
+    def entry():
+        return rng.choice((0, 1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+
+    for _ in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        m = Matrix(QQ, [[entry() for _ in range(nc)] for _ in range(nr)])
+        red, _ = m.rref()
+        assert exact(red.flatten())
+        kern = m.kernel_basis()
+        assert exact(kern.flatten()) and (m @ kern).is_zero()
+        x = m.solve(m.col(0))
+        assert exact(x) and _apply(m, x) == m.col(0)
+        assert exact((m @ m.transpose()).flatten())
+        square = Matrix(QQ, [[entry() for _ in range(nr)] for _ in range(nr)])
+        assert type(square.det()) in (int, Fraction)
+
+
+def test_rank_modulo_matches_the_rank_mod_each_prime():
+    rng = random.Random(19)
+    decided = 0
+    for primes in ((2, 3, 5, 7), (2,), (3, 5)):
+        modulus = 1
+        for p in primes:
+            modulus *= p
+        for _ in range(40):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(nc)] for _ in range(nr)]
+            rank = rank_modulo(rows, modulus)
+            if rank is not None:
+                decided += 1
+                assert all(rank == Matrix(GF(p), rows).rank() for p in primes), (rows, primes)
+    assert decided >= 60
+    # a column with nonzero entries but no unit: 2 is zero mod 2 and not mod 3
+    assert rank_modulo([[2, 0]], 6) is None
+    assert rank_modulo([[2, 0]], 15) == 1
+    assert rank_modulo([[6, 4], [3, 1]], 7) == 2
+    assert rank_modulo([], 30) == 0
 
 
 def test_field_spec_validation():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -212,6 +213,75 @@ def test_counting_poly_rejects_bad_reduction(monkeypatch):
     gc = counting_poly(m, (0, 1), [3, 4, 5, 8])
     assert gc.rejected == [4, 8]
     assert calls == 1 + 3
+
+
+def test_counting_poly_checks_end_once_over_q_for_good_reduction(monkeypatch):
+    calls = 0
+    real = grassmannian.hom_dim
+
+    def counting_hom_dim(x, y):
+        nonlocal calls
+        calls += 1
+        return real(x, y)
+
+    monkeypatch.setattr(grassmannian, "hom_dim", counting_hom_dim)
+    gc = counting_poly(direct_sum([_interval_q(1, 2)] * 2), (1, 1, 0), [2, 3, 4, 5, 7])
+    assert gc.rejected == [] and gc.poly == [1, 1]
+    # dim End over Q; every characteristic comes from one elimination mod 210
+    assert calls == 1
+
+
+def _newton_fractions(points):
+    """Newton interpolation in Fractions, the reference for `_interpolate`."""
+    xs = [Fraction(x) for x, _ in points]
+    divided = [Fraction(y) for _, y in points]
+    n = len(points)
+    coeffs = [divided[0]]
+    for level in range(1, n):
+        divided = [(divided[i + 1] - divided[i]) / (xs[i + level] - xs[i]) for i in range(n - level)]
+        coeffs.append(divided[0])
+    poly = [Fraction(0)] * n
+    acc = [Fraction(1)]  # (x - x_0)...(x - x_{k-1})
+    for k, c in enumerate(coeffs):
+        for i, a in enumerate(acc):
+            poly[i] += c * a
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i + 1] += a
+            nxt[i] -= xs[k] * a
+        acc = nxt
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def test_integer_interpolation_matches_the_fraction_newton_form():
+    rng = random.Random(23)
+    refused = 0
+    for xs in ((2, 3, 4, 5, 7), (2, 3, 4, 5, 7, 8)):
+        for _ in range(40):
+            degree = rng.randint(0, len(xs) - 1)
+            coeffs = [rng.randint(-30, 30) for _ in range(degree)] + [1]
+            points = [(x, sum(c * x**i for i, c in enumerate(coeffs))) for x in xs]
+            assert grassmannian._interpolate(points) == _newton_fractions(points) == coeffs
+            # perturbed values: integral fits agree, non-integral ones raise
+            points = [(x, y + rng.randint(-2, 2)) for x, y in points]
+            reference = _newton_fractions(points)
+            if all(c.denominator == 1 for c in reference):
+                assert grassmannian._interpolate(points) == reference
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match="non-integer"):
+                    grassmannian._interpolate(points)
+    assert refused > 0
+
+
+def test_counting_poly_refuses_non_integer_fits(monkeypatch):
+    counts = {2: 1, 3: 2, 5: 3}
+    monkeypatch.setattr(SubrepOracle, "count", lambda self, e: counts[self.m.field.order])
+    m = Representation(Quiver(1, ()), QQ, (2,), [])
+    with pytest.raises(ValueError, match="non-integer"):
+        counting_poly(m, (1,), [2, 3, 5])
 
 
 def test_zero_counts_match_criterion_failures(table_a3_f2):

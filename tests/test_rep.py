@@ -17,6 +17,7 @@ from quiverrep.rep import (
     ext_dim,
     hom_basis,
     hom_dim,
+    hom_dims_mod,
     hom_evaluation_rows,
     hom_evaluations,
     identity_morphism,
@@ -190,6 +191,38 @@ def test_hom_into_injective_is_vertex_dimension():
             dims = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
             x = random_representation(q, dims, F5, seed=rng.randrange(10**6))
             assert hom_dim(x, inj) == dims[i]
+
+
+def test_hom_dims_mod_matches_hom_dim_per_characteristic():
+    rng = random.Random(21)
+    reps = []
+    for q in (A3, d4_subspace(), kronecker(2)):
+        for _ in range(8):
+            dims = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
+            box = rng.choice((1, 1, 3))
+            reps.append(random_representation(q, dims, QQ, seed=rng.randrange(2**31), box=box))
+    x = random_representation(A3, (2, 2, 1), QQ, seed=5, box=1)
+    first = Matrix(QQ, [["1/3", *x.arrow_mats[0].rows[0][1:]], x.arrow_mats[0].rows[1]])
+    third = Representation(A3, QQ, x.dims, [first, x.arrow_mats[1]])
+    stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
+    reps += [third, stuck]
+    decided = 0
+    for primes in ((2, 3, 5, 7), (2,), (3, 5)):
+        for x in reps:
+            got = hom_dims_mod(x, x, primes)
+            if got is None:
+                continue
+            decided += 1
+            assert got == {p: hom_dim(x.change_field(GF(p)), x.change_field(GF(p))) for p in primes}
+    assert decided >= len(reps) * 2
+    # 1/3 has no residue mod 3; 2 is a nonzero non-unit mod 210, zero mod 2
+    # and a unit mod 15
+    assert hom_dims_mod(third, third, (2,)) is not None
+    assert hom_dims_mod(third, third, (3, 5)) is None
+    assert hom_dims_mod(third, third, (2, 3, 5, 7)) is None
+    assert hom_dims_mod(stuck, stuck, (2, 3, 5, 7)) is None
+    assert hom_dims_mod(stuck, stuck, (2,)) == {2: 2}
+    assert hom_dims_mod(stuck, stuck, (3, 5)) == {3: 1, 5: 1}
 
 
 def test_ext_examples():
