@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from .criteria import (
     CheckConfig,
@@ -46,30 +45,18 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    """Reproducibility knobs; defaults are part of the CLI contract."""
-
-    seed: int = 0
-    r_max: int = 8
-    trials: int = 256
-    samples: int = 64
-    enum_budget: int = DEFAULT_BUDGET
-    format: str = "text"
-    output: str | None = None
-
-
 def _parse_dimvector(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.replace(" ", "").split(","))
 
 
-def _emit(config: RunConfig, text_lines, payload) -> None:
-    if config.format == "json":
-        body = json.dumps({"config": asdict(config), "result": payload}, indent=1)
+def _emit(args, text_lines, payload) -> None:
+    if args.format == "json":
+        config = {dest: getattr(args, dest) for dest in args.shared}
+        body = json.dumps({"config": config, "result": payload}, indent=1)
     else:
         body = "\n".join(text_lines)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(body + "\n")
     else:
         print(body)
@@ -119,94 +106,99 @@ def _verdict_exit(v: Verdict) -> int:
     return EXIT_FAILS
 
 
+def _exhaustive_reduction(args, *reps):
+    """reps reduced into F_q for q = --exhaustive-q when they are over Q.
+    dim End is not checked: the user chose the field."""
+    if args.exhaustive_q and reps[0].field.is_rationals:
+        f = FieldSpec.of_order(args.exhaustive_q)
+        return tuple(x.change_field(f) for x in reps)
+    return reps
+
+
 def _table_for(rep):
     if not is_dynkin(rep.quiver):
         raise ValueError("this check requires a Dynkin quiver")
     return cached_table(rep.quiver, rep.field)
 
 
-def cmd_roots(args, config: RunConfig) -> int:
+def cmd_roots(args) -> int:
     q = load_quiver(args.quiver)
     roots = positive_roots(q)
-    _emit(config, [" ".join(map(str, r)) for r in roots], [list(r) for r in roots])
+    _emit(args, [" ".join(map(str, r)) for r in roots], [list(r) for r in roots])
     return EXIT_HOLDS
 
 
-def cmd_hom(args, config: RunConfig) -> int:
+def cmd_hom(args) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
     d = hom_dim(n, m)
-    _emit(config, [f"[N,M] = {d}"], {"hom": d})
+    _emit(args, [f"[N,M] = {d}"], {"hom": d})
     return EXIT_HOLDS
 
 
-def cmd_ext(args, config: RunConfig) -> int:
+def cmd_ext(args) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
     d = ext_dim(n, m, cross_check=args.cross_check)
-    _emit(config, [f"dim Ext^1(N,M) = {d}"], {"ext": d})
+    _emit(args, [f"dim Ext^1(N,M) = {d}"], {"ext": d})
     return EXIT_HOLDS
 
 
-def cmd_decompose(args, config: RunConfig) -> int:
+def cmd_decompose(args) -> int:
     m = load_rep(args.rep)
     table = _table_for(m)
     mults = decompose(m, table)
     lines = [f"{list(root)} x {mult}" for root, mult in sorted(mults.items())]
-    _emit(config, lines or ["0"], {"multiplicities": [[list(r), c] for r, c in sorted(mults.items())]})
+    _emit(args, lines or ["0"], {"multiplicities": [[list(r), c] for r, c in sorted(mults.items())]})
     return EXIT_HOLDS
 
 
-def cmd_check_sub(args, config: RunConfig) -> int:
+def cmd_check_sub(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
     table = _table_for(m)
     v = check_grassmannian_nonempty(m, e, table)
-    _emit(config, _verdict_lines(v), v.to_json())
+    _emit(args, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)
 
 
-def cmd_check_irred(args, config: RunConfig) -> int:
+def cmd_check_irred(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
     table = _table_for(m)
     v = check_grassmannian_irreducible(m, e, table)
     lines = _verdict_lines(v)
     lines.append("note: sufficient criterion only; a failing verdict draws no conclusion")
-    _emit(config, lines, v.to_json())
+    _emit(args, lines, v.to_json())
     return _verdict_exit(v)
 
 
-def cmd_check_embed(args, config: RunConfig) -> int:
+def cmd_check_embed(args) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
-    if args.exhaustive_q and n.field.is_rationals:
-        f = FieldSpec.of_order(args.exhaustive_q)
-        n_chk, m_chk = n.change_field(f), m.change_field(f)
-    else:
-        n_chk, m_chk = n, m
-    cc = CheckConfig(trials=config.trials, seed=config.seed)
+    n_chk, m_chk = _exhaustive_reduction(args, n, m)
+    cc = CheckConfig(trials=args.trials, seed=args.seed)
     verdict = check_nc2(n_chk, m_chk, cc)
     lines = _verdict_lines(verdict)
     payload = {"nc2": verdict.to_json()}
     exit_code = _verdict_exit(verdict)
     if args.stable:
         report = search_stable_embedding(
-            n, m, r_max=config.r_max, trials=config.trials, seed=config.seed
+            n, m, r_max=args.r_max, trials=args.trials, seed=args.seed
         )
         payload["stable_search"] = report.to_json()
         if report.found:
             lines.append(f"embedding found at r = {report.r}")
         else:
-            lines.append(f"embedding not found up to r = {config.r_max} (inconclusive)")
+            lines.append(f"embedding not found up to r = {args.r_max} (inconclusive)")
             lines.append(f"reason: {report.reason}")
             if verdict.holds and exit_code == EXIT_HOLDS:
                 exit_code = EXIT_INCONCLUSIVE
-    _emit(config, lines, payload)
+    _emit(args, lines, payload)
     return exit_code
 
 
-def cmd_enum_gr(args, config: RunConfig) -> int:
+def cmd_enum_gr(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
-    oracle = SubrepOracle(m, budget=config.enum_budget)
+    oracle = SubrepOracle(m, budget=args.enum_budget)
     subs = oracle.enumerate(e)
     lines = [f"{len(subs)} subrepresentation(s) of dimension vector {list(e)}"]
     payload = []
@@ -215,29 +207,29 @@ def cmd_enum_gr(args, config: RunConfig) -> int:
         payload.append(item)
     for i, bases in enumerate(subs[:50]):
         lines.append(f"-- #{i}: " + "; ".join(str([list(r) for r in b.transpose().rows]) for b in bases))
-    _emit(config, lines, {"count": len(subs), "bases_rows": payload})
+    _emit(args, lines, {"count": len(subs), "bases_rows": payload})
     return EXIT_HOLDS
 
 
-def cmd_count_poly(args, config: RunConfig) -> int:
+def cmd_count_poly(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
     qs = [int(x) for x in args.qs.split(",")]
-    gc = counting_poly(m, e, qs, budget=config.enum_budget)
+    gc = counting_poly(m, e, qs, budget=args.enum_budget)
     if args.csv:
         export_csv(gc, args.csv)
     lines = [f"samples: {gc.samples}", f"polynomial: {gc.poly_str()}"]
     if gc.rejected:
         lines.append(f"rejected orders (End dimension changed): {gc.rejected}")
     _emit(
-        config,
+        args,
         lines,
         {"samples": gc.samples, "poly": gc.poly, "rejected": gc.rejected, "visits": gc.visits},
     )
     return EXIT_HOLDS
 
 
-def cmd_semistable(args, config: RunConfig) -> int:
+def cmd_semistable(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
     table = None
@@ -245,12 +237,12 @@ def cmd_semistable(args, config: RunConfig) -> int:
     if is_dynkin(m.quiver) and not args.force_enum:
         table = cached_table(m.quiver, m.field)
         q_enum = None
-    v = is_semistable(m, e, q_enum=q_enum, table=table, budget=config.enum_budget)
-    _emit(config, _verdict_lines(v), v.to_json())
+    v = is_semistable(m, e, q_enum=q_enum, table=table, budget=args.enum_budget)
+    _emit(args, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)
 
 
-def cmd_stabilize(args, config: RunConfig) -> int:
+def cmd_stabilize(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
     lo, hi = (int(x) for x in args.r_range.split(":"))
@@ -258,11 +250,11 @@ def cmd_stabilize(args, config: RunConfig) -> int:
         m,
         e,
         r_range=range(lo, hi + 1),
-        samples=config.samples,
+        samples=args.samples,
         q_enum=args.q_enum,
-        seed=config.seed,
+        seed=args.seed,
         assume_hypothesis=args.assume_hypothesis,
-        budget=config.enum_budget,
+        budget=args.enum_budget,
     )
     lines = [f"e(m) = {report.e_of_m}"]
     for r, est, target in report.entries:
@@ -272,34 +264,32 @@ def cmd_stabilize(args, config: RunConfig) -> int:
         lines.append(f"stabilization observed from r = {report.threshold}")
     if report.inconclusive:
         lines.append("inconclusive within the sample budget")
-    _emit(config, lines, report.to_json())
+    _emit(args, lines, report.to_json())
     if report.inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_HOLDS
 
 
-def cmd_fixtures(args, config: RunConfig) -> int:
+def cmd_fixtures(args) -> int:
     field = FieldSpec.parse(args.field)
     paths = write_fixtures(args.out, field)
-    _emit(config, [f"wrote {p}" for p in paths], {"written": paths})
+    _emit(args, [f"wrote {p}" for p in paths], {"written": paths})
     return EXIT_HOLDS
 
 
-def cmd_dual_surj(args, config: RunConfig) -> int:
+def cmd_dual_surj(args) -> int:
     u, v = load_rep(args.u), load_rep(args.v)
-    if args.exhaustive_q and u.field.is_rationals:
-        f = FieldSpec.of_order(args.exhaustive_q)
-        u, v = u.change_field(f), v.change_field(f)
-    verdict = check_dual_surjection(u, v, CheckConfig(trials=config.trials, seed=config.seed))
-    _emit(config, _verdict_lines(verdict), verdict.to_json())
+    u, v = _exhaustive_reduction(args, u, v)
+    verdict = check_dual_surjection(u, v, CheckConfig(trials=args.trials, seed=args.seed))
+    _emit(args, _verdict_lines(verdict), verdict.to_json())
     return _verdict_exit(verdict)
 
 
-def cmd_check_an(args, config: RunConfig) -> int:
+def cmd_check_an(args) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
     table = _table_for(n)
-    v = an_criterion(n, m, table, seed=config.seed)
-    _emit(config, _verdict_lines(v), v.to_json())
+    v = an_criterion(n, m, table, seed=args.seed)
+    _emit(args, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)
 
 
@@ -307,13 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix such as --e must not silently
     # resolve to another option (--enum-budget) on a subcommand without it
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--rmax", type=int, default=8, dest="r_max")
-    common.add_argument("--trials", type=int, default=256)
-    common.add_argument("--samples", type=int, default=64)
-    common.add_argument("--enum-budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--output", default=None)
+    shared = (
+        common.add_argument("--seed", type=int, default=0),
+        common.add_argument("--rmax", type=int, default=8, dest="r_max"),
+        common.add_argument("--trials", type=int, default=256),
+        common.add_argument("--samples", type=int, default=64),
+        common.add_argument("--enum-budget", type=int, default=DEFAULT_BUDGET),
+        common.add_argument("--format", choices=("text", "json"), default="text"),
+        common.add_argument("--output", default=None),
+    )
+    # every command takes these; `--format json` reports them, in this
+    # order, as its "config" block
+    common.set_defaults(shared=tuple(action.dest for action in shared))
     parser = argparse.ArgumentParser(
         prog="quiverrep",
         allow_abbrev=False,
@@ -411,17 +406,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    config = RunConfig(
-        seed=args.seed,
-        r_max=args.r_max,
-        trials=args.trials,
-        samples=args.samples,
-        enum_budget=args.enum_budget,
-        format=args.format,
-        output=args.output,
-    )
     try:
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -151,36 +151,23 @@ class GrassmannianChecker:
         rest = dim_sub(m.dims, e)
         details = []
         witness = None
-        for u, root in enumerate(table.roots):
-            if u not in self.injective:
-                lhs = self.hom_from_m[u]
-                rhs = _dot(self.euler_into_root[u], e)
+        # family 1: [m, U] <= <e, U> for non-injective U; family 2:
+        # [U, m] <= <U, dim m - e> for non-projective U
+        families = (
+            (1, "non-injective", self.injective, self.hom_from_m, self.euler_into_root, e),
+            (2, "non-projective", self.projective, self.hom_into_m, self.euler_from_root, rest),
+        )
+        for family, kind, skip, hom, euler, x in families:
+            for u, root in enumerate(table.roots):
+                if u in skip:
+                    continue
+                lhs, rhs = hom[u], _dot(euler[u], x)
                 ok = lhs <= rhs
                 details.append(
-                    {"family": 1, "root": list(root), "hom": lhs, "euler": rhs, "ok": ok}
+                    {"family": family, "root": list(root), "hom": lhs, "euler": rhs, "ok": ok}
                 )
                 if not ok and witness is None:
-                    witness = {
-                        "kind": "non-injective",
-                        "root": list(root),
-                        "hom": lhs,
-                        "euler": rhs,
-                    }
-        for u, root in enumerate(table.roots):
-            if u not in self.projective:
-                lhs = self.hom_into_m[u]
-                rhs = _dot(self.euler_from_root[u], rest)
-                ok = lhs <= rhs
-                details.append(
-                    {"family": 2, "root": list(root), "hom": lhs, "euler": rhs, "ok": ok}
-                )
-                if not ok and witness is None:
-                    witness = {
-                        "kind": "non-projective",
-                        "root": list(root),
-                        "hom": lhs,
-                        "euler": rhs,
-                    }
+                    witness = {"kind": kind, "root": list(root), "hom": lhs, "euler": rhs}
         holds = witness is None
         context = {
             "criterion": "grassmannian-irreducible",

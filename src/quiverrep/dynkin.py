@@ -24,6 +24,7 @@ from .rep import (
     hom_basis,
     hom_dim,
     is_injective_morphism,
+    reductions,
     search_hom,
     zero_representation,
 )
@@ -195,17 +196,16 @@ def build_table(
 
     `seed` is ignored: the table does not depend on it.  Over Q, each
     indecomposable reduced into each of `reduction_orders` must keep
-    End = 1, so the reps can feed finite-field point counts; a failure is
-    a RuntimeError, never a retry.
+    End = 1, as decided by `rep.reductions`, so the reps can feed
+    finite-field point counts; a failure is a RuntimeError, never a retry.
     """
     require_dynkin(q)
     roots = tuple(positive_roots(q))
     reps = tuple(indecomposable(q, r, field) for r in roots)
-    if field.is_rationals:
+    if field.is_rationals and reduction_orders:
         for x in reps:
-            for order in reduction_orders:
-                reduced = x.change_field(FieldSpec.of_order(order))
-                if hom_dim(reduced, reduced) != 1:
+            for order, reduced in reductions(x, reduction_orders).items():
+                if reduced is None:
                     raise RuntimeError(f"the indecomposable of {x.dims} has End != 1 over F_{order}")
     hom = tuple(tuple(max(x, 0) for x in row) for row in _euler_values(q, roots))
     return IndecomposableTable(q, field, roots, reps, hom)

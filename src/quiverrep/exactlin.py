@@ -580,16 +580,10 @@ class Matrix:
             return self
         if self.field.is_rationals and new_field.is_finite:
             p = new_field.characteristic
-            out = []
-            for r in self.rows:
-                row = []
-                for x in r:
-                    if x.denominator % p == 0:
-                        raise ValueError(f"denominator of {x} not invertible mod {p}")
-                    val = (x.numerator * pow(x.denominator, -1, p)) % p
-                    row.append(val)
-                out.append(tuple(row))
-            return Matrix(new_field, tuple(out), validate=False, ncols=self.ncols)
+            rows = tuple(
+                tuple(x % p if type(x) is int else _fraction_mod(x, p) for x in r) for r in self.rows
+            )
+            return Matrix(new_field, rows, validate=False, ncols=self.ncols)
         if (
             self.field.is_finite
             and new_field.is_finite
@@ -598,6 +592,12 @@ class Matrix:
         ):
             return Matrix(new_field, self.rows, validate=False, ncols=self.ncols)
         raise ValueError(f"cannot move matrix from {self.field} to {new_field}")
+
+
+def _fraction_mod(x: Fraction, p: int) -> int:
+    if x.denominator % p == 0:
+        raise ValueError(f"denominator of {x} not invertible mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _from_canonical_cols(f: FieldSpec, cols, nrows: int) -> Matrix:

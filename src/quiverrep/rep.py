@@ -69,6 +69,8 @@ class Representation:
         return f"Representation(dims={self.dims}, field={self.field})"
 
     def change_field(self, new_field: FieldSpec) -> "Representation":
+        if new_field == self.field:
+            return self
         return Representation(
             self.quiver, new_field, self.dims, [m.change_field(new_field) for m in self.arrow_mats]
         )
@@ -369,6 +371,30 @@ def hom_dims_mod(x: Representation, y: Representation, primes) -> dict[int, int]
         return None
     rank = rank_modulo(rows, modulus)
     return None if rank is None else dict.fromkeys(primes, ncols - rank)
+
+
+def reductions(m: Representation, orders) -> dict[int, Representation | None]:
+    """m over Q reduced into F_q for each order q in `orders`, or None where
+    the reduction changes dim End.
+
+    dim End is computed over Q (`hom_dim`) and modulo every characteristic
+    at once (`hom_dims_mod`); only where that elimination cannot decide,
+    once per characteristic over F_p.  m is reduced once per
+    characteristic: its reduction into F_{p^k} has its entries in F_p, so
+    it reuses F_p's entries and verdict.  A denominator that a
+    characteristic divides is `Matrix.change_field`'s ValueError.
+    """
+    fields = {q: FieldSpec.of_order(q) for q in orders}
+    mod_p = {}
+    for f in fields.values():
+        if f.characteristic not in mod_p:
+            mod_p[f.characteristic] = m.change_field(FieldSpec.of_order(f.characteristic))
+    end_q = hom_dim(m, m)
+    end_mod = hom_dims_mod(m, m, mod_p) or {p: hom_dim(x, x) for p, x in mod_p.items()}
+    return {
+        q: mod_p[f.characteristic].change_field(f) if end_mod[f.characteristic] == end_q else None
+        for q, f in fields.items()
+    }
 
 
 def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> int:

@@ -20,6 +20,7 @@ from .rep import (
     hom_dim,
     power,
     random_representation,
+    reductions,
 )
 
 EXHAUSTIVE_LIMIT = 200000
@@ -425,7 +426,8 @@ def check_stabilization(
     e(N) >= 0 for all subrepresentations N of m.
 
     The hypothesis is verified by exhaustive min-slope over F_{q_enum}
-    (reducing m if it is given over Q); with assume_hypothesis=True an
+    (reducing m if it is given over Q, by `rep.reductions`, where the
+    reduction must keep dim End); with assume_hypothesis=True an
     unverifiable hypothesis is assumed and flagged.  Estimates below the
     target are impossible under the hypothesis and raise.  An empty
     r_range, one starting below r = 1, or samples < 1 is a ValueError.
@@ -441,9 +443,7 @@ def check_stabilization(
         m_check = m
     else:
         try:
-            m_check = m.change_field(FieldSpec.of_order(q_enum))
-            if hom_dim(m_check, m_check) != hom_dim(m, m):
-                m_check = None
+            m_check = reductions(m, [q_enum])[q_enum]
         except ValueError:
             m_check = None
     if m_check is not None:

@@ -100,6 +100,8 @@ def test_check_embed_json_output(tmp_path, fixture_dir):
     data = json.loads(out.read_text())
     assert data["result"]["nc2"]["holds"] is True
     assert data["config"]["seed"] == 0
+    # the shared options of the common parser, in their order
+    assert list(data["config"]) == ["seed", "r_max", "trials", "samples", "enum_budget", "format", "output"]
     # the ledger is recomputable: each entry repeats the compared sides
     for entry in data["result"]["nc2"]["details"]:
         assert entry["ok"] == (entry["lhs"] <= entry["rhs"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverrep import dynkin
+from quiverrep import dynkin, rep
 from quiverrep.dynkin import (
     IndecomposableTable,
     assemble,
@@ -448,12 +448,15 @@ def test_q_tables_stay_indecomposable_in_every_counting_order(q):
 
 
 def test_reduction_orders_check_refuses_instead_of_retrying(monkeypatch):
-    real = dynkin.hom_dim
+    real = rep.hom_dim
 
     def end_two_over_f3(x, y):
         return 2 if x.field == F3 else real(x, y)
 
-    monkeypatch.setattr(dynkin, "hom_dim", end_two_over_f3)
+    # the End decision is `rep.reductions`'; without the modular
+    # elimination it checks each characteristic with `hom_dim`
+    monkeypatch.setattr(rep, "hom_dim", end_two_over_f3)
+    monkeypatch.setattr(rep, "hom_dims_mod", lambda x, y, primes: None)
     build_table(a_n(3), QQ, reduction_orders=(2, 5))
     with pytest.raises(RuntimeError, match="F_3"):
         build_table(a_n(3), QQ, reduction_orders=(2, 3))

@@ -299,6 +299,25 @@ def test_change_field_reduction():
         m.change_field(GF(3))  # denominator 3 not invertible
 
 
+def test_change_field_reduces_ints_and_fractions_by_the_inverse_formula():
+    rng = random.Random(8)
+    entries = [rng.randint(-60, 60) for _ in range(12)]
+    entries += [Fraction(rng.randint(-60, 60), rng.randint(2, 40)) for _ in range(24)]
+    for p in (2, 3, 5, 7):
+        row = [x for x in entries if Fraction(x).denominator % p]
+        m = Matrix(QQ, [row])
+        assert {type(x) for x in m.rows[0]} == {int, Fraction}
+        # the formula every entry went through before ints were reduced by %
+        expected = tuple(
+            Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in m.rows[0]
+        )
+        for order in (p, p * p):
+            assert m.change_field(GF(order)).rows == (expected,)
+    for order in (3, 9):
+        with pytest.raises(ValueError, match="^denominator of 2/3 not invertible mod 3$"):
+            Matrix(QQ, [[4, "2/3"]]).change_field(GF(order))
+
+
 def test_block_helpers():
     a = Matrix.identity(QQ, 2)
     b = Matrix.zeros(QQ, 2, 1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverrep import gflin, grassmannian
+from quiverrep import gflin, grassmannian, rep
 
 from quiverrep.dynkin import assemble
 from quiverrep.exactlin import GF, QQ
@@ -195,16 +195,16 @@ def test_counting_poly_rejects_bad_reduction(monkeypatch):
     assert 2 in gc.rejected
     assert gc.poly == [1]
     # F_4 and F_8 reduce through F_2, so they share its verdict; End is
-    # computed over Q and once per characteristic
+    # computed over Q and once per characteristic (in `rep.reductions`)
     calls = 0
-    real = grassmannian.hom_dim
+    real = rep.hom_dim
 
     def counting_hom_dim(x, y):
         nonlocal calls
         calls += 1
         return real(x, y)
 
-    monkeypatch.setattr(grassmannian, "hom_dim", counting_hom_dim)
+    monkeypatch.setattr(rep, "hom_dim", counting_hom_dim)
     gc = counting_poly(m, (0, 1), [2, 3, 4, 5, 7, 8])
     assert gc.rejected == [2, 4, 8]
     assert [q for q, _ in gc.samples] == [3, 5, 7]
@@ -217,14 +217,14 @@ def test_counting_poly_rejects_bad_reduction(monkeypatch):
 
 def test_counting_poly_checks_end_once_over_q_for_good_reduction(monkeypatch):
     calls = 0
-    real = grassmannian.hom_dim
+    real = rep.hom_dim
 
     def counting_hom_dim(x, y):
         nonlocal calls
         calls += 1
         return real(x, y)
 
-    monkeypatch.setattr(grassmannian, "hom_dim", counting_hom_dim)
+    monkeypatch.setattr(rep, "hom_dim", counting_hom_dim)
     gc = counting_poly(direct_sum([_interval_q(1, 2)] * 2), (1, 1, 0), [2, 3, 4, 5, 7])
     assert gc.rejected == [] and gc.poly == [1, 1]
     # dim End over Q; every characteristic comes from one elimination mod 210

@@ -1,9 +1,11 @@
 import json
 import random
+import re
 
 import pytest
 
 from quiverrep import gflin
+from quiverrep import rep as rep_module
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.quiver import Quiver, a_n, d4_subspace, euler_form, kronecker, opposite
 from quiverrep.rep import (
@@ -29,6 +31,7 @@ from quiverrep.rep import (
     power,
     quotient,
     random_representation,
+    reductions,
     rep_from_json,
     rep_to_json,
     save_rep,
@@ -223,6 +226,84 @@ def test_hom_dims_mod_matches_hom_dim_per_characteristic():
     assert hom_dims_mod(stuck, stuck, (2, 3, 5, 7)) is None
     assert hom_dims_mod(stuck, stuck, (2,)) == {2: 2}
     assert hom_dims_mod(stuck, stuck, (3, 5)) == {3: 1, 5: 1}
+
+
+def _reductions_by_hom_dim(x, orders):
+    """The reference for `reductions`: each order's reduction, kept when
+    `hom_dim` over that field finds the End dimension of x over Q."""
+    end = hom_dim(x, x)
+    out = {}
+    for q in orders:
+        y = x.change_field(GF(q))
+        out[q] = y if hom_dim(y, y) == end else None
+    return out
+
+
+def test_reductions_match_hom_dim_on_every_order():
+    rng = random.Random(19)
+    reps = []
+    for q in (A3, d4_subspace(), kronecker(2)):
+        for _ in range(6):
+            dims = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
+            box = rng.choice((1, 1, 3))
+            reps.append(random_representation(q, dims, QQ, seed=rng.randrange(2**31), box=box))
+    x = random_representation(A3, (2, 2, 1), QQ, seed=5, box=1)
+    first = Matrix(QQ, [["1/3", *x.arrow_mats[0].rows[0][1:]], x.arrow_mats[0].rows[1]])
+    third = Representation(A3, QQ, x.dims, [first, x.arrow_mats[1]])
+    stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
+    reps += [third, stuck]
+    rejected = 0
+    for orders in ((2, 3, 4, 5, 7, 8, 9), (4, 8, 9), (9, 5, 4), (8,)):
+        for x in reps:
+            try:
+                expected = _reductions_by_hom_dim(x, orders)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    reductions(x, orders)
+                continue
+            got = reductions(x, orders)
+            assert list(got) == list(orders)
+            assert got == expected
+            rejected += sum(y is None for y in got.values())
+    assert rejected
+    # [[2]] is zero mod 2, so End jumps from 1 to 2 over F_2, F_4 and F_8
+    got = reductions(stuck, (2, 3, 4, 8, 9))
+    assert [q for q, y in got.items() if y is None] == [2, 4, 8]
+    assert got[9].field == GF(9) and got[9].arrow_mats[0].rows == ((2,),)
+    with pytest.raises(ValueError, match="^denominator of 1/3 not invertible mod 3$"):
+        reductions(third, (2, 9))
+
+
+def test_no_end_is_computed_over_an_extension_field(monkeypatch):
+    import sys
+
+    from quiverrep.dynkin import build_table
+    from quiverrep.grassmannian import counting_poly
+    from quiverrep.stable import check_stabilization
+
+    real = hom_dim
+
+    def prime_fields_only(x, y):
+        if x.field.is_finite and x.field.degree > 1:
+            raise AssertionError(f"dim Hom computed over {x.field.name}")
+        return real(x, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quiverrep") and getattr(module, "hom_dim", None) is real:
+            monkeypatch.setattr(module, "hom_dim", prime_fields_only)
+    stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
+    for modular in (True, False):
+        if not modular:  # the fallback: one hom_dim per characteristic
+            monkeypatch.setattr(rep_module, "hom_dims_mod", lambda x, y, primes: None)
+        gc = counting_poly(stuck, (0, 1), [2, 3, 4, 5, 7, 8, 9])
+        assert gc.rejected == [2, 4, 8] and gc.poly == [1]
+        t = build_table(A3, QQ, reduction_orders=(2, 3, 4, 5, 7, 8, 9))
+        assert t.size == 6
+        for q_enum in (4, 9):
+            report = check_stabilization(
+                build_projective(K3, 0, QQ), (2, 1), r_range=range(1, 3), samples=4, q_enum=q_enum
+            )
+            assert report.hypothesis_field == f"F_{q_enum}"
 
 
 def test_ext_examples():
