@@ -74,6 +74,8 @@ def _detail_line(d: dict) -> str | None:
             f"vertex {d['vertex']}, k={d['k']}: [U,N]-[V,N] = {d['lhs']} <= "
             f"[U,M]-[V,M] = {d['rhs']} : {'ok' if d['ok'] else 'VIOLATED'}"
         )
+    if "vertex" in d and "k" not in d:
+        return f"vertex {d['vertex']}: socle {d['lhs']} <= matched {d['rhs']} : {'ok' if d['ok'] else 'VIOLATED'}"
     if "i" in d and "j" in d and "lhs" in d:
         return f"prefix (i,j)=({d['i']},{d['j']}): {d['lhs']} <= {d['rhs']} : {'ok' if d['ok'] else 'VIOLATED'}"
     return None

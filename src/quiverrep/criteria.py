@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
-from .dynkin import IndecomposableTable, assemble, decompose
+from .dynkin import IndecomposableTable, assemble, cached_table, decompose
 from .exactlin import Matrix
 from .grassmannian import SubrepOracle, DEFAULT_BUDGET
 from .quiver import (
@@ -19,6 +19,7 @@ from .quiver import (
     check_dimvector,
     dim_leq,
     dim_sub,
+    dynkin_type,
     euler_form,
     functional,
     require_dynkin,
@@ -213,9 +214,9 @@ CLASS_BUDGET = 200000
 class CheckConfig:
     """Sampling knobs of the quotient-estimate checkers.
 
-    Over a finite field nc2 scans every socle subspace (the spans of the
-    socle vectors of n^k, which the brackets only depend on) and uses
-    neither; over Q it draws `trials` samples seeded by `seed`.
+    Over a finite field nc2 is exhaustive (a flow on multiplicities on
+    type A, a scan of the socle subspaces otherwise) and uses neither;
+    over Q it draws `trials` samples seeded by `seed`.
     """
 
     trials: int = 256
@@ -250,17 +251,118 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
         [n^k, n] - [n^k/S, n] <= [n^k, m] - [n^k/S, m].
 
     Exhaustive over finite fields; sampled (evidence only) over Q.  Over a
-    finite field the ledger (`details`) lists only the End(n)-closed socle
-    classes, which decide the verdict (`_check_nc2_subspaces`), and
-    `context["checked"]` counts every class they cover.
+    finite field, type A in any orientation is decided by one flow per
+    socle vertex on the multiplicities of n and m (`_check_nc2_flow`);
+    every other quiver by the scan of the End(n)-closed socle classes
+    (`_check_nc2_subspaces`), whose ledger lists those classes.  Both set
+    `context["checked"]` to the number of socle classes the estimate
+    ranges over.
     """
     if n.quiver != m.quiver:
         raise ValueError("representations live over different quivers")
     if n.field != m.field:
         raise ValueError("representations live over different fields")
     if n.field.is_finite:
+        if (dynkin_type(n.quiver) or "").startswith("A"):
+            return _check_nc2_flow(n, m)
         return _check_nc2_subspaces(n, m)
     return _check_nc2_sampling(n, m, config or CheckConfig())
+
+
+def _max_flow(capacity: dict, source, sink) -> tuple[int, set]:
+    """Maximum flow from source to sink through the arcs a -> b of
+    capacity[a][b], by shortest augmenting paths (Edmonds-Karp).  Returns
+    its value and the nodes the final residual network reaches from the
+    source: the source side of a minimum cut."""
+    residual = {a: dict(out) for a, out in capacity.items()}
+    for a, out in capacity.items():
+        for b in out:
+            residual.setdefault(b, {}).setdefault(a, 0)
+    value = 0
+    while True:
+        prev = {source: None}
+        queue = [source]
+        for a in queue:
+            for b, c in residual[a].items():
+                if c and b not in prev:
+                    prev[b] = a
+                    queue.append(b)
+        if sink not in prev:
+            return value, set(prev)
+        path = []
+        b = sink
+        while prev[b] is not None:
+            path.append((prev[b], b))
+            b = prev[b]
+        amount = min(residual[a][b] for a, b in path)
+        for a, b in path:
+            residual[a][b] -= amount
+            residual[b][a] += amount
+        value += amount
+
+
+def _check_nc2_flow(n: Representation, m: Representation) -> Verdict:
+    """nc2 on a type-A quiver, in any orientation, over a finite field:
+    Hall's condition on the multiplicities, one max flow per socle vertex.
+
+    Write n = (+)_U U^mu_U and m = (+)_V V^nu_V (`decompose`), and let
+    R_i(U, V) mean that some f in Hom(U, V) is nonzero on soc_i(U)
+    (`IndecomposableTable.socle_reach`).  On type A every soc_i(U) has
+    dimension <= 1, and morphisms map socles into socles, so R_i is
+    reflexive on the U with soc_i(U) != 0 and transitive.  The idempotents
+    and the full matrix blocks M_mu(F) of End(n) make each End(n)-closed
+    socle class W_D = (+)_{U in D} soc_i(U)^mu_U, with D closed under R_i;
+    then zn(W_D) = sum_D mu_U and zm(W_D) = sum_{V in R_i(D)} nu_V.  The
+    closed classes decide nc2 (`_check_nc2_subspaces`), and the closure of
+    any D has the same R_i(D) and no smaller sum, so nc2 at i is Hall's
+    condition sum_D mu_U <= sum_{V in R_i(D)} nu_V for every D (P. Hall,
+    1935).  It holds exactly when the flow from the U (capacity mu_U) along
+    R_i to the V (capacity nu_V) saturates s_i = sum_U mu_U = dim soc_i(n).
+
+    `details` has one entry per socle vertex, {vertex, lhs: s_i, rhs: the
+    flow, ok}.  The witness is the R_i-closure D of the n-side of a minimum
+    cut at the first failing vertex, with lhs = sum_D mu_U and rhs =
+    sum_{V in R_i(D)} nu_V.  Nothing is enumerated, so there is no class
+    budget; `context["checked"]` is still the class count sum_l [s_i, l]_q.
+    """
+    table = cached_table(n.quiver, n.field)
+    mu, nu = ([x.get(r, 0) for r in table.roots] for x in (decompose(n, table), decompose(m, table)))
+    details = []
+    witness = None
+    checked = 0
+    for i, reach in enumerate(table.socle_reach):
+        supply = {u: mu[u] for u, to in enumerate(reach) if mu[u] and to}
+        if not supply:
+            continue
+        s_i = sum(supply.values())
+        capacity = {"source": {("n", u): c for u, c in supply.items()}}
+        for u in supply:
+            capacity["n", u] = {("m", v): s_i for v in reach[u] if nu[v]}
+        for v in range(table.size):
+            if nu[v]:
+                capacity["m", v] = {"sink": nu[v]}
+        flow, cut = _max_flow(capacity, "source", "sink")
+        checked += sum(gflin.gaussian_binomial(s_i, l, n.field.order) for l in range(1, s_i + 1))
+        ok = s_i <= flow
+        details.append({"vertex": i, "lhs": s_i, "rhs": flow, "ok": ok})
+        if not ok and witness is None:
+            cut_side = [u for u in supply if ("n", u) in cut]
+            d = [w for w in supply if any(w in reach[u] for u in cut_side)]
+            witness = {
+                "kind": "hall",
+                "vertex": i,
+                "types": [list(table.roots[u]) for u in d],
+                "lhs": sum(mu[u] for u in d),
+                "rhs": sum(nu[v] for v in frozenset().union(*(reach[u] for u in d))),
+            }
+    context = {
+        "criterion": "nc2",
+        "mode": "type-a-flow",
+        "field": n.field.name,
+        "conclusive": True,
+        "checked": checked,
+    }
+    return Verdict(holds=witness is None, witness=witness, details=details, context=context)
 
 
 def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
@@ -313,6 +415,10 @@ def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
 
 def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     """Exhaustive check, deduplicating socle vectors by their span.
+
+    `check_nc2` takes this route over a finite field for every quiver but
+    type A, which `_check_nc2_flow` decides; on type A the scan is the
+    flow's independent oracle in the tests.
 
     A socle vector of n^k at vertex i is a k-tuple (u_1, ..., u_k) of
     socle vectors of n; the four brackets only depend on U = span(u_t),

@@ -3,6 +3,7 @@ functors, Hom-matrix decomposition, and generic representations."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from graphlib import CycleError, TopologicalSorter
 
@@ -23,9 +24,11 @@ from .rep import (
     direct_sum,
     hom_basis,
     hom_dim,
+    hom_evaluations,
     is_injective_morphism,
     reductions,
     search_hom,
+    socle_at,
     zero_representation,
 )
 
@@ -175,6 +178,29 @@ class IndecomposableTable:
         if tuple(sum(m * d for m, d in zip(mu, column)) for column in zip(*self.roots)) != dims:
             raise RuntimeError("decomposition does not reconstruct the dimension vector")
         return mu
+
+    @functools.cached_property
+    def socle_reach(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """R_i for every vertex i: socle_reach[i][u] holds the v such that
+        some f in Hom(reps[u], reps[v]) is nonzero on soc_i(reps[u]).
+
+        It is empty exactly when soc_i(reps[u]) = 0, and holds u otherwise
+        (f = id).  On type A it does not depend on the field: the
+        indecomposables are intervals, and a nonzero f between two of them
+        is nonzero exactly at the vertices both supports share.  One Hom
+        kernel per pair with Hom != 0 (`rep.hom_evaluations`), computed on
+        first use.
+        """
+        nv = self.quiver.vertex_count
+        reach = [[set() for _ in range(self.size)] for _ in range(nv)]
+        for u, x in enumerate(self.reps):
+            socles = {i: soc for i in range(nv) if (soc := socle_at(x, i)).ncols}
+            for v, y in enumerate(self.reps):
+                if self.hom_matrix[u][v]:
+                    for i, acts in hom_evaluations(x, y, socles)[1].items():
+                        if not all(a.is_zero() for a in acts):
+                            reach[i][u].add(v)
+        return tuple(tuple(map(frozenset, row)) for row in reach)
 
     def root_index(self, root: DimVector) -> int:
         return self.roots.index(tuple(root))

@@ -22,6 +22,7 @@ from quiverrep.criteria import (
     an_criterion,
     check_dual_surjection,
     check_nc2,
+    _check_nc2_subspaces,
 )
 from quiverrep.dynkin import assemble, build_table
 from quiverrep.exactlin import GF, QQ, Matrix
@@ -304,10 +305,13 @@ def test_acceptance_6_decomposition_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Criterion 7: type A saturation, three ways
+# Criterion 7: type A saturation, four ways
 
 
 def test_acceptance_7_an_saturation(a3_tables, a3_suite):
+    """an_criterion, nc2 by the type-A flow, nc2 by the End(n)-closed class
+    scan (holds and checked) and, where they hold, the certified embedding
+    agree on every pair."""
     t0 = time.time()
     t_f2, _ = a3_tables
     index = {tuple(sorted(md.items())): m2 for md, m2, _ in a3_suite}
@@ -315,11 +319,14 @@ def test_acceptance_7_an_saturation(a3_tables, a3_suite):
     cfg = CheckConfig()
     pairs = agree = holding = 0
 
-    def three_way(n, m, seed):
+    def four_way(n, m, seed):
         nonlocal pairs, agree, holding
         v_an = an_criterion(n, m, t_f2, seed=seed)
-        v_nc2 = check_nc2(n, m, cfg)
-        assert v_an.holds == v_nc2.holds, (n.dims, m.dims)
+        v_flow = check_nc2(n, m, cfg)
+        v_scan = _check_nc2_subspaces(n, m)
+        assert v_flow.context["mode"] == "type-a-flow"
+        assert v_an.holds == v_flow.holds == v_scan.holds, (n.dims, m.dims)
+        assert v_flow.context["checked"] == v_scan.context["checked"], (n.dims, m.dims)
         if v_an.holds:
             emb = v_an.context["embedding"]
             assert is_injective_morphism(emb)
@@ -331,20 +338,20 @@ def test_acceptance_7_an_saturation(a3_tables, a3_suite):
     # every pair of squarefree representations
     for i, n in enumerate(squarefree):
         for j, m in enumerate(squarefree):
-            three_way(n, m, seed=i * 64 + j)
+            four_way(n, m, seed=i * 64 + j)
     # a seeded sample of the full multiplicity-<=2 pair set
     rng = random.Random(7070)
     keys = list(index)
     for s in range(1200):
         n = index[keys[rng.randrange(len(keys))]]
         m = index[keys[rng.randrange(len(keys))]]
-        three_way(n, m, seed=10**6 + s)
+        four_way(n, m, seed=10**6 + s)
     assert agree == pairs
     _report(
         7,
         time.time() - t0,
         300,
-        f"three-way agreement on {pairs} pairs ({holding} embeddings constructed and certified)",
+        f"four-way agreement on {pairs} pairs ({holding} embeddings constructed and certified)",
     )
 
 

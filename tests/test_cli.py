@@ -83,6 +83,28 @@ def test_check_embed_failing_pair(tmp_path):
     assert main(["check-embed", pn, pm]) == 1
 
 
+def test_check_embed_type_a_flow_ledger(tmp_path, capsys):
+    """On type A over a finite field check-embed reports the flow: one
+    ledger line per socle vertex, in text and in JSON, and exit code 1."""
+    from quiverrep.dynkin import assemble, build_table
+    from quiverrep.rep import direct_sum
+
+    f2 = GF(2)
+    u12 = assemble(build_table(a_n(2), f2), {(1, 1): 1})
+    m = direct_sum([simple(a_n(2), f2, 0), simple(a_n(2), f2, 1)])
+    pn = write_rep(tmp_path, "n.json", u12)
+    pm = write_rep(tmp_path, "m.json", m)
+    assert main(["check-embed", pn, pm]) == 1
+    out = capsys.readouterr().out
+    assert "mode: type-a-flow" in out
+    assert "vertex 1: socle 1 <= matched 0 : VIOLATED" in out.splitlines()
+    assert main(["check-embed", pn, pm, "--format", "json"]) == 1
+    nc2 = json.loads(capsys.readouterr().out)["result"]["nc2"]
+    assert nc2["details"] == [{"vertex": 1, "lhs": 1, "rhs": 0, "ok": False}]
+    assert all(entry["ok"] == (entry["lhs"] <= entry["rhs"]) for entry in nc2["details"])
+    assert nc2["witness"] == {"kind": "hall", "vertex": 1, "types": [[1, 1]], "lhs": 1, "rhs": 0}
+
+
 def test_check_embed_json_output(tmp_path, fixture_dir):
     out = tmp_path / "verdict.json"
     rc = main(

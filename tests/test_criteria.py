@@ -15,13 +15,16 @@ from quiverrep.criteria import (
     check_nc2,
     check_nc2_random_surjections,
     is_semistable,
+    CLASS_BUDGET,
+    _check_nc2_subspaces,
     min_slope,
     _socle_rank_fn,
     path_order,
     _bracket_payload,
     _socles,
 )
-from quiverrep.dynkin import assemble, build_table
+from quiverrep import dynkin
+from quiverrep.dynkin import assemble, build_table, cached_table, decompose
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import kronecker3_m, kronecker3_pi
 from quiverrep.grassmannian import SubrepOracle
@@ -32,6 +35,7 @@ from quiverrep.rep import (
     build_projective,
     direct_sum,
     dual,
+    hom_basis,
     hom_dim,
     hom_evaluations,
     is_injective_morphism,
@@ -45,6 +49,9 @@ from quiverrep.stable import search_stable_embedding
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 A2, A3 = a_n(2), a_n(3)
+ALT_A3 = Quiver(3, ((0, 1), (2, 1)))
+ALT_A4 = Quiver(4, ((0, 1), (2, 1), (2, 3)))
+MIXED_A5 = Quiver(5, ((0, 1), (1, 2), (3, 2), (3, 4)))
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +199,7 @@ def test_nc2_kronecker_counterexample_pair():
 def test_nc2_failing_a2_example(table_a2_f2):
     u12 = assemble(table_a2_f2, {(1, 1): 1})
     m = direct_sum([simple(A2, F2, 0), simple(A2, F2, 1)])
-    v = check_nc2(u12, m, CheckConfig())
+    v = _check_nc2_subspaces(u12, m)
     assert not v.holds
     w = v.witness
     assert w["kind"] == "quotient"
@@ -397,11 +404,11 @@ def test_nc2_scan_matches_exactlin_evaluation_oracle(monkeypatch):
                     for _ in range(2)
                 )
                 full = _check_nc2_exactlin_evaluations(n, m).to_json()
-                _assert_closed_scan(check_nc2(n, m).to_json(), full, (f, n.dims, m.dims))
+                _assert_closed_scan(_check_nc2_subspaces(n, m).to_json(), full, (f, n.dims, m.dims))
                 if f.order == 2:
                     with monkeypatch.context() as patch:
                         patch.setattr(gflin, "GF2_PACKED", gflin.gfq(2))
-                        _assert_closed_scan(check_nc2(n, m).to_json(), full, (n.dims, m.dims))
+                        _assert_closed_scan(_check_nc2_subspaces(n, m).to_json(), full, (n.dims, m.dims))
                 pairs += 1
                 zero_socles += q.vertex_count - len(_socles(n))
                 failing += not full["holds"]
@@ -413,7 +420,7 @@ def test_nc2_scan_matches_exactlin_evaluation_oracle(monkeypatch):
             m = random_representation(kronecker(3), (rng.randint(0, 2), rng.randint(1, 3)), f,
                                       seed=rng.randrange(10**6))
             full = _check_nc2_exactlin_evaluations(n, m).to_json()
-            got = check_nc2(n, m).to_json()
+            got = _check_nc2_subspaces(n, m).to_json()
             _assert_closed_scan(got, full, (f, m.dims))
             # the sink socle is all of n_j = F^3: 27 classes over F_3, 43 over F_4
             classes = sum(gflin.gaussian_binomial(3, l, f.order) for l in (1, 2, 3))
@@ -445,7 +452,7 @@ def test_nc2_closure_preserves_both_sides():
                 _, acts_m = hom_evaluations(n, m, socles)
                 ledger = {
                     (e["vertex"], tuple(map(tuple, e["socle_vector"]))): (e["lhs"], e["rhs"])
-                    for e in check_nc2(n, m).details
+                    for e in _check_nc2_subspaces(n, m).details
                 }
 
                 def z_rank(acts, ut):
@@ -477,12 +484,12 @@ def test_nc2_ledger_lists_closed_classes_only():
     every class: one entry for a semisimple n whose End is M_4(F_2), and
     every class for a Kronecker(3) brick, whose End is the scalars."""
     n = direct_sum([simple(A3, F2, 2)] * 4)
-    v = check_nc2(n, n)
+    v = _check_nc2_subspaces(n, n)
     assert v.holds and v.context["checked"] == 66  # sum_l [4, l]_2 = 15 + 35 + 15 + 1
     assert [(e["vertex"], e["k"]) for e in v.details] == [(2, 4)]
     brick = random_representation(kronecker(3), (2, 4), GF(4), seed=1)
     assert hom_dim(brick, brick) == 1 and _socles(brick)[1].ncols == 4
-    v = check_nc2(brick, brick)
+    v = _check_nc2_subspaces(brick, brick)
     assert v.holds and len(v.details) == v.context["checked"] == 528  # 85 + 357 + 85 + 1
 
 
@@ -515,7 +522,7 @@ def test_nc2_scan_makes_fewer_exactlin_eliminations_than_classes(monkeypatch):
         checked = []
         for n, m in pairs:
             calls.clear()
-            v = check_nc2(n, m)
+            v = _check_nc2_subspaces(n, m)
             assert v.details and len(calls) <= n.quiver.vertex_count
             checked.append(v.context["checked"])
         assert checked[0] >= 63  # the semisimple n: far more classes than eliminations
@@ -593,8 +600,8 @@ def test_nc2_sampling_matches_literal_quotients():
 
 
 def test_nc2_builds_no_quotient_power_or_hom_basis(monkeypatch):
-    """Both nc2 modes take their brackets from the Hom kernel: no quotient,
-    no power, no HomBasis and no hom_dim call."""
+    """The subspace scan and the sampled mode take their brackets from the
+    Hom kernel: no quotient, no power, no HomBasis and no hom_dim call."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("nc2 must not call this")
@@ -610,9 +617,167 @@ def test_nc2_builds_no_quotient_power_or_hom_basis(monkeypatch):
         n = random_representation(A3, (2, 2, 1), field, seed=4, box=3)
         m = random_representation(A3, (1, 2, 2), field, seed=5, box=3)
         for x, y in ((n, m), (m, n), (n, n), (kronecker3_pi(field), kronecker3_m(field))):
-            v = check_nc2(x, y, CheckConfig(trials=32))
+            if field.is_finite:
+                v = _check_nc2_subspaces(x, y)
+            else:
+                v = check_nc2(x, y, CheckConfig(trials=32))
             assert v.details
     assert calls == []
+
+
+def test_nc2_flow_reads_multiplicities_only(monkeypatch):
+    """The type-A flow reads n and m only through `decompose`: one hom_dim
+    per table indecomposable for each of them, and no HomBasis, quotient
+    or power."""
+    pairs = []
+    for field in (F2, F3, GF(4)):
+        for q in (A3, ALT_A3):
+            n = random_representation(q, (2, 2, 1), field, seed=4)
+            m = random_representation(q, (1, 2, 2), field, seed=5)
+            pairs += [(n, m), (m, n), (n, n)]
+    for x, _ in pairs:
+        cached_table(x.quiver, x.field)  # table set-up, not part of the check
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow must not call this")
+
+    for module in (rep, criteria, dynkin):
+        for name in ("hom_basis", "quotient", "power"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    calls = []
+    real = rep.hom_dim
+    for module in (criteria, dynkin):
+        monkeypatch.setattr(module, "hom_dim", lambda x, y: calls.append(1) or real(x, y))
+    for x, y in pairs:
+        calls.clear()
+        v = check_nc2(x, y)
+        assert v.context["mode"] == "type-a-flow" and v.details
+        assert len(calls) == 2 * cached_table(x.quiver, x.field).size
+
+
+def _type_a_pairs(field, count: int):
+    """Seeded pairs (n, m) on equioriented and alternating A3 and A4 and a
+    mixed A5.  In turn, m is n plus a random summand (n embeds), a random
+    representation of n's dimension vector, or any random representation,
+    so that many pairs hold and many fail."""
+    rng = random.Random(f"type-a:{field}")
+    for q in (A3, ALT_A3, a_n(4), ALT_A4, MIXED_A5):
+        for k in range(count):
+            nv = q.vertex_count
+            n = random_representation(q, tuple(rng.randint(0, 2) for _ in range(nv)), field,
+                                      seed=rng.randrange(10**6))
+            x = random_representation(q, tuple(rng.randint(0, 1) for _ in range(nv)), field,
+                                      seed=rng.randrange(10**6))
+            if k % 3 == 0:
+                m = direct_sum([n, x])
+            else:
+                dims = n.dims if k % 3 == 1 else tuple(rng.randint(0, 2) for _ in range(nv))
+                m = random_representation(q, dims, field, seed=rng.randrange(10**6))
+            yield n, m
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(4)], ids=str)
+def test_nc2_flow_matches_subspace_scan(field):
+    """On type A the flow's holds and checked equal the subspace scan's,
+    which stays the independent oracle; its ledger has one entry per socle
+    vertex, with lhs the socle dimension."""
+    holding = pairs = 0
+    for n, m in _type_a_pairs(field, 12):
+        flow = check_nc2(n, m)
+        scan = _check_nc2_subspaces(n, m)
+        assert flow.context["mode"] == "type-a-flow"
+        assert flow.holds == scan.holds, (n.quiver.arrows, n.dims, m.dims)
+        assert flow.context["checked"] == scan.context["checked"]
+        assert [(e["vertex"], e["lhs"]) for e in flow.details] == [
+            (i, soc.ncols) for i, soc in _socles(n).items()
+        ]
+        assert all(e["ok"] == (e["lhs"] <= e["rhs"]) for e in flow.details)
+        holding += flow.holds
+        pairs += 1
+    assert 0.3 * pairs <= holding <= 0.7 * pairs, (holding, pairs)
+
+
+def _hall_witness_recomputes(n: Representation, m: Representation, w: dict) -> bool:
+    """Whether w is a violated Hall inequality of (n, m), recomputed from
+    `decompose` and R_i: D = w["types"] is closed under R_i among n's
+    summands with socle at the vertex, lhs = sum_D mu_U, rhs = sum of nu_V
+    over R_i(D), and lhs > rhs."""
+    table = cached_table(n.quiver, n.field)
+    mu, nu = decompose(n, table), decompose(m, table)
+    reach = table.socle_reach[w["vertex"]]
+    d = {table.root_index(r) for r in w["types"]}
+    image = frozenset().union(*(reach[u] for u in d))
+    closed = all(mu.get(table.roots[v], 0) == 0 or v in d for v in image)
+    lhs = sum(mu.get(table.roots[u], 0) for u in d)
+    rhs = sum(nu.get(table.roots[v], 0) for v in image)
+    return w["kind"] == "hall" and closed and (w["lhs"], w["rhs"]) == (lhs, rhs) and lhs > rhs
+
+
+def test_nc2_flow_witness_recomputes():
+    """Every failing verdict's witness recomputes from the multiplicities
+    and R_i; the same witness with lhs or rhs moved, or a type dropped,
+    does not."""
+    failing = 0
+    for field in (F2, F3):
+        for n, m in _type_a_pairs(field, 6):
+            v = check_nc2(n, m)
+            if v.holds:
+                continue
+            w = v.witness
+            assert _hall_witness_recomputes(n, m, w), (n.dims, m.dims, w)
+            for mutated in (
+                w | {"lhs": w["lhs"] + 1},
+                w | {"rhs": w["rhs"] + 1},
+                w | {"types": w["types"][:-1]},
+            ):
+                assert not _hall_witness_recomputes(n, m, mutated), mutated
+            failing += 1
+    assert failing >= 15, failing
+
+
+def _a_orientations(nv: int):
+    """Every orientation of the path 0 - 1 - ... - nv-1."""
+    for flips in itertools.product((False, True), repeat=nv - 1):
+        yield Quiver(nv, tuple((v + 1, v) if flip else (v, v + 1) for v, flip in enumerate(flips)))
+
+
+def test_socle_reach_matches_its_definition():
+    """R_i(U, V) holds when some hom_basis(U, V) element is nonzero on
+    socle_at(U, i), on every orientation of A2-A5; R_i is the same over
+    F_2, F_3 and Q."""
+    for nv in range(2, 6):
+        for q in _a_orientations(nv):
+            reaches = []
+            for f in (F2, F3, QQ):
+                table = build_table(q, f)
+                want = [[set() for _ in table.reps] for _ in range(nv)]
+                for u, x in enumerate(table.reps):
+                    socles = [socle_at(x, i) for i in range(nv)]
+                    for v, y in enumerate(table.reps):
+                        for phi in hom_basis(x, y).morphisms:
+                            for i in range(nv):
+                                if not (phi.vertex_mats[i] @ socles[i]).is_zero():
+                                    want[i][u].add(v)
+                assert table.socle_reach == tuple(tuple(map(frozenset, row)) for row in want), (q.arrows, f)
+                reaches.append(table.socle_reach)
+            assert reaches[0] == reaches[1] == reaches[2], q.arrows
+
+
+def test_nc2_flow_decides_pairs_beyond_the_class_budget(table_a3_f2):
+    """An A3 representation with an 8-dimensional socle has more socle
+    classes than CLASS_BUDGET: the scan refuses it, and the flow, which
+    enumerates none, agrees with an_criterion on it."""
+    n = assemble(table_a3_f2, {(0, 0, 1): 5, (0, 1, 1): 2, (1, 1, 1): 1})
+    with pytest.raises(ValueError, match="class budget"):
+        _check_nc2_subspaces(n, n)
+    for m in (
+        assemble(table_a3_f2, {(0, 0, 1): 5, (0, 1, 1): 2, (1, 1, 1): 2}),
+        assemble(table_a3_f2, {(0, 0, 1): 6, (0, 1, 1): 1, (1, 1, 1): 1}),
+    ):
+        v = check_nc2(n, m)
+        assert v.context["checked"] > CLASS_BUDGET
+        assert v.holds == an_criterion(n, m, table_a3_f2).holds
 
 
 def test_nc2_sampling_mode_on_rationals():
@@ -778,6 +943,30 @@ def test_dual_surjection_equals_nc2_on_duals():
         direct = check_dual_surjection(u, w, CheckConfig())
         via_dual = check_nc2(dual(w), dual(u), CheckConfig())
         assert direct.holds == via_dual.holds
+
+
+def test_dual_surjection_on_a3_matches_the_scan_on_duals():
+    """On A3 the dual surjection criterion runs the flow on the duals; its
+    holds and checked equal the subspace scan's there."""
+    rng = random.Random(12)
+    verdicts = []
+    for q in (A3, ALT_A3):
+        for f in (F2, F3):
+            for k in range(8):
+                w = random_representation(q, tuple(rng.randint(0, 2) for _ in range(3)), f,
+                                          seed=rng.randrange(10**6))
+                x = random_representation(q, tuple(rng.randint(0, 1) for _ in range(3)), f,
+                                          seed=rng.randrange(10**6))
+                # u = w + x surjects onto w; a random u may not
+                u = direct_sum([w, x]) if k % 2 else random_representation(
+                    q, tuple(rng.randint(0, 2) for _ in range(3)), f, seed=rng.randrange(10**6))
+                direct = check_dual_surjection(u, w)
+                scan = _check_nc2_subspaces(dual(w), dual(u))
+                assert direct.context["mode"] == "type-a-flow"
+                assert direct.holds == scan.holds, (q.arrows, f, u.dims, w.dims)
+                assert direct.context["checked"] == scan.context["checked"]
+                verdicts.append(direct.holds)
+    assert 8 <= sum(verdicts) <= len(verdicts) - 8
 
 
 # ----------------------------------------------------------------------
