@@ -68,13 +68,12 @@ def _detail_line(d: dict) -> str | None:
     if "root" in d and "hom" in d:
         cmp_ = ">=" if d.get("family") is None else "<="
         return f"[U{tuple(d['root'])}, .] = {d['hom']} {cmp_} euler = {d['euler']} : {'ok' if d['ok'] else 'VIOLATED'}"
-    if "brackets" in d:
-        b = d["brackets"]
+    if "vertex" in d and "k" in d:
         return (
             f"vertex {d['vertex']}, k={d['k']}: [U,N]-[V,N] = {d['lhs']} <= "
             f"[U,M]-[V,M] = {d['rhs']} : {'ok' if d['ok'] else 'VIOLATED'}"
         )
-    if "vertex" in d and "k" not in d:
+    if "vertex" in d:
         return f"vertex {d['vertex']}: socle {d['lhs']} <= matched {d['rhs']} : {'ok' if d['ok'] else 'VIOLATED'}"
     if "i" in d and "j" in d and "lhs" in d:
         return f"prefix (i,j)=({d['i']},{d['j']}): {d['lhs']} <= {d['rhs']} : {'ok' if d['ok'] else 'VIOLATED'}"

@@ -34,8 +34,6 @@ from .rep import (
     hom_evaluations,
     identity_morphism,
     is_injective_morphism,
-    quotient,
-    random_representation,
     search_hom,
     socle_at,
 )
@@ -551,85 +549,6 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
 
 
 # ----------------------------------------------------------------------
-# Random surjections
-
-
-def _random_stable_subspaces(u: Representation, rng) -> list[Matrix]:
-    """Seeded random arrow-stable family: random generators per vertex,
-    closed under the arrow action."""
-    f = u.field
-    spans = []
-    for v in range(u.quiver.vertex_count):
-        d = u.dims[v]
-        count = rng.randint(0, d)
-        cols = [[f.random(rng, 5) for _ in range(d)] for _ in range(count)]
-        mat = Matrix.from_cols(f, cols, nrows=d)
-        spans.append(_column_space_basis(mat))
-    changed = True
-    while changed:
-        changed = False
-        for (s, t), mat in zip(u.quiver.arrows, u.arrow_mats):
-            image = mat @ spans[s]
-            if image.ncols == 0:
-                continue
-            stacked = Matrix.hstack([spans[t], image])
-            basis = _column_space_basis(stacked)
-            if basis.ncols != spans[t].ncols:
-                spans[t] = basis
-                changed = True
-    return spans
-
-
-def _column_space_basis(mat: Matrix) -> Matrix:
-    pivots = mat.rref()[1]
-    return mat.submatrix(range(mat.nrows), pivots)
-
-
-def check_nc2_random_surjections(
-    n: Representation, m: Representation, trials: int = 256, seed: int = 0, dim_bound: int = 3
-) -> Verdict:
-    """Spot-check the estimate on random surjections u -> v.
-
-    A violation is a certified counterexample to the surjection form of
-    the estimate; absence of violations is evidence only.
-    """
-    if n.quiver != m.quiver or n.field != m.field:
-        raise ValueError("representations must share a quiver and a field")
-    rng = random.Random(seed)
-    q = n.quiver
-    details = []
-    witness = None
-    for t in range(trials):
-        dims = tuple(rng.randint(0, dim_bound) for _ in range(q.vertex_count))
-        u = random_representation(q, dims, n.field, seed=rng.randrange(2**32))
-        sub = _random_stable_subspaces(u, rng)
-        v, _ = quotient(u, sub)
-        lhs = hom_dim(u, n) - hom_dim(v, n)
-        rhs = hom_dim(u, m) - hom_dim(v, m)
-        ok = lhs <= rhs
-        entry = {
-            "trial": t,
-            "u_dims": list(u.dims),
-            "v_dims": list(v.dims),
-            "lhs": lhs,
-            "rhs": rhs,
-            "ok": ok,
-        }
-        details.append(entry)
-        if not ok:
-            witness = entry | {"kind": "surjection"}
-            break
-    context = {
-        "criterion": "nc2-random-surjections",
-        "field": n.field.name,
-        "conclusive": witness is not None,
-        "trials": trials,
-        "seed": seed,
-    }
-    return Verdict(holds=witness is None, witness=witness, details=details, context=context)
-
-
-# ----------------------------------------------------------------------
 # Equioriented type A
 
 
@@ -736,16 +655,6 @@ def _find_iso(a: Representation, b: Representation, seed: int, trials: int = 128
     return mor
 
 
-def _invert_iso(f: Morphism) -> Morphism:
-    mats = []
-    for mat in f.vertex_mats:
-        inv = mat.solve_matrix(Matrix.identity(mat.field, mat.nrows))
-        if inv is None:
-            raise RuntimeError("vertex matrix not invertible")
-        mats.append(inv)
-    return Morphism(f.target, f.source, mats, validate=False)
-
-
 def _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed) -> Morphism:
     # summand slots in table-root order, with multiplicity
     n_slots = []
@@ -798,9 +707,9 @@ def _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed) -> Morph
                     big[r0 + i][c0 + j] = x
         mats.append(Matrix(f, tuple(tuple(r) for r in big), validate=False, ncols=n0.dims[v]))
     e0 = Morphism(n0, m0, mats)
-    alpha = _find_iso(n0, n, seed=seed + 11)
+    alpha = _find_iso(n, n0, seed=seed + 11)
     beta = _find_iso(m0, m, seed=seed + 13)
-    return beta.compose(e0).compose(_invert_iso(alpha))
+    return beta.compose(e0).compose(alpha)
 
 
 def _slot_offsets(table, slots):

@@ -1,5 +1,6 @@
 """Dynkin-specific machinery: positive roots, indecomposables by reflection
-functors, Hom-matrix decomposition, and generic representations."""
+functors, Hom-matrix decomposition, the type-A socle reach R_i read off the
+roots, and generic representations."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .quiver import (
     check_dimvector,
     dim_leq,
     dim_sub,
+    dynkin_type,
     euler_form,
     opposite,
     require_dynkin,
@@ -24,11 +26,9 @@ from .rep import (
     direct_sum,
     hom_basis,
     hom_dim,
-    hom_evaluations,
     is_injective_morphism,
     reductions,
     search_hom,
-    socle_at,
     zero_representation,
 )
 
@@ -184,23 +184,25 @@ class IndecomposableTable:
         """R_i for every vertex i: socle_reach[i][u] holds the v such that
         some f in Hom(reps[u], reps[v]) is nonzero on soc_i(reps[u]).
 
-        It is empty exactly when soc_i(reps[u]) = 0, and holds u otherwise
-        (f = id).  On type A it does not depend on the field: the
-        indecomposables are intervals, and a nonzero f between two of them
-        is nonzero exactly at the vertices both supports share.  One Hom
-        kernel per pair with Hom != 0 (`rep.hom_evaluations`), computed on
-        first use.
+        Type A only, else ValueError.  There the indecomposables are
+        intervals (Gabriel, 1972): soc_i(U) is U_i when no arrow i -> j has
+        U_j != 0, and 0 otherwise, and a nonzero f between two of them is
+        nonzero exactly at the vertices both supports share.  So R_i(U, V)
+        holds when soc_i(U) != 0, [U, V] != 0 and V_i != 0, read off the
+        roots and the Hom matrix; it does not depend on the field.
         """
-        nv = self.quiver.vertex_count
-        reach = [[set() for _ in range(self.size)] for _ in range(nv)]
-        for u, x in enumerate(self.reps):
-            socles = {i: soc for i in range(nv) if (soc := socle_at(x, i)).ncols}
-            for v, y in enumerate(self.reps):
-                if self.hom_matrix[u][v]:
-                    for i, acts in hom_evaluations(x, y, socles)[1].items():
-                        if not all(a.is_zero() for a in acts):
-                            reach[i][u].add(v)
-        return tuple(tuple(map(frozenset, row)) for row in reach)
+        if not (dynkin_type(self.quiver) or "").startswith("A"):
+            raise ValueError("socle_reach is read off interval supports, so type A only")
+        arrows = self.quiver.arrows
+        return tuple(
+            tuple(
+                frozenset(v for v, y in enumerate(self.roots) if y[i] and self.hom_matrix[u][v])
+                if x[i] and not any(x[t] for s, t in arrows if s == i)
+                else frozenset()
+                for u, x in enumerate(self.roots)
+            )
+            for i in range(self.quiver.vertex_count)
+        )
 
     def root_index(self, root: DimVector) -> int:
         return self.roots.index(tuple(root))

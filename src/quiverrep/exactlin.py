@@ -649,22 +649,6 @@ def _eliminate(f: FieldSpec, rows) -> tuple[list, tuple[int, ...], object]:
     return mat, tuple(pivots), det
 
 
-# ----------------------------------------------------------------------
-# Module-level operation names matching the rest of the package.
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b):
-    return m.solve(b)
-
-
 def rank_modulo(rows, modulus: int) -> int | None:
     """The rank of integer rows modulo every prime factor of `modulus`, a
     product of distinct primes, or None.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quiverrep
-from quiverrep.cli import main
+from quiverrep.cli import MAX_LEDGER_LINES, main
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import d4_p1, d4_x, kronecker3_g, kronecker3_m
 from quiverrep.quiver import a_n, save_quiver
@@ -306,6 +306,21 @@ def test_check_embed_exhaustive_q_reduction(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_check_embed_sampled_ledger(tmp_path, capsys):
+    """Over Q nc2 samples; each sampled entry, which has a vertex and a k but
+    no brackets, is a ledger line, up to MAX_LEDGER_LINES, and the
+    inconclusive verdict exits 2."""
+    out = tmp_path / "fxq"
+    assert main(["fixtures", "--out", str(out)]) == 0  # rational fixtures
+    capsys.readouterr()
+    assert main(["check-embed", str(out / "kronecker3.pi.json"), str(out / "kronecker3.m.json")]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "mode: sampling" in lines and "trials: 256" in lines
+    ledger = [line for line in lines if line.startswith("vertex 1, k=")]
+    assert len(ledger) == MAX_LEDGER_LINES and all(line.endswith(": ok") for line in ledger)
+    assert f"... ({256 - MAX_LEDGER_LINES} more ledger entries)" in lines
 
 
 def test_input_errors(tmp_path):

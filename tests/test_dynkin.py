@@ -399,7 +399,7 @@ def test_table_over_small_field(table_d4_f2):
     [(E7, (1, 1, 2, 2, 2, 1, 1)), pytest.param(E8, (0, 1, 2, 2, 2, 2, 1, 1), marks=pytest.mark.slow)],
     ids=["E7", "E8"],
 )
-def test_e7_e8_tables_build_with_integral_inverse(q, hard_root, field):
+def test_e7_e8_tables_build_in_hom_order(q, hard_root, field):
     t = build_table(q, field)
     assert t.size == len(positive_roots(q))
     assert hard_root in t.roots  # random sampling could not certify it over F_2

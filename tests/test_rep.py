@@ -7,6 +7,7 @@ import pytest
 from quiverrep import gflin
 from quiverrep import rep as rep_module
 from quiverrep.exactlin import GF, QQ, Matrix
+from quiverrep.grassmannian import SubrepOracle
 from quiverrep.quiver import Quiver, a_n, d4_subspace, euler_form, kronecker, opposite
 from quiverrep.rep import (
     Morphism,
@@ -399,17 +400,23 @@ def test_quotient_rejects_unstable_subspace():
 
 
 def test_quotient_left_exactness_inequality():
+    """[v, w] <= [u, w] for a quotient v of u: u modulo the first
+    subrepresentation of a random dimension vector that the enumeration
+    oracle finds."""
     rng = random.Random(5)
-    from quiverrep.criteria import _random_stable_subspaces
-
+    quotients = 0
     for _ in range(10):
         dims = tuple(rng.randint(1, 3) for _ in range(3))
         u = random_representation(A3, dims, F5, seed=rng.randrange(10**6))
-        sub = _random_stable_subspaces(u, rng)
+        sub = SubrepOracle(u).first_subrep(tuple(rng.randint(0, d) for d in dims))
+        if sub is None:
+            continue
         v, _ = quotient(u, sub)
+        quotients += 1
         dw = tuple(rng.randint(0, 2) for _ in range(3))
         w = random_representation(A3, dw, F5, seed=rng.randrange(10**6))
         assert hom_dim(v, w) <= hom_dim(u, w)
+    assert quotients >= 5, quotients
 
 
 def test_direct_sum_and_power():
