@@ -1,12 +1,14 @@
 """Dynkin-specific machinery: positive roots, indecomposables by reflection
-functors, Hom-matrix decomposition, the type-A socle reach R_i read off the
-roots, and generic representations."""
+functors, decomposition read off their projective presentations, the type-A
+socle reach R_i read off the roots, and generic representations."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
 from graphlib import CycleError, TopologicalSorter
+from itertools import accumulate
+from operator import mul
 
 from .exactlin import FieldSpec, Matrix
 from .quiver import (
@@ -19,6 +21,7 @@ from .quiver import (
     euler_form,
     opposite,
     require_dynkin,
+    topological_order,
 )
 from .rep import (
     Representation,
@@ -118,6 +121,85 @@ def indecomposable(q: Quiver, root: DimVector, field: FieldSpec) -> Representati
     return x
 
 
+def _paths(q: Quiver) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The path a -> b as arrow indices, for every (a, b) that one joins,
+    (a, a) included; at most one per pair, since the underlying graph of a
+    Dynkin quiver is a tree."""
+    return {(a, b): p for a in range(q.vertex_count) for b, ps in _paths_from(q, a).items() for p in ps}
+
+
+def _presentation(x: Representation, into) -> tuple[tuple[int, ...], tuple]:
+    """A minimal projective presentation P_1 -> P_0 -> x -> 0 of a
+    representation x of a Dynkin quiver, as (tops, relations); `into`
+    lists (b, ((arrow, source), ...)) for every vertex b in topological
+    order.
+
+    P_0 = (+)_l P_{tops[l]}, one summand per generator of x's top.  Vertex
+    by vertex in topological order, pi_b: (P_0)_b -> x_b sends the path
+    from generator l to its image in x_b; its columns are X_a pi_i for the
+    arrows a: i -> b, then unit vectors of x_b complementing their span,
+    which become the generators at b.  One elimination of
+    (X_a pi_i ... | I) gives both.  A free column of pi_b that is not
+    already free in the pi_i it comes through gives a relation: its kernel
+    vector, which vanishes at the generators at b.  These vectors and the
+    kernels of the pi_i (mapped along the arrows) form a basis of ker pi_b,
+    so the relations are a basis of the top of ker(P_0 -> x) = P_1.  A
+    relation (b, ((l, c_l), ...)) is the element sum_l c_l p_l of
+    (P_0)_b, p_l the path tops[l] -> b; every p_l has length >= 1.
+    """
+    f = x.field
+    dot, one = f.row_ops[0], f.one
+    tops: list[int] = []
+    relations = []
+    image = {}  # b -> (generator of each column of pi_b, the columns, generators of the free ones)
+    for b, arrows in into:
+        d = x.dims[b]
+        labels, cols, carried = [], [], set()
+        for a, i in arrows:
+            lab, pi, free = image[i]
+            labels += lab
+            cols += [tuple(dot(row, c) for row in x.arrow_mats[a].rows) for c in pi]
+            carried |= free
+        width = len(labels)
+        if width and d:
+            rows = [[c[r] for c in cols] + [one if k == r else f.zero for k in range(d)] for r in range(d)]
+            red, pivots = Matrix(f, rows, validate=False, ncols=width + d).rref()
+        else:  # no columns or no rows: (X_a pi_i ... | I) is already reduced
+            red, pivots = None, tuple(range(width, width + d))
+        row_of = {p: r for r, p in enumerate(pivots) if p < width}
+        free = [j for j in range(width) if j not in row_of]
+        for j in free:
+            if labels[j] not in carried:
+                coeffs = [(labels[j], one)]
+                coeffs += [(labels[p], f.neg(red.rows[r][j])) for p, r in row_of.items() if red.rows[r][j]]
+                relations.append((b, tuple(sorted(coeffs))))
+        fresh = [p - width for p in pivots if p >= width]
+        image[b] = (
+            labels + list(range(len(tops), len(tops) + len(fresh))),
+            cols + [tuple(one if r == k else f.zero for r in range(d)) for k in fresh],
+            {labels[j] for j in free},
+        )
+        tops += [b] * len(fresh)
+    return tuple(tops), tuple(relations)
+
+
+def _phi(f: FieldSpec, dims, comp, tops, relations) -> Matrix:
+    """Phi_U(x) of `IndecomposableTable.hom_into`, with x_p = comp[a, b]."""
+    scale, zero, one = f.row_ops[1], f.zero, f.one
+    offsets = list(accumulate((dims[a] for a in tops), initial=0))
+    width = offsets.pop()
+    rows = []
+    for b, coeffs in relations:
+        blocks = [(offsets[l], c, comp[tops[l], b].rows) for l, c in coeffs]
+        for r in range(dims[b]):
+            row = [zero] * width
+            for start, c, block in blocks:
+                seg = block[r]
+                row[start : start + len(seg)] = seg if c == one else scale(c, seg)
+            rows.append(row)
+    return Matrix(f, rows, validate=False, ncols=width)
+
+
 @dataclass(frozen=True)
 class IndecomposableTable:
     """All indecomposables of a Dynkin quiver plus their Hom matrix.
@@ -171,13 +253,74 @@ class IndecomposableTable:
         corrupted table, or x is not over the table's quiver)."""
         mu = [0] * self.size
         for u in reversed(self.hom_order):
-            mu[u] = hom_into[u] - sum(h * m for h, m in zip(self.hom_matrix[u], mu))
+            mu[u] = hom_into[u] - sum(map(mul, self.hom_matrix[u], mu))
         for root, value in zip(self.roots, mu):
             if value < 0:
                 raise RuntimeError(f"negative multiplicity {value} at root {root}")
-        if tuple(sum(m * d for m, d in zip(mu, column)) for column in zip(*self.roots)) != dims:
+        if tuple(sum(map(mul, mu, column)) for column in zip(*self.roots)) != dims:
             raise RuntimeError("decomposition does not reconstruct the dimension vector")
         return mu
+
+    @functools.cached_property
+    def presentations(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+        """A minimal projective presentation (tops, relations) of each
+        indecomposable, indexed like roots (`_presentation`); a projective
+        P_a is ((a,), ()).  Certified: dim P_0 - dim P_1 is the root, else
+        RuntimeError.  Computed on first use."""
+        q = self.quiver
+        paths = _paths(q)
+        proj = [tuple(int((a, b) in paths) for b in range(q.vertex_count)) for a in range(q.vertex_count)]
+        top_of = {d: a for a, d in enumerate(proj)}
+        into = [(b, tuple((a, s) for a, (s, t) in enumerate(q.arrows) if t == b)) for b in topological_order(q)]
+        out = []
+        for root, x in zip(self.roots, self.reps):
+            tops, relations = ((top_of[root],), ()) if root in top_of else _presentation(x, into)
+            net = [sum(proj[a][v] for a in tops) - sum(proj[b][v] for b, _ in relations) for v in range(len(root))]
+            if tuple(net) != root:
+                raise RuntimeError(f"the presentation of {root} has dimension vector {tuple(net)}")
+            out.append((tops, relations))
+        return tuple(out)
+
+    def hom_into(self, x: Representation) -> list[int]:
+        """([U, x])_U for every indecomposable U, indexed like roots.
+
+        Hom(-, x) is left exact and Hom(P_a, x) = x_a, so a presentation
+        (tops, relations) of U gives [U, x] = sum_l x_{a_l} - rank Phi_U(x)
+        with a_l = tops[l]: Phi_U(x) has one block row per relation
+        (b, ((l, c_l), ...)), whose block at generator l is c_l x_{p_l}
+        for the path p_l: a_l -> b.  The composites x_p are computed once
+        per call; a projective costs no elimination, and a Phi that is one
+        block c x_p has the rank of x_p.  ValueError when x is not over the
+        table's quiver and field.
+        """
+        if x.quiver != self.quiver:
+            raise ValueError("representation is not over the table's quiver")
+        if x.field != self.field:
+            raise ValueError("representation is not over the table's field")
+        f, dims, mats = x.field, x.dims, x.arrow_mats
+        comp = {}
+        for a, b, arrow, i in self._composite_steps:
+            comp[a, b] = mats[arrow] if i == a else mats[arrow] @ comp[a, i]
+        hom = []
+        for tops, relations in self.presentations:
+            if not relations:
+                rank = 0
+            elif len(relations) == 1 and len(relations[0][1]) == 1:
+                ((b, ((l, _),)),) = relations
+                rank = comp[tops[l], b].rank()
+            else:
+                rank = _phi(f, dims, comp, tops, relations).rank()
+            hom.append(sum(dims[a] for a in tops) - rank)
+        return hom
+
+    @functools.cached_property
+    def _composite_steps(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(a, b, arrow, i) for every nontrivial path a -> b whose last arrow
+        is i -> b, shortest first, so x_{a->b} = X_arrow x_{a->i} is built
+        from a composite already at hand (X_arrow itself when i = a)."""
+        arrows = self.quiver.arrows
+        steps = sorted((len(p), a, b, p[-1]) for (a, b), p in _paths(self.quiver).items() if p)
+        return tuple((a, b, arrow, arrows[arrow][0]) for _, a, b, arrow in steps)
 
     @functools.cached_property
     def socle_reach(self) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -252,13 +395,10 @@ def _euler_values(q: Quiver, dims) -> tuple[tuple[int, ...], ...]:
 
 
 def decompose(x: Representation, table: IndecomposableTable) -> dict[DimVector, int]:
-    """Multiplicities of the indecomposables in x, from ([U, x])_U by the
-    table's back-substitution (`IndecomposableTable.multiplicities`)."""
-    if x.quiver != table.quiver:
-        raise ValueError("representation is not over the table's quiver")
-    if x.field != table.field:
-        raise ValueError("representation is not over the table's field")
-    mu = table.multiplicities([hom_dim(u, x) for u in table.reps], x.dims)
+    """Multiplicities of the indecomposables in x, from ([U, x])_U read off
+    the table's projective presentations (`IndecomposableTable.hom_into`)
+    by its back-substitution (`IndecomposableTable.multiplicities`)."""
+    mu = table.multiplicities(table.hom_into(x), x.dims)
     return {root: m for root, m in zip(table.roots, mu) if m}
 
 

@@ -427,9 +427,10 @@ def intersect_rows(gf: Handle, a: Rows, b: Rows, ncols: int) -> Rows:
     return rref_rows(gf, matmul_rows(gf, coeffs, a))
 
 
-def preimage_rows(gf: Handle, x_mat: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
+def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
     """RREF basis rows of {v in F^src : X v in rowspace(sub)} for X a
-    tgt x src matrix and sub in RREF.
+    tgt x src matrix, given by its columns (the rows of its transpose), and
+    sub in RREF.
 
     On packed rows this is one elimination (the Zassenhaus trick of
     `intersect_rows`): the rows (X e_j mod sub | e_j), one per unit vector
@@ -439,11 +440,11 @@ def preimage_rows(gf: Handle, x_mat: Rows, sub_rref: Rows, src_dim: int, tgt_dim
     both give the same rows.
     """
     if gf.packed:
-        return _preimage_packed(x_mat, sub_rref, src_dim)
+        return _preimage_packed(x_cols, sub_rref, src_dim)
     n_funcs = right_kernel_rows(gf, sub_rref, tgt_dim)
     if not n_funcs:
         return pack_rows(gf, identity_rows(src_dim))
-    system = matmul_rows(gf, n_funcs, x_mat)
+    system = matmul_rows(gf, n_funcs, transpose_rows(gf, x_cols, tgt_dim))
     return right_kernel_rows(gf, system, src_dim)
 
 
@@ -564,12 +565,11 @@ def _intersect_packed(a, b, ncols: int) -> Rows:
     return tuple(r for r in red if r >> ncols == 0)
 
 
-def _preimage_packed(x_mat, sub_rref, src_dim: int) -> Rows:
-    # the columns of X are its transpose's rows; the bit of e_j in the
-    # right half is the one pack_rows gives column j of a src-wide row
-    cols = transpose_rows(GF2_PACKED, x_mat, src_dim)
+def _preimage_packed(x_cols, sub_rref, src_dim: int) -> Rows:
+    # the bit of e_j in the right half is the one pack_rows gives column j
+    # of a src-wide row
     red = _rref_packed(
-        [(_reduce_packed(sub_rref, c) << src_dim) | 1 << (src_dim - 1 - j) for j, c in enumerate(cols)]
+        [(_reduce_packed(sub_rref, c) << src_dim) | 1 << (src_dim - 1 - j) for j, c in enumerate(x_cols)]
     )
     return tuple(r for r in red if r >> src_dim == 0)
 

@@ -194,7 +194,7 @@ class SubrepOracle:
         if got is None:
             s, t = self.q.arrows[arrow_idx]
             got = gflin.preimage_rows(
-                self.gf, self.arrow_rows[arrow_idx], sub_rows, self.m.dims[s], self.m.dims[t]
+                self.gf, self.arrow_rows_t[arrow_idx], sub_rows, self.m.dims[s], self.m.dims[t]
             )
             self._preimage_cache[key] = got
         return got

@@ -209,6 +209,97 @@ def test_decompose_solves_no_linear_system(table_d4_f5, monkeypatch):
     assert decompose(x, table_d4_f5) == expected
 
 
+def test_decompose_builds_no_hom_system(monkeypatch):
+    """Once its table exists, decompose reads ([U, x])_U off the
+    presentations, which it builds on first use: no hom_dim, no Hom basis,
+    no solve, on a cold table as on a warm one."""
+    table = build_table(E6, F3)
+    xs = [random_representation(E6, (1, 2, 2, 1, 1, 1), F3, seed=k) for k in range(3)]
+    xs.append(assemble(table, {(0, 1, 1, 0, 0, 0): 1, (1, 2, 3, 2, 1, 2): 2}))
+    expected = [_fraction_solve(x, table) for x in xs]
+    assert "presentations" not in vars(table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built a Hom system")
+
+    for module in (rep, dynkin):
+        monkeypatch.setattr(module, "hom_dim", refuse)
+        monkeypatch.setattr(module, "hom_basis", refuse)
+    monkeypatch.setattr(Matrix, "solve", refuse)
+    monkeypatch.setattr(Matrix, "solve_matrix", refuse)
+    assert [decompose(x, table) for x in xs] == expected
+
+
+def _hom_into_mismatches(table, xs) -> list:
+    """The x on which table.hom_into(x), read off the presentations,
+    differs from the Hom-matrix route, one hom_dim per indecomposable."""
+    return [x for x in xs if table.hom_into(x) != [hom_dim(u, x) for u in table.reps]]
+
+
+def _seeded_reps(table, count: int, seed: int) -> list:
+    """Seeded random representations over the table, every other one with
+    a zero vertex, plus a direct sum of table indecomposables."""
+    q, rng = table.quiver, random.Random(seed)
+    xs = []
+    for k in range(count):
+        d = [rng.randint(1, 3) for _ in range(q.vertex_count)]
+        if k % 2 == 0:
+            d[rng.randrange(q.vertex_count)] = 0
+        xs.append(random_representation(q, tuple(d), table.field, seed=rng.randrange(2**31), box=3))
+    xs.append(assemble(table, {r: rng.randint(0, 2) for r in rng.sample(table.roots, 3)}))
+    return xs
+
+
+PRESENTATION_QUIVERS = (
+    [q for n in range(2, 6) for q in _orientations(n, _path_edges(n))]
+    + list(_orientations(4, D4_EDGES))[::7]  # all arrows out of the centre, all into it
+    + [Quiver(5, ((1, 0), (0, 2), (3, 0), (3, 4))), E6_ALTERNATING]
+)
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(4), QQ], ids=str)
+def test_hom_into_matches_hom_dim(field):
+    """[U, x] from the projective presentations equals hom_dim(U, x) for
+    every indecomposable U: every orientation of A2-A5, two of D4, D5 and
+    E6, on seeded representations with and without zero vertices."""
+    for k, q in enumerate(PRESENTATION_QUIVERS):
+        table = build_table(q, field)
+        xs = _seeded_reps(table, 4 if q.vertex_count < 6 else 2, seed=k)
+        assert not _hom_into_mismatches(table, xs), q.arrows
+
+
+@pytest.mark.parametrize("mutation", ["drop a relation", "change a coefficient"])
+def test_hom_into_check_refuses_a_mutated_presentation(mutation):
+    """The comparison above fails once a presentation loses a relation or
+    a relation with several terms gets another coefficient.  The new
+    coefficient is 0: scaling terms by units gives an equivalent
+    presentation here, since each generator and relation can be rescaled
+    and no cycle of terms links them."""
+    table = build_table(Quiver(4, tuple(D4_EDGES)), F3)
+    xs = _seeded_reps(table, 8, seed=1)
+    assert not _hom_into_mismatches(table, xs)
+    good = table.presentations
+    u = next(u for u, (_, rels) in enumerate(good) if any(len(c) > 1 for _, c in rels))
+    tops, rels = good[u]
+    k = next(k for k, (_, c) in enumerate(rels) if len(c) > 1)
+    if mutation == "drop a relation":
+        rels = rels[:k] + rels[k + 1 :]
+    else:
+        b, ((l, _), *rest) = rels[k]
+        rels = rels[:k] + ((b, ((l, F3.zero), *rest)),) + rels[k + 1 :]
+    vars(table)["presentations"] = good[:u] + ((tops, rels),) + good[u + 1 :]
+    assert _hom_into_mismatches(table, xs)
+
+
+def test_presentations_are_certified_by_their_dimension_vector(monkeypatch):
+    """A presentation whose P_0 - P_1 misses the root is a RuntimeError."""
+    table = build_table(a_n(3), F2)
+    real = dynkin._presentation
+    monkeypatch.setattr(dynkin, "_presentation", lambda x, into: (real(x, into)[0], ()))
+    with pytest.raises(RuntimeError, match="presentation"):
+        table.presentations
+
+
 def test_decompose_rejects_field_mismatch(table_a3_f5):
     x = random_representation(a_n(3), (1, 1, 1), F2, seed=0)
     with pytest.raises(ValueError):

@@ -7,6 +7,11 @@ F2 = gflin.gfq(2)
 PACKED = gflin.GF2_PACKED
 
 
+def _cols(rows, n: int) -> tuple:
+    """The columns of a row matrix with n columns, as tuples."""
+    return tuple(tuple(r[j] for r in rows) for j in range(n))
+
+
 def _mat_vec(gf, rows, vec) -> tuple:
     """rows times the column vector vec, on a tuple-row handle."""
     out = []
@@ -80,7 +85,7 @@ def test_intersection_and_preimage():
         assert gflin.unpack_rows(gf, inter, 3) == ((0, 1, 0),)
         # preimage of span(e1) under projection onto first two coordinates
         x = ((1, 0, 0), (0, 1, 0))  # F_2^3 -> F_2^2
-        pre = gflin.preimage_rows(gf, gflin.pack_rows(gf, x), gflin.pack_rows(gf, ((1, 0),)), 3, 2)
+        pre = gflin.preimage_rows(gf, gflin.pack_rows(gf, _cols(x, 3)), gflin.pack_rows(gf, ((1, 0),)), 3, 2)
         assert len(pre) == 2
         for v in gflin.unpack_rows(gf, pre, 3):
             img = _mat_vec(F2, x, v)
@@ -128,7 +133,7 @@ def test_row_blocks_and_transpose_match_tuple_slicing():
         for nr, nc in ((0, 3), (3, 0), (2, 5), (4, 1)):
             rows = tuple(tuple(rng.randrange(gf.q) for _ in range(nc)) for _ in range(nr))
             t = gflin.transpose_rows(gf, gflin.pack_rows(gf, rows), nc)
-            assert gflin.unpack_rows(gf, t, nr) == tuple(tuple(r[j] for r in rows) for j in range(nc))
+            assert gflin.unpack_rows(gf, t, nr) == _cols(rows, nc)
 
 
 def _random_f2_rows(rng, nr, nc):
@@ -166,8 +171,9 @@ def test_packed_handle_matches_tuple_rows_on_random_f2():
             assert gflin.row_in_span(PACKED, gflin.rref_rows(PACKED, pa), pv) == gflin.row_in_span(F2, ra, v)
         # the preimage under a (as a len(a) x nc matrix) of a random subspace
         sub = gflin.rref_rows(F2, _random_f2_rows(rng, rng.randint(0, 3), len(a)))
-        same(gflin.preimage_rows(PACKED, pa, gflin.pack_rows(PACKED, sub), nc, len(a)),
-             gflin.preimage_rows(F2, a, sub, nc, len(a)))
+        at = _cols(a, nc)
+        same(gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, at), gflin.pack_rows(PACKED, sub), nc, len(a)),
+             gflin.preimage_rows(F2, at, sub, nc, len(a)))
         # a (len(a) x nc) times c (nc x t); with nc = 0 the tuple rows of c
         # cannot carry t, so the reference is the zero matrix
         t = rng.randint(0, 4)
@@ -198,7 +204,8 @@ def test_packed_preimage_matches_the_tuple_path():
         edges["tgt 0"] += tgt == 0
         edges["sub 0"] += not sub
         edges["sub whole"] += tgt > 0 and len(sub) == tgt
-        want = gflin.preimage_rows(F2, x, sub, src, tgt)
-        got = gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, x), gflin.pack_rows(PACKED, sub), src, tgt)
+        xt = _cols(x, src)
+        want = gflin.preimage_rows(F2, xt, sub, src, tgt)
+        got = gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, xt), gflin.pack_rows(PACKED, sub), src, tgt)
         assert gflin.unpack_rows(PACKED, got, src) == want, (x, sub)
     assert min(edges.values()) > 100, edges
