@@ -16,6 +16,19 @@ the intersection of the outgoing preimages, so each leaf of the search is a
 subrepresentation and infeasible branches die at a dimension count.  A
 composite-path rank prune rejects impossible dimension vectors up front.
 
+What an oracle needs is built at three levels.  Per quiver, once per
+process (a bounded cache keyed by the quiver): a topological order and
+the in- and out-arrows of each vertex.  Per (handle, dimension): the rows of
+the whole space.  Per oracle: the arrow matrices in the handle's row
+format and their transposes, with no elimination.  The path prune is
+built by the first query that could use it: a subrepresentation has
+e_t >= e_s - nullity(C) for the composite C of every path s -> t, and as
+nullity >= 0 that can only fail where e_s > e_t, so where e decreases
+along some arrow of the path.  A query with e_s <= e_t on every arrow
+ranks nothing; the first one with a decrease ranks the composites, one
+kept per (s, t), the one of lower rank among parallel paths, and every
+later query scans that list.
+
 Once a single vertex v is left, every arrow at v has both endpoints
 assigned, so the sandwich W <= U <= B is exact: the admissible U at v are
 precisely the subspaces between the two bounds, and there are
@@ -73,11 +86,12 @@ same growth order as the preimage cache.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
 from .exactlin import FieldSpec, Matrix
-from .quiver import DimVector, check_dimvector, topological_order
+from .quiver import DimVector, Quiver, check_dimvector, topological_order
 # hom_dim is not called here, but perfbench's tracer test expects this
 # module to bind it; drop it when that test stops listing the module
 from .rep import Representation, hom_dim, reductions  # noqa: F401
@@ -97,13 +111,35 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(q: Quiver):
+    """What an oracle needs of its quiver alone, or None with an oriented
+    cycle: (a topological order, the out-arrows and in-arrows of each
+    vertex as (arrow, other end) pairs)."""
+    order = topological_order(q)
+    if order is None:
+        return None
+    verts = range(q.vertex_count)
+    out_arrows = tuple(tuple((i, t) for i, (s, t) in enumerate(q.arrows) if s == v) for v in verts)
+    in_arrows = tuple(tuple((i, s) for i, (s, t) in enumerate(q.arrows) if t == v) for v in verts)
+    return order, out_arrows, in_arrows
+
+
+@functools.lru_cache(maxsize=256)
+def _whole_space(gf: gflin.Handle, d: int) -> gflin.Rows:
+    return gflin.pack_rows(gf, gflin.identity_rows(d))
+
+
 class SubrepOracle:
     """Reusable enumerator for subrepresentations of one representation.
 
-    Preimage computations are memoized per (arrow, target subspace), and
-    candidate sequences per sandwich (see the module docstring), which pays
-    off when many dimension vectors e are queried against the same
-    representation.
+    Construction packs and transposes the arrow matrices and reads the
+    rest from per-quiver and per-dimension caches; it ranks nothing.  The
+    path prune list is built by the first query with e_s > e_t along some
+    arrow and kept.  Preimage computations are memoized per (arrow, target
+    subspace), and candidate sequences per sandwich (see the module
+    docstring), which pays off when many dimension vectors e are queried
+    against the same representation.
     """
 
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
@@ -111,34 +147,27 @@ class SubrepOracle:
             raise ValueError(f"enumeration budget must be nonnegative, got {budget}")
         if not m.field.is_finite:
             raise ValueError("enumeration requires a finite ground field")
-        order = topological_order(m.quiver)
-        if order is None:
+        layout = _layout(m.quiver)
+        if layout is None:
             raise ValueError("enumeration requires an acyclic quiver")
         self.m = m
         self.q = m.quiver
         gf = gflin.GF2_PACKED if m.field.order == 2 else gflin.gfq(m.field.order)
         self.gf = gf
         self.budget = budget
-        self.process_order = tuple(reversed(order))
+        self._order, self.out_arrows, self.in_arrows_ = layout
         self.arrow_rows = tuple(gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats)
         self.arrow_rows_t = tuple(
-            gflin.pack_rows(gf, ([row[j] for row in mat.rows] for j in range(mat.ncols)))
-            for mat in m.arrow_mats
+            gflin.transpose_rows(gf, rows, mat.ncols)
+            for rows, mat in zip(self.arrow_rows, m.arrow_mats)
         )
         # the whole space at each vertex, the bound of an unconstrained vertex
-        self.full_rows = tuple(gflin.pack_rows(gf, gflin.identity_rows(d)) for d in m.dims)
-        self.out_arrows = tuple(
-            tuple((i, t) for i, (s, t) in enumerate(self.q.arrows) if s == v)
-            for v in range(self.q.vertex_count)
-        )
-        self.in_arrows_ = tuple(
-            tuple((i, s) for i, (s, t) in enumerate(self.q.arrows) if t == v)
-            for v in range(self.q.vertex_count)
-        )
+        self.full_rows = tuple(_whole_space(gf, d) for d in m.dims)
         self._preimage_cache: dict = {}
         self._candidate_cache: dict = {}
         self._visits = 0
-        self._path_nullities = self._composite_path_nullities()
+        # built by the first query that a path prune could reject
+        self._path_nullities = None
 
     def _composite_path_nullities(self):
         """Nullity of the composite matrix of every directed path.
@@ -153,11 +182,8 @@ class SubrepOracle:
         out: list[tuple[int, int, int]] = []
         # composite rows for paths ending at each vertex, keyed by start
         frontier = {v: {v: self.full_rows[v]} for v in range(self.q.vertex_count)}
-        order = tuple(reversed(self.process_order))  # a topological order
-        for v in order:
-            for arrow_idx, (s, t) in enumerate(self.q.arrows):
-                if s != v:
-                    continue
+        for v in self._order:
+            for arrow_idx, t in self.out_arrows[v]:
                 mat = self.arrow_rows[arrow_idx]
                 for start, comp in frontier[v].items():
                     composite = gflin.matmul_rows(gf, mat, comp)
@@ -174,7 +200,16 @@ class SubrepOracle:
         return tuple(out)
 
     def _path_prune_empty(self, e: DimVector) -> bool:
-        return any(e[t] < e[s] - nullity for s, t, nullity in self._path_nullities)
+        """True when some path s -> t has e_t < e_s - nullity.  As nullity
+        >= 0, that needs e_s > e_t, hence e decreasing along some arrow of
+        the path; until a query has such an arrow the composites are not
+        ranked."""
+        nullities = self._path_nullities
+        if nullities is None:
+            if all(e[s] <= e[t] for s, t in self.q.arrows):
+                return False
+            nullities = self._path_nullities = self._composite_path_nullities()
+        return any(e[t] < e[s] - nullity for s, t, nullity in nullities)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -408,32 +443,41 @@ class SubrepOracle:
 
     # -- public operations ---------------------------------------------------
 
-    def enumerate(self, e: DimVector) -> list[list[Matrix]]:
-        """All subrepresentations of dimension vector e, as per-vertex
-        column bases; every returned tuple passes an arrow-stability
-        recheck."""
+    def _start(self, e: DimVector) -> DimVector | None:
+        """Reset the visit counter and check e; None when e exceeds dim m or
+        a path prune rejects it, so no subrepresentation has dimension e."""
         self._visits = 0
         e = check_dimvector(self.q, e)
-        if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
+        if all(k <= d for k, d in zip(e, self.m.dims)) and not self._path_prune_empty(e):
+            return e
+        return None
+
+    def _subreps(self, e: DimVector, early_exit: bool) -> list[list[Matrix]]:
+        """Per-vertex column bases of every leaf the search reaches, or of
+        the first with ``early_exit``, each passing an arrow-stability
+        recheck."""
+        e = self._start(e)
+        if e is None:
             return []
-        out = []
-
-        def collect(chosen):
-            out.append({v: rows for v, rows in chosen.items()})
-
-        self._dfs(e, collect, early_exit=False)
+        leaves: list[dict] = []
+        self._dfs(e, lambda chosen: leaves.append(dict(chosen)), early_exit)
         results = []
-        for chosen in out:
+        for chosen in leaves:
             bases = [self._rows_to_basis(v, chosen[v]) for v in range(self.q.vertex_count)]
             self._recheck(bases)
             results.append(bases)
         return results
 
+    def enumerate(self, e: DimVector) -> list[list[Matrix]]:
+        """All subrepresentations of dimension vector e, as per-vertex
+        column bases; every returned tuple passes an arrow-stability
+        recheck."""
+        return self._subreps(e, early_exit=False)
+
     def count(self, e: DimVector) -> int:
         """Number of subrepresentations of dimension vector e."""
-        self._visits = 0
-        e = check_dimvector(self.q, e)
-        if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
+        e = self._start(e)
+        if e is None:
             return 0
         n = 0
 
@@ -445,29 +489,15 @@ class SubrepOracle:
         return n
 
     def nonempty(self, e: DimVector) -> bool:
-        self._visits = 0
-        e = check_dimvector(self.q, e)
-        if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
+        e = self._start(e)
+        if e is None:
             return False
         return self._dfs(e, lambda chosen: None, early_exit=True, tally=lambda k: None)
 
     def first_subrep(self, e: DimVector):
         """Per-vertex column bases of the first subrepresentation found, or None."""
-        self._visits = 0
-        e = check_dimvector(self.q, e)
-        if not all(k <= d for k, d in zip(e, self.m.dims)) or self._path_prune_empty(e):
-            return None
-        box: list = []
-
-        def collect(chosen):
-            box.append({v: rows for v, rows in chosen.items()})
-
-        self._dfs(e, collect, early_exit=True)
-        if not box:
-            return None
-        bases = [self._rows_to_basis(v, box[0][v]) for v in range(self.q.vertex_count)]
-        self._recheck(bases)
-        return bases
+        found = self._subreps(e, early_exit=True)
+        return found[0] if found else None
 
     def _rows_to_basis(self, v: int, rows: gflin.Rows) -> Matrix:
         f, n = self.m.field, self.m.dims[v]

@@ -699,3 +699,126 @@ def test_nonempty_does_not_enumerate_the_last_vertex(monkeypatch):
     assert oracle.first_subrep((1, 1, 2)) is not None
     assert oracle.visits == 3
     assert calls == [(3, 1)]
+
+
+def _eager_path_nullities(m, gf):
+    """The path prune list as the oracle once built it in its constructor,
+    ranking every path composite: (start, end, nullity) for every arrow
+    a: v -> t and every path start -> v kept in v's frontier, which holds
+    one composite per (start, v), the one of lower rank among parallel
+    paths.  The reference for the list the oracle builds lazily."""
+    from quiverrep.quiver import topological_order
+
+    arrow_rows = [gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats]
+    out = []
+    frontier = {v: {v: gflin.pack_rows(gf, gflin.identity_rows(d))} for v, d in enumerate(m.dims)}
+    for v in topological_order(m.quiver):
+        for arrow_idx, (s, t) in enumerate(m.quiver.arrows):
+            if s != v:
+                continue
+            for start, comp in frontier[v].items():
+                composite = gflin.matmul_rows(gf, arrow_rows[arrow_idx], comp)
+                rank = gflin.rank_rows(gf, composite)
+                out.append((start, t, m.dims[start] - rank))
+                cur = frontier[t].get(start)
+                if cur is None or rank < gflin.rank_rows(gf, cur):
+                    frontier[t][start] = composite
+    return tuple(out)
+
+
+class _EagerOracle(SubrepOracle):
+    """The oracle with its path prune list built up front, as before it
+    was built lazily."""
+
+    def __init__(self, m, budget=grassmannian.DEFAULT_BUDGET):
+        super().__init__(m, budget)
+        self.eager_nullities = _eager_path_nullities(m, self.gf)
+
+    def _path_prune_empty(self, e):
+        return any(e[t] < e[s] - nullity for s, t, nullity in self.eager_nullities)
+
+
+def _prune_cases():
+    """Seeded representations over F_2, F_3 and F_4 on A3, a
+    non-equioriented A4, D4, Kronecker(2), Kronecker(3) and Kronecker(2)
+    followed by an arrow (where the frontier keeps the lower-rank one of
+    two parallel composites), some with a zero-dimensional vertex, plus a
+    zero representation and a direct sum, whose composites drop rank."""
+    from quiverrep.quiver import d4_subspace
+
+    quivers = [
+        a_n(3),
+        Quiver(4, ((1, 0), (1, 2), (3, 2))),
+        d4_subspace(),
+        kronecker(2),
+        kronecker(3),
+        Quiver(3, ((0, 1), (0, 1), (1, 2))),
+    ]
+    rng = random.Random(61)
+    for q in quivers:
+        for order in (2, 3, 4):
+            field = GF(order)
+            for _ in range(2):
+                dims = [rng.randint(0, 2) for _ in range(q.vertex_count)]
+                if rng.randrange(2):
+                    dims[rng.randrange(q.vertex_count)] = 0
+                yield random_representation(q, tuple(dims), field, seed=rng.randrange(10**6))
+            yield _zero_rep(q, (2,) + (1,) * (q.vertex_count - 1), field)
+            ones = (1,) * q.vertex_count
+            yield direct_sum(
+                [random_representation(q, ones, field, seed=rng.randrange(10**6)) for _ in range(2)]
+            )
+
+
+def test_lazy_path_prune_matches_the_eager_one():
+    """Answers and visits of every public operation, for every e <= dim m,
+    are those of the oracle whose path prune list is built up front, on
+    fresh oracles and on warm ones that answered every e before; and the
+    list built lazily is the eager list itself."""
+    ops = ("count", "nonempty", "first_subrep", "enumerate")
+    pruned = zero_vertices = 0
+    for m in _prune_cases():
+        where = (m.quiver.arrows, m.field.order, m.dims)
+        zero_vertices += m.dims.count(0)
+        es = list(itertools.product(*(range(d + 1) for d in m.dims)))
+        warm, warm_ref = SubrepOracle(m), _EagerOracle(m)
+        for e in es:
+            pruned += warm_ref._path_prune_empty(e)
+            for op in ops:
+                fresh, ref = SubrepOracle(m), _EagerOracle(m)
+                want = getattr(ref, op)(e)
+                assert getattr(fresh, op)(e) == want and fresh.visits == ref.visits, (op, where, e)
+                assert getattr(warm, op)(e) == want, (op, where, e)
+                assert getattr(warm_ref, op)(e) == want, (op, where, e)
+                assert warm.visits == warm_ref.visits == ref.visits, (op, where, e)
+        if warm._path_nullities is not None:
+            assert warm._path_nullities == warm_ref.eager_nullities, where
+    assert pruned > 200 and zero_vertices >= 20
+
+
+def test_oracle_construction_ranks_nothing(monkeypatch):
+    """Building an oracle makes no elimination or product, and a query
+    whose e has e_s <= e_t along every path answers without building the
+    path prune list; the first query a prune could reject builds it."""
+    from quiverrep.quiver import d4_subspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle constructor eliminated")
+
+    cases = [
+        (a_n(3), (2, 2, 2), F2, (1, 1, 2), (2, 1, 1)),
+        (Quiver(3, ((1, 0), (1, 2))), (2, 1, 2), F3, (1, 0, 2), (1, 1, 0)),
+        (d4_subspace(), (2, 1, 1, 1), GF(4), (1, 1, 1, 1), (2, 0, 1, 1)),
+        (kronecker(3), (1, 2), GF(4), (1, 2), (1, 0)),
+    ]
+    for seed, (q, dims, field, flat, gap) in enumerate(cases):
+        m = random_representation(q, dims, field, seed=seed)
+        with monkeypatch.context() as patch:
+            for name in ("rref_rows", "rank_rows", "matmul_rows"):
+                patch.setattr(gflin, name, refuse)
+            oracle = SubrepOracle(m)
+        ref = _EagerOracle(m)
+        assert oracle.count(flat) == ref.count(flat) and oracle.visits == ref.visits
+        assert oracle._path_nullities is None, m.quiver.arrows
+        assert oracle.count(gap) == ref.count(gap) and oracle.visits == ref.visits
+        assert oracle._path_nullities == ref.eager_nullities, m.quiver.arrows
