@@ -390,7 +390,7 @@ def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
 
     def image(u) -> tuple:
         if u not in images:
-            product = gflin.matmul_rows(gf, (u,), table)
+            product = gflin.matmul_rows(gf, (u,), table, h * width)
             images[u] = gflin.rref_rows(gf, gflin.row_blocks(gf, product, h * width, 0, h, width))
         return images[u]
 

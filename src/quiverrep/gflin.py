@@ -355,16 +355,14 @@ def right_kernel_rows(gf: Handle, rows, ncols: int) -> Rows:
     return rref_rows(gf, basis)
 
 
-def matmul_rows(gf: Handle, a, b) -> Rows:
-    """Product of row matrices a (r x s) and b (s x t)."""
+def matmul_rows(gf: Handle, a, b, ncols: int) -> Rows:
+    """Product of row matrices a (r x s) and b (s x ncols).  The width is
+    passed because tuple rows of b cannot carry it when s = 0."""
     if gf.packed:
         return _matmul_packed(a, b)
-    if not a:
-        return ()
-    t = len(b[0]) if b else 0
     out = []
     for row in a:
-        acc = [0] * t
+        acc = [0] * ncols
         for x, brow in zip(row, b):
             if x:
                 if x == 1:
@@ -422,9 +420,9 @@ def intersect_rows(gf: Handle, a: Rows, b: Rows, ncols: int) -> Rows:
     if not nb:
         return rref_rows(gf, a)
     at = tuple(tuple(row[j] for row in a) for j in range(ncols))
-    system = matmul_rows(gf, nb, at)  # (ncols-dim b) x dim a
+    system = matmul_rows(gf, nb, at, len(a))  # (ncols-dim b) x dim a
     coeffs = right_kernel_rows(gf, system, len(a))
-    return rref_rows(gf, matmul_rows(gf, coeffs, a))
+    return rref_rows(gf, matmul_rows(gf, coeffs, a, ncols))
 
 
 def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
@@ -444,7 +442,7 @@ def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_di
     n_funcs = right_kernel_rows(gf, sub_rref, tgt_dim)
     if not n_funcs:
         return pack_rows(gf, identity_rows(src_dim))
-    system = matmul_rows(gf, n_funcs, transpose_rows(gf, x_cols, tgt_dim))
+    system = matmul_rows(gf, n_funcs, transpose_rows(gf, x_cols, tgt_dim), src_dim)
     return right_kernel_rows(gf, system, src_dim)
 
 

@@ -67,8 +67,16 @@ charge).
 ``nonempty`` stops at the last vertex too: once a single vertex is left
 and its sandwich holds a subspace, the search has found a leaf, and it
 charges the one visit that enumerating that vertex's first candidate
-would.  It does not close pairs: an existence search stops at the first
-leaf, so its charge below a pair depends on the order of v1's candidates.
+would.  At the last two vertices it first tries v1's first candidate,
+which decides almost every existence query at the cost of one sandwich.
+Only when that candidate has no leaf does it close the pair by the
+closed form above.  A refuted pair is charged v1's other b1 - 1
+candidates, exactly what enumeration charges.  A pair with leaves is
+charged 2, one more candidate and its leaf, the least enumeration could
+charge, since how far enumeration goes depends on the order of v1's
+candidates.  So ``nonempty`` never charges more visits than
+``first_subrep`` for the same e, and exactly as many when the answer is
+False.  A Kronecker pair enumerates v1's later candidates as before.
 ``first_subrep`` and ``enumerate`` need the rows of each leaf, so they
 enumerate every vertex.
 
@@ -186,7 +194,7 @@ class SubrepOracle:
             for arrow_idx, t in self.out_arrows[v]:
                 mat = self.arrow_rows[arrow_idx]
                 for start, comp in frontier[v].items():
-                    composite = gflin.matmul_rows(gf, mat, comp)
+                    composite = gflin.matmul_rows(gf, mat, comp, self.m.dims[start])
                     rank = gflin.rank_rows(gf, composite)
                     out.append((start, t, self.m.dims[start] - rank))
                     cur = frontier[t].get(start)
@@ -215,7 +223,11 @@ class SubrepOracle:
 
     @property
     def visits(self) -> int:
-        """Echelon-pattern visits charged by the last public operation."""
+        """Echelon-pattern visits charged by the last public operation:
+        what enumeration charges for ``count``, ``enumerate`` and
+        ``first_subrep``; for ``nonempty`` at most ``first_subrep``'s,
+        and equal to it when the answer is False (see the module
+        docstring)."""
         return self._visits
 
     def _charge(self, n: int = 1) -> None:
@@ -246,7 +258,7 @@ class SubrepOracle:
         for arrow_idx, src in self.in_arrows_[v]:
             if src in chosen and chosen[src]:
                 image_rows.extend(
-                    gflin.matmul_rows(gf, chosen[src], self.arrow_rows_t[arrow_idx])
+                    gflin.matmul_rows(gf, chosen[src], self.arrow_rows_t[arrow_idx], self.m.dims[v])
                 )
         w_rows = gflin.rref_rows(gf, image_rows) if image_rows else ()
         if len(w_rows) > e_v:
@@ -273,7 +285,7 @@ class SubrepOracle:
             return w_rows, bound, 0
         return w_rows, bound, gflin.gaussian_binomial(len(bound) - w, e_v - w, self.gf.q)
 
-    def _candidates(self, e_v: int, w_rows, bound, branch: int):
+    def _candidates(self, v: int, e_v: int, w_rows, bound, branch: int):
         """Yield the ``branch`` admissible subspaces at v given its sandwich
         bounds, charging one visit before each.  They come from the memo of
         the sequence for (e_v, w_rows, bound), which builds a candidate only
@@ -281,7 +293,7 @@ class SubrepOracle:
         key = (e_v, w_rows, bound)
         memo = self._candidate_cache.get(key)
         if memo is None:
-            memo = self._candidate_cache[key] = self._candidate_source(e_v, w_rows, bound)
+            memo = self._candidate_cache[key] = self._candidate_source(v, e_v, w_rows, bound)
         built, build_next = memo
         for i in range(branch):
             self._charge()
@@ -290,18 +302,18 @@ class SubrepOracle:
                 built.append(build_next())
             yield built[i]
 
-    def _candidate_source(self, e_v: int, w_rows, bound):
+    def _candidate_source(self, v: int, e_v: int, w_rows, bound):
         """A fresh memo entry: (the candidates built so far, a function
         building the next one).  The candidates are span(w) plus the rows
         of each RREF coefficient matrix, in enumerate_rref's order, times a
         complement of span(w) in the bound."""
-        gf = self.gf
+        gf, dim_v = self.gf, self.m.dims[v]
         w = len(w_rows)
         if e_v == w:
             return [w_rows], None
         comp = gflin.complement_in(gf, w_rows, bound) if w else bound
         coeffs = gflin.enumerate_rref(gf, len(comp), e_v - w)
-        return [], lambda: gflin.rref_rows(gf, w_rows + gflin.matmul_rows(gf, next(coeffs), comp))
+        return [], lambda: gflin.rref_rows(gf, w_rows + gflin.matmul_rows(gf, next(coeffs), comp, dim_v))
 
     def _count_pair(self, e: DimVector, chosen: dict, best) -> int | None:
         """Leaves below a node whose two unassigned vertices are v1, the
@@ -340,8 +352,8 @@ class SubrepOracle:
         (a,) = backward
         at = self.arrow_rows_t[a]
         if w2_rows:
-            w1_rows = gflin.rref_rows(gf, w1_rows + gflin.matmul_rows(gf, w2_rows, at))
-        meet = gflin.rref_rows(gf, gflin.matmul_rows(gf, b2_rows, at)) if b2_rows else ()
+            w1_rows = gflin.rref_rows(gf, w1_rows + gflin.matmul_rows(gf, w2_rows, at, self.m.dims[v1]))
+        meet = gflin.rref_rows(gf, gflin.matmul_rows(gf, b2_rows, at, self.m.dims[v1])) if b2_rows else ()
         k0 = len(gflin.intersect_rows(gf, b2_rows, self._preimage(a, ()), self.m.dims[v2]))
 
         def leaves(j: int) -> int:
@@ -383,10 +395,12 @@ class SubrepOracle:
         With ``tally``, the last unassigned vertex is counted rather than
         enumerated: its sandwich is exact, so ``tally(branch)`` stands for
         ``branch`` leaves, and ``branch`` visits are charged, or 1 with
-        ``early_exit``, as enumeration stops at the first leaf.  Without
-        ``early_exit`` so are the last two when at most one arrow joins them
-        (`_count_pair`), charging the first one's branch plus the leaves, as
-        enumerating it would.
+        ``early_exit``, as enumeration stops at the first leaf.  So are the
+        last two when at most one arrow joins them (`_count_pair`).  Without
+        ``early_exit`` that charges the first one's branch plus the leaves,
+        as enumerating it would.  With ``early_exit`` the first one's first
+        candidate is searched first, and only if it finds no leaf is the
+        pair closed, charging branch - 1 when refuted and 2 otherwise.
         """
         nverts = self.q.vertex_count
         found = False
@@ -420,17 +434,32 @@ class SubrepOracle:
                     if branch == 1:
                         break
             branch, v, w_rows, bound = best
+            candidates = self._candidates(v, e[v], w_rows, bound, branch)
             # a single candidate at v is cheaper to enumerate than to count
-            if tally is not None and not early_exit and len(chosen) == nverts - 2 and branch > 1:
+            if tally is not None and len(chosen) == nverts - 2 and branch > 1:
+                if early_exit:
+                    # the first candidate decides almost every existence
+                    # query; only when it fails is the pair closed
+                    chosen[v] = next(candidates)
+                    hit = recurse(chosen)
+                    del chosen[v]
+                    if hit:
+                        return True
                 leaves = self._count_pair(e, chosen, best)
                 if leaves is not None:
-                    self._charge(branch + leaves)
+                    if early_exit:
+                        # enumeration charges every other candidate of a
+                        # refuted pair, and at least one more candidate and
+                        # its leaf otherwise
+                        self._charge(2 if leaves else branch - 1)
+                    else:
+                        self._charge(branch + leaves)
                     if not leaves:
                         return False
                     tally(leaves)
                     found = True
                     return early_exit
-            for rows in self._candidates(e[v], w_rows, bound, branch):
+            for rows in candidates:
                 chosen[v] = rows
                 if recurse(chosen):
                     del chosen[v]
@@ -489,6 +518,11 @@ class SubrepOracle:
         return n
 
     def nonempty(self, e: DimVector) -> bool:
+        """Whether some subrepresentation has dimension vector e.  The
+        search stops at its first leaf, counts the last vertex and closes
+        the last pair once v1's first candidate fails, so it charges at
+        most the visits of ``first_subrep(e)``, the same ones when the
+        answer is False."""
         e = self._start(e)
         if e is None:
             return False

@@ -339,7 +339,7 @@ def hom_evaluation_rows(
         off, r, c = offsets[v], y.dims[v], x.dims[v]
         # the rows of every phi_b,v, stacked, times B_v: (h*y_v) x s_v
         blocks = gflin.row_blocks(gf, kern, ncols, off, r, c)
-        evaluations = gflin.matmul_rows(gf, blocks, gflin.pack_rows(gf, b.rows))
+        evaluations = gflin.matmul_rows(gf, blocks, gflin.pack_rows(gf, b.rows), b.ncols)
         tables[v] = gflin.transpose_rows(gf, evaluations, b.ncols)
     return len(kern), tables
 

@@ -147,6 +147,7 @@ def test_packed_handle_matches_tuple_rows_on_random_f2():
     6, gives the tuple handle's rows once unpacked."""
     rng = random.Random(6)
     widths = set()
+    empty_inner = 0
     for _ in range(400):
         nc = rng.randint(0, 6)
         widths.add(nc)
@@ -174,13 +175,13 @@ def test_packed_handle_matches_tuple_rows_on_random_f2():
         at = _cols(a, nc)
         same(gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, at), gflin.pack_rows(PACKED, sub), nc, len(a)),
              gflin.preimage_rows(F2, at, sub, nc, len(a)))
-        # a (len(a) x nc) times c (nc x t); with nc = 0 the tuple rows of c
-        # cannot carry t, so the reference is the zero matrix
+        # a (len(a) x nc) times c (nc x t); at nc = 0 both handles must
+        # give len(a) zero rows of width t
         t = rng.randint(0, 4)
         c = _random_f2_rows(rng, nc, t)
-        product = gflin.matmul_rows(F2, a, c) if nc else tuple((0,) * t for _ in a)
-        same(gflin.matmul_rows(PACKED, pa, gflin.pack_rows(PACKED, c)), product, t)
-    assert widths == set(range(7))
+        same(gflin.matmul_rows(PACKED, pa, gflin.pack_rows(PACKED, c), t), gflin.matmul_rows(F2, a, c, t), t)
+        empty_inner += nc == 0 and len(a) > 0 and t > 0
+    assert widths == set(range(7)) and empty_inner >= 10
 
 
 def test_packed_preimage_matches_the_tuple_path():

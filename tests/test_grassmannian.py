@@ -701,6 +701,110 @@ def test_nonempty_does_not_enumerate_the_last_vertex(monkeypatch):
     assert calls == [(3, 1)]
 
 
+def _a3_sums(table, count: int, seed: int, top=(6, 8, 5)):
+    """Seeded direct sums of A3 indecomposables, multiplicities at most 2,
+    with dimension vector at most ``top``: repeated summands make the first
+    candidate at the last pair fail often, where nonempty closes the pair."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        mults = [rng.randint(0, 2) for _ in table.roots]
+        dims = [sum(k * r[v] for k, r in zip(mults, table.roots)) for v in range(3)]
+        if all(d <= t for d, t in zip(dims, top)):
+            made += 1
+            yield assemble(table, {r: k for r, k in zip(table.roots, mults) if k})
+
+
+def _random_sums(count: int, seed: int):
+    """Seeded direct sums of three random representations of two A3
+    orientations and D4 over F_2 and F_3; a few of their empty
+    Grassmannians refute a closed pair."""
+    from quiverrep.quiver import d4_subspace
+
+    quivers = [Quiver(3, ((1, 0), (1, 2))), Quiver(3, ((0, 1), (2, 1))), d4_subspace()]
+    rng = random.Random(seed)
+    for i in range(count):
+        q = quivers[i % len(quivers)]
+        yield direct_sum([
+            random_representation(
+                q, tuple(rng.randint(0, 2) for _ in range(q.vertex_count)), GF(2 + i % 2),
+                seed=rng.randrange(10**6),
+            )
+            for _ in range(3)
+        ])
+
+
+def test_nonempty_charges_no_more_than_first_subrep(table_a3_f2, monkeypatch):
+    """Once the first candidate at the last pair fails, nonempty closes the
+    pair: a refuted pair is charged the other branch - 1 candidates, as
+    enumeration charges them, and a pair with leaves 2, one more candidate
+    and its leaf.  So on fresh oracles nonempty answers as first_subrep
+    does, charges the same visits when the answer is False and no more when
+    it is True, and charges fewer where the closure skipped candidates."""
+    closed = []
+    real = SubrepOracle._count_pair
+
+    def recording(self, e, chosen, best):
+        closed.append(real(self, e, chosen, best))
+        return closed[-1]
+
+    monkeypatch.setattr(SubrepOracle, "_count_pair", recording)
+    fewer = refuted = 0
+    cases = itertools.chain(
+        _existence_cases(), _a3_sums(table_a3_f2, 12, seed=47), _random_sums(30, seed=3)
+    )
+    for m in cases:
+        for e in itertools.product(*(range(d + 1) for d in m.dims)):
+            existence, search = SubrepOracle(m), SubrepOracle(m)
+            closed.clear()
+            answer = existence.nonempty(e)
+            assert answer == (search.first_subrep(e) is not None), (m.dims, e)
+            if answer:
+                assert existence.visits <= search.visits, (m.dims, e)
+            else:
+                assert existence.visits == search.visits, (m.dims, e)
+                refuted += 0 in closed
+            fewer += existence.visits < search.visits
+    assert fewer >= 20 and refuted >= 3
+
+
+def test_nonempty_closes_the_last_pair_after_its_first_candidate(table_a3_f2, monkeypatch):
+    # A3 with multiplicities [0, 2, 2, 2, 2, 2] over the table's roots,
+    # dimension vector (6, 8, 4).  At e = (3, 2, 2) enumeration tries 451
+    # candidates before its first leaf; nonempty charges the path to the
+    # pair and its first candidate, closes the pair (105 leaves) and charges
+    # 2 more.  At e = (5, 5, 2) it closes 16 pairs, all refuted, so it
+    # charges what enumeration does.
+    closed = []
+    real = SubrepOracle._count_pair
+
+    def recording(self, e, chosen, best):
+        closed.append(real(self, e, chosen, best))
+        return closed[-1]
+
+    monkeypatch.setattr(SubrepOracle, "_count_pair", recording)
+    mults = [0, 2, 2, 2, 2, 2]
+    m = assemble(table_a3_f2, {r: k for r, k in zip(table_a3_f2.roots, mults) if k})
+    assert m.dims == (6, 8, 4)
+    for e, visits, enumerated, leaves in (((3, 2, 2), 4, 451, [105]), ((5, 5, 2), 1027, 1027, [0] * 16)):
+        oracle = SubrepOracle(m)
+        closed.clear()
+        assert oracle.nonempty(e)
+        assert oracle.visits == visits and closed == leaves, e
+        assert oracle.first_subrep(e) is not None
+        assert oracle.visits == enumerated, e
+    # a Kronecker(2) pair has no closed form: v1's later candidates are
+    # enumerated as before, for the same 8 visits as first_subrep
+    closed.clear()
+    k2 = random_representation(kronecker(2), (3, 3), F2, seed=5)
+    oracle = SubrepOracle(k2)
+    assert oracle.nonempty((2, 2))
+    assert closed == [None]
+    assert oracle.visits == 8
+    assert oracle.first_subrep((2, 2)) is not None
+    assert oracle.visits == 8
+
+
 def _eager_path_nullities(m, gf):
     """The path prune list as the oracle once built it in its constructor,
     ranking every path composite: (start, end, nullity) for every arrow
@@ -717,7 +821,7 @@ def _eager_path_nullities(m, gf):
             if s != v:
                 continue
             for start, comp in frontier[v].items():
-                composite = gflin.matmul_rows(gf, arrow_rows[arrow_idx], comp)
+                composite = gflin.matmul_rows(gf, arrow_rows[arrow_idx], comp, m.dims[start])
                 rank = gflin.rank_rows(gf, composite)
                 out.append((start, t, m.dims[start] - rank))
                 cur = frontier[t].get(start)
