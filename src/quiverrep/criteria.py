@@ -19,7 +19,6 @@ from .quiver import (
     check_dimvector,
     dim_leq,
     dim_sub,
-    dynkin_type,
     euler_form,
     functional,
     require_dynkin,
@@ -108,8 +107,6 @@ class GrassmannianChecker:
         self.m = m
         self.table = table
         self.hom_into_m = tuple(hom_dim(u, m) for u in table.reps)
-        self.injective = set(table.injective_root_indices())
-        self.projective = set(table.projective_root_indices())
         q = m.quiver
         units = [tuple(int(v == w) for w in range(q.vertex_count)) for v in range(q.vertex_count)]
         self.euler_from_root = tuple(tuple(euler_form(q, r, u) for u in units) for r in table.roots)
@@ -153,8 +150,8 @@ class GrassmannianChecker:
         # family 1: [m, U] <= <e, U> for non-injective U; family 2:
         # [U, m] <= <U, dim m - e> for non-projective U
         families = (
-            (1, "non-injective", self.injective, self.hom_from_m, self.euler_into_root, e),
-            (2, "non-projective", self.projective, self.hom_into_m, self.euler_from_root, rest),
+            (1, "non-injective", table.injective, self.hom_from_m, self.euler_into_root, e),
+            (2, "non-projective", table.projective, self.hom_into_m, self.euler_from_root, rest),
         )
         for family, kind, skip, hom, euler, x in families:
             for u, root in enumerate(table.roots):
@@ -261,7 +258,7 @@ def check_nc2(n: Representation, m: Representation, config: CheckConfig | None =
     if n.field != m.field:
         raise ValueError("representations live over different fields")
     if n.field.is_finite:
-        if (dynkin_type(n.quiver) or "").startswith("A"):
+        if (n.quiver.dynkin_type or "").startswith("A"):
             return _check_nc2_flow(n, m)
         return _check_nc2_subspaces(n, m)
     return _check_nc2_sampling(n, m, config or CheckConfig())
@@ -446,7 +443,7 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     every class covered, sum_l [s_i, l]_q per vertex.
     """
     f = n.field
-    gf = gflin.GF2_PACKED if f.order == 2 else gflin.gfq(f.order)
+    gf = gflin.handle(f.order)
     socles = _socles(n)
     hom_nn, tables_n = hom_evaluation_rows(gf, n, n, socles)
     hom_nm, tables_m = hom_evaluation_rows(gf, n, m, socles)
@@ -553,30 +550,14 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
 
 
 def path_order(q: Quiver):
-    """Vertices of an equioriented A_n quiver in path order, or None."""
-    n = q.vertex_count
-    if n == 0:
+    """Vertices of an equioriented A_n quiver in path order, or None: a
+    type A quiver with no two arrows into or out of one vertex is a
+    directed path, whose one topological order is its path order."""
+    if not (q.dynkin_type or "").startswith("A"):
         return None
-    if q.arrow_count != n - 1:
+    if any(len(arrows) > 1 for arrows in q.in_arrows + q.out_arrows):
         return None
-    outs = {}
-    indeg = [0] * n
-    for s, t in q.arrows:
-        if s in outs:
-            return None
-        outs[s] = t
-        indeg[t] += 1
-    if any(d > 1 for d in indeg):
-        return None
-    starts = [v for v in range(n) if indeg[v] == 0]
-    if len(starts) != 1:
-        return None
-    order = [starts[0]]
-    while order[-1] in outs:
-        order.append(outs[order[-1]])
-    if len(order) != n:
-        return None
-    return tuple(order)
+    return q.topological_order
 
 
 def _roots_as_intervals(table: IndecomposableTable, order) -> dict[int, tuple[int, int]]:

@@ -17,11 +17,9 @@ from .quiver import (
     check_dimvector,
     dim_leq,
     dim_sub,
-    dynkin_type,
     euler_form,
     opposite,
     require_dynkin,
-    topological_order,
 )
 from .rep import (
     Representation,
@@ -209,8 +207,9 @@ class IndecomposableTable:
     indecomposables are never both nonzero.  It is unitriangular in an
     order refining Hom-nonvanishing; the table keeps one as hom_order and
     refuses to exist without it.  Roots are kept in lexicographic order.
-    Path counts give the roots of the projectives and injectives.
-    euler[u][v] = <u, v>, computed with the table.
+    projective and injective hold the indices of the roots of the
+    projectives and injectives, found by path counts.  euler[u][v] =
+    <u, v>, computed with the table.
     """
 
     quiver: Quiver
@@ -220,8 +219,8 @@ class IndecomposableTable:
     hom_matrix: tuple[tuple[int, ...], ...]
     euler: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
     hom_order: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
-    _projective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
-    _injective: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+    projective: frozenset[int] = dc_field(init=False, repr=False, compare=False)
+    injective: frozenset[int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "euler", _euler_values(self.quiver, self.roots))
@@ -237,9 +236,9 @@ class IndecomposableTable:
         except CycleError:
             raise RuntimeError("table invalid: Hom matrix is not unitriangular in any order") from None
         q = self.quiver
-        for name, quiver in (("_projective", q), ("_injective", opposite(q))):
+        for name, quiver in (("projective", q), ("injective", opposite(q))):
             dims = {tuple(map(len, _paths_from(quiver, v).values())) for v in range(q.vertex_count)}
-            object.__setattr__(self, name, tuple(i for i, r in enumerate(self.roots) if r in dims))
+            object.__setattr__(self, name, frozenset(i for i, r in enumerate(self.roots) if r in dims))
 
     @property
     def size(self) -> int:
@@ -271,7 +270,7 @@ class IndecomposableTable:
         paths = _paths(q)
         proj = [tuple(int((a, b) in paths) for b in range(q.vertex_count)) for a in range(q.vertex_count)]
         top_of = {d: a for a, d in enumerate(proj)}
-        into = [(b, tuple((a, s) for a, (s, t) in enumerate(q.arrows) if t == b)) for b in topological_order(q)]
+        into = [(b, q.in_arrows[b]) for b in q.topological_order]
         out = []
         for root, x in zip(self.roots, self.reps):
             tops, relations = ((top_of[root],), ()) if root in top_of else _presentation(x, into)
@@ -334,17 +333,17 @@ class IndecomposableTable:
         holds when soc_i(U) != 0, [U, V] != 0 and V_i != 0, read off the
         roots and the Hom matrix; it does not depend on the field.
         """
-        if not (dynkin_type(self.quiver) or "").startswith("A"):
+        q = self.quiver
+        if not (q.dynkin_type or "").startswith("A"):
             raise ValueError("socle_reach is read off interval supports, so type A only")
-        arrows = self.quiver.arrows
         return tuple(
             tuple(
                 frozenset(v for v, y in enumerate(self.roots) if y[i] and self.hom_matrix[u][v])
-                if x[i] and not any(x[t] for s, t in arrows if s == i)
+                if x[i] and not any(x[t] for _, t in q.out_arrows[i])
                 else frozenset()
                 for u, x in enumerate(self.roots)
             )
-            for i in range(self.quiver.vertex_count)
+            for i in range(q.vertex_count)
         )
 
     def root_index(self, root: DimVector) -> int:
@@ -352,12 +351,6 @@ class IndecomposableTable:
 
     def ext_entry(self, u: int, v: int) -> int:
         return self.hom_matrix[u][v] - self.euler[u][v]
-
-    def projective_root_indices(self) -> tuple[int, ...]:
-        return self._projective
-
-    def injective_root_indices(self) -> tuple[int, ...]:
-        return self._injective
 
 
 def build_table(

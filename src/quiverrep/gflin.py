@@ -30,8 +30,9 @@ the row format:
   Elimination is XOR on whole rows.  The enumeration oracle and nc2 use it
   over F_2.
 
-``pack_rows`` and ``unpack_rows`` convert at the boundary; both formats give
-the same subspaces, in the same order, from every function.
+``handle(q)`` makes that choice once for its callers.  ``pack_rows`` and
+``unpack_rows`` convert at the boundary; both formats give the same
+subspaces, in the same order, from every function.
 """
 
 from __future__ import annotations
@@ -228,6 +229,12 @@ class PackedGF2:
 
 GF2_PACKED = PackedGF2()
 Handle = Gfq | PackedGF2
+
+
+def handle(q: int) -> Handle:
+    """The handle for GF(q) that the oracle and nc2 use: packed rows for
+    q = 2, ``gfq(q)`` otherwise."""
+    return GF2_PACKED if q == 2 else gfq(q)
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,9 @@ the intersection of the outgoing preimages, so each leaf of the search is a
 subrepresentation and infeasible branches die at a dimension count.  A
 composite-path rank prune rejects impossible dimension vectors up front.
 
-What an oracle needs is built at three levels.  Per quiver, once per
-process (a bounded cache keyed by the quiver): a topological order and
-the in- and out-arrows of each vertex.  Per (handle, dimension): the rows of
+What an oracle needs is built at three levels.  Per quiver: a
+topological order and the in- and out-arrows of each vertex, read off the
+``Quiver``, which computes them once.  Per (handle, dimension): the rows of
 the whole space.  Per oracle: the arrow matrices in the handle's row
 format and their transposes, with no elimination.  The path prune is
 built by the first query that could use it: a subrepresentation has
@@ -99,7 +99,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import gflin
 from .exactlin import FieldSpec, Matrix
-from .quiver import DimVector, Quiver, check_dimvector, topological_order
+from .quiver import DimVector, check_dimvector, is_acyclic
 # hom_dim is not called here, but perfbench's tracer test expects this
 # module to bind it; drop it when that test stops listing the module
 from .rep import Representation, hom_dim, reductions  # noqa: F401
@@ -119,20 +119,6 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(q: Quiver):
-    """What an oracle needs of its quiver alone, or None with an oriented
-    cycle: (a topological order, the out-arrows and in-arrows of each
-    vertex as (arrow, other end) pairs)."""
-    order = topological_order(q)
-    if order is None:
-        return None
-    verts = range(q.vertex_count)
-    out_arrows = tuple(tuple((i, t) for i, (s, t) in enumerate(q.arrows) if s == v) for v in verts)
-    in_arrows = tuple(tuple((i, s) for i, (s, t) in enumerate(q.arrows) if t == v) for v in verts)
-    return order, out_arrows, in_arrows
-
-
 @functools.lru_cache(maxsize=256)
 def _whole_space(gf: gflin.Handle, d: int) -> gflin.Rows:
     return gflin.pack_rows(gf, gflin.identity_rows(d))
@@ -142,12 +128,13 @@ class SubrepOracle:
     """Reusable enumerator for subrepresentations of one representation.
 
     Construction packs and transposes the arrow matrices and reads the
-    rest from per-quiver and per-dimension caches; it ranks nothing.  The
-    path prune list is built by the first query with e_s > e_t along some
-    arrow and kept.  Preimage computations are memoized per (arrow, target
-    subspace), and candidate sequences per sandwich (see the module
-    docstring), which pays off when many dimension vectors e are queried
-    against the same representation.
+    rest off the ``Quiver`` (its order and arrows per vertex) and a
+    per-dimension cache; it ranks nothing.  The path prune list is built
+    by the first query with e_s > e_t along some arrow and kept.
+    Preimage computations are memoized per (arrow, target subspace), and
+    candidate sequences per sandwich (see the module docstring), which
+    pays off when many dimension vectors e are queried against the same
+    representation.
     """
 
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
@@ -155,15 +142,12 @@ class SubrepOracle:
             raise ValueError(f"enumeration budget must be nonnegative, got {budget}")
         if not m.field.is_finite:
             raise ValueError("enumeration requires a finite ground field")
-        layout = _layout(m.quiver)
-        if layout is None:
+        if not is_acyclic(m.quiver):
             raise ValueError("enumeration requires an acyclic quiver")
         self.m = m
         self.q = m.quiver
-        gf = gflin.GF2_PACKED if m.field.order == 2 else gflin.gfq(m.field.order)
-        self.gf = gf
+        gf = self.gf = gflin.handle(m.field.order)
         self.budget = budget
-        self._order, self.out_arrows, self.in_arrows_ = layout
         self.arrow_rows = tuple(gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats)
         self.arrow_rows_t = tuple(
             gflin.transpose_rows(gf, rows, mat.ncols)
@@ -190,8 +174,8 @@ class SubrepOracle:
         out: list[tuple[int, int, int]] = []
         # composite rows for paths ending at each vertex, keyed by start
         frontier = {v: {v: self.full_rows[v]} for v in range(self.q.vertex_count)}
-        for v in self._order:
-            for arrow_idx, t in self.out_arrows[v]:
+        for v in self.q.topological_order:
+            for arrow_idx, t in self.q.out_arrows[v]:
                 mat = self.arrow_rows[arrow_idx]
                 for start, comp in frontier[v].items():
                     composite = gflin.matmul_rows(gf, mat, comp, self.m.dims[start])
@@ -255,7 +239,7 @@ class SubrepOracle:
         and no preimage is computed."""
         gf = self.gf
         image_rows = []
-        for arrow_idx, src in self.in_arrows_[v]:
+        for arrow_idx, src in self.q.in_arrows[v]:
             if src in chosen and chosen[src]:
                 image_rows.extend(
                     gflin.matmul_rows(gf, chosen[src], self.arrow_rows_t[arrow_idx], self.m.dims[v])
@@ -264,7 +248,7 @@ class SubrepOracle:
         if len(w_rows) > e_v:
             return w_rows, None
         bound = None
-        for arrow_idx, tgt in self.out_arrows[v]:
+        for arrow_idx, tgt in self.q.out_arrows[v]:
             if tgt in chosen:
                 pre = self._preimage(arrow_idx, chosen[tgt])
                 if bound is None:
@@ -323,8 +307,8 @@ class SubrepOracle:
         gf = self.gf
         b1, v1, w1_rows, b1_rows = best
         v2 = next(u for u in range(self.q.vertex_count) if u not in chosen and u != v1)
-        forward = [a for a, t in self.out_arrows[v1] if t == v2]
-        backward = [a for a, s in self.in_arrows_[v1] if s == v2]
+        forward = [a for a, t in self.q.out_arrows[v1] if t == v2]
+        backward = [a for a, s in self.q.in_arrows[v1] if s == v2]
         if not forward and not backward:
             return b1 * self._sandwich(v2, e[v2], chosen)[2]
         if len(forward) + len(backward) > 1:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -42,8 +44,83 @@ class Quiver:
     def arrow_count(self) -> int:
         return len(self.arrows)
 
-    def out_arrows(self, v: int) -> list[tuple[int, tuple[int, int]]]:
-        return [(i, a) for i, a in enumerate(self.arrows) if a[0] == v]
+    # The views below are computed on first use and kept on the instance;
+    # they are not fields, so equality and hashing ignore them.
+
+    @functools.cached_property
+    def out_arrows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, (arrow index, target) of each arrow leaving it."""
+        return tuple(
+            tuple((i, t) for i, (s, t) in enumerate(self.arrows) if s == v)
+            for v in range(self.vertex_count)
+        )
+
+    @functools.cached_property
+    def in_arrows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, (arrow index, source) of each arrow entering it."""
+        return tuple(
+            tuple((i, s) for i, (s, t) in enumerate(self.arrows) if t == v)
+            for v in range(self.vertex_count)
+        )
+
+    @functools.cached_property
+    def topological_order(self) -> tuple[int, ...] | None:
+        """A topological order (smallest available vertex first), or None
+        when there is an oriented cycle."""
+        indeg = [len(into) for into in self.in_arrows]
+        heap = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so a heap
+        order = []
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            for _, t in self.out_arrows[v]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    heapq.heappush(heap, t)
+        return tuple(order) if len(order) == self.vertex_count else None
+
+    @functools.cached_property
+    def dynkin_type(self) -> str | None:
+        """The ADE type of the underlying graph ("A3", "D4", "E6", ...) or None.
+
+        Checks the shape explicitly: a connected simple tree that is either a
+        path, or has exactly one degree-3 vertex with arm lengths (1,1,n-3)
+        [type D] or (1,2,c) with c in {2,3,4} [types E6,E7,E8].
+        """
+        n = self.vertex_count
+        nbrs = [
+            {t for _, t in out} | {s for _, s in into} for out, into in zip(self.out_arrows, self.in_arrows)
+        ]
+        # a loop adds one neighbour and a repeated edge none, so only a
+        # simple graph with n - 1 edges has 2(n - 1) neighbour slots
+        if n == 0 or self.arrow_count != n - 1 or sum(map(len, nbrs)) != 2 * (n - 1):
+            return None
+        seen, stack = {0}, [0]
+        while stack:
+            for w in nbrs[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        if len(seen) != n:
+            return None  # disconnected, so not a tree
+        branch = [v for v in range(n) if len(nbrs[v]) > 2]
+        if not branch:
+            return f"A{n}"
+        if len(branch) > 1 or len(nbrs[branch[0]]) > 3:
+            return None
+        b = branch[0]
+        arms = []
+        for w in nbrs[b]:
+            prev, length = b, 1
+            while len(nbrs[w]) == 2:
+                prev, w = w, next(iter(nbrs[w] - {prev}))
+                length += 1
+            arms.append(length)
+        a1, a2, a3 = sorted(arms)
+        if a1 == 1 and a2 == 1:
+            return f"D{n}"
+        if a1 == 1 and a2 == 2 and a3 in (2, 3, 4):
+            return f"E{n}"
+        return None
 
 
 def opposite(q: Quiver) -> Quiver:
@@ -52,109 +129,15 @@ def opposite(q: Quiver) -> Quiver:
 
 
 def is_acyclic(q: Quiver) -> bool:
-    return topological_order(q) is not None
-
-
-def topological_order(q: Quiver):
-    """A topological order (smallest available vertex first), or None."""
-    indeg = [0] * q.vertex_count
-    for _, t in q.arrows:
-        indeg[t] += 1
-    avail = sorted(v for v in range(q.vertex_count) if indeg[v] == 0)
-    order = []
-    indeg = list(indeg)
-    import heapq
-
-    heap = list(avail)
-    heapq.heapify(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for _, (s, t) in enumerate(q.arrows):
-            if s == v:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    heapq.heappush(heap, t)
-    if len(order) != q.vertex_count:
-        return None
-    return tuple(order)
-
-
-def _underlying_adjacency(q: Quiver):
-    """Undirected adjacency with edge multiplicities; loops counted."""
-    adj = [dict() for _ in range(q.vertex_count)]
-    loops = 0
-    for s, t in q.arrows:
-        if s == t:
-            loops += 1
-            continue
-        adj[s][t] = adj[s].get(t, 0) + 1
-        adj[t][s] = adj[t].get(s, 0) + 1
-    return adj, loops
-
-
-def dynkin_type(q: Quiver):
-    """The ADE type of the underlying graph ("A3", "D4", "E6", ...) or None.
-
-    Checks the shape explicitly: a connected simple tree that is either a
-    path, or has exactly one degree-3 vertex with arm lengths (1,1,n-3)
-    [type D] or (1,2,c) with c in {2,3,4} [types E6,E7,E8].
-    """
-    n = q.vertex_count
-    if n == 0:
-        return None
-    adj, loops = _underlying_adjacency(q)
-    if loops:
-        return None
-    if any(m > 1 for d in adj for m in d.values()):
-        return None  # multiple edges
-    edge_count = sum(len(d) for d in adj) // 2
-    if edge_count != n - 1:
-        return None  # not a tree (wrong edge count)
-    # connectivity
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        return None
-    degrees = [len(d) for d in adj]
-    if any(d > 3 for d in degrees):
-        return None
-    branch = [v for v in range(n) if degrees[v] == 3]
-    if not branch:
-        return f"A{n}"
-    if len(branch) > 1:
-        return None
-    b = branch[0]
-    arms = []
-    for w in adj[b]:
-        length = 1
-        prev, cur = b, w
-        while degrees[cur] == 2:
-            nxt = next(x for x in adj[cur] if x != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    a1, a2, a3 = arms
-    if a1 == 1 and a2 == 1:
-        return f"D{n}"
-    if a1 == 1 and a2 == 2 and a3 in (2, 3, 4):
-        return f"E{n}"
-    return None
+    return q.topological_order is not None
 
 
 def is_dynkin(q: Quiver) -> bool:
-    return dynkin_type(q) is not None
+    return q.dynkin_type is not None
 
 
 def require_dynkin(q: Quiver) -> str:
-    t = dynkin_type(q)
+    t = q.dynkin_type
     if t is None:
         raise ValueError("quiver is not of Dynkin (ADE) type")
     return t

@@ -19,7 +19,6 @@ from .quiver import (
     opposite,
     quiver_from_json,
     quiver_to_json,
-    topological_order,
 )
 
 
@@ -428,7 +427,7 @@ def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> 
 
 def socle_at(x: Representation, vertex: int) -> Matrix:
     """Basis (columns) of the joint kernel of the arrow maps leaving vertex."""
-    outgoing = [x.arrow_mats[i] for i, _ in x.quiver.out_arrows(vertex)]
+    outgoing = [x.arrow_mats[i] for i, _ in x.quiver.out_arrows[vertex]]
     if not outgoing:
         return Matrix.identity(x.field, x.dims[vertex])
     return Matrix.vstack(outgoing).kernel_basis()
@@ -562,11 +561,10 @@ def _paths_from(q: Quiver, start: int):
     stack = [((), start)]
     while stack:
         path, v = stack.pop()
-        for idx, (s, t) in enumerate(q.arrows):
-            if s == v:
-                newp = path + (idx,)
-                paths[t].append(newp)
-                stack.append((newp, t))
+        for idx, t in q.out_arrows[v]:
+            newp = path + (idx,)
+            paths[t].append(newp)
+            stack.append((newp, t))
     return {v: sorted(ps, key=lambda p: (len(p), p)) for v, ps in paths.items()}
 
 

@@ -145,8 +145,8 @@ def _assert_unitriangular_in_hom_order(t):
 
 def test_table_projective_injective_roots(table_a3_f5):
     t = table_a3_f5
-    proj = {t.roots[i] for i in t.projective_root_indices()}
-    inj = {t.roots[i] for i in t.injective_root_indices()}
+    proj = {t.roots[i] for i in t.projective}
+    inj = {t.roots[i] for i in t.injective}
     assert proj == {(1, 1, 1), (0, 1, 1), (0, 0, 1)}
     assert inj == {(1, 0, 0), (1, 1, 0), (1, 1, 1)}
 

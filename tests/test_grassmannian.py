@@ -437,8 +437,8 @@ def test_count_does_not_enumerate_the_last_vertex(monkeypatch):
 def _pair_kind(oracle, chosen, v1):
     """How the arrows join v1 to the other unassigned vertex."""
     v2 = next(u for u in range(oracle.q.vertex_count) if u not in chosen and u != v1)
-    out = sum(1 for _, t in oracle.out_arrows[v1] if t == v2)
-    inn = sum(1 for _, s in oracle.in_arrows_[v1] if s == v2)
+    out = sum(1 for _, t in oracle.q.out_arrows[v1] if t == v2)
+    inn = sum(1 for _, s in oracle.q.in_arrows[v1] if s == v2)
     return {(0, 0): "none", (1, 0): "v1 -> v2", (0, 1): "v2 -> v1"}.get((out, inn), "several")
 
 
@@ -526,6 +526,13 @@ def test_count_does_not_enumerate_the_last_two_vertices(monkeypatch):
     assert patterns * 10 < leaves
     assert len(oracle.enumerate((0, 1, 2))) == leaves
     assert oracle.visits == 1 + 31 + leaves
+
+
+def test_oracle_refuses_an_oriented_cycle():
+    for q in (Quiver(2, ((0, 1), (1, 0))), Quiver(1, ((0, 0),))):
+        m = random_representation(q, (1,) * q.vertex_count, F2, seed=0)
+        with pytest.raises(ValueError, match="acyclic"):
+            SubrepOracle(m)
 
 
 def test_oracle_refuses_a_negative_budget():
@@ -811,12 +818,10 @@ def _eager_path_nullities(m, gf):
     a: v -> t and every path start -> v kept in v's frontier, which holds
     one composite per (start, v), the one of lower rank among parallel
     paths.  The reference for the list the oracle builds lazily."""
-    from quiverrep.quiver import topological_order
-
     arrow_rows = [gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats]
     out = []
     frontier = {v: {v: gflin.pack_rows(gf, gflin.identity_rows(d))} for v, d in enumerate(m.dims)}
-    for v in topological_order(m.quiver):
+    for v in m.quiver.topological_order:
         for arrow_idx, (s, t) in enumerate(m.quiver.arrows):
             if s != v:
                 continue
