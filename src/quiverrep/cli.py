@@ -107,6 +107,11 @@ def _verdict_exit(v: Verdict) -> int:
     return EXIT_FAILS
 
 
+# stable-search reasons that certify no embedding n^r -> m^r for any r; the
+# search returns "Hom(n, m) = 0" only when n != 0, since n = 0 embeds at r = 1
+NO_EMBEDDING_AT_ANY_R = ("Hom(n, m) = 0", "no injective map can exist at any r")
+
+
 def _exhaustive_reduction(args, *reps):
     """reps reduced into F_q for q = --exhaustive-q when they are over Q.
     dim End is not checked: the user chose the field."""
@@ -188,7 +193,10 @@ def cmd_check_embed(args) -> int:
         if report.found:
             lines.append(f"embedding found at r = {report.r}")
         else:
-            lines.append(f"embedding not found up to r = {args.r_max} (inconclusive)")
+            if report.reason in NO_EMBEDDING_AT_ANY_R:
+                lines.append("no embedding exists at any r")
+            else:
+                lines.append(f"embedding not found up to r = {args.r_max} (inconclusive)")
             lines.append(f"reason: {report.reason}")
             if verdict.holds and exit_code == EXIT_HOLDS:
                 exit_code = EXIT_INCONCLUSIVE

@@ -80,13 +80,6 @@ class Verdict:
         }
 
 
-def _require_table_match(x: Representation, table: IndecomposableTable):
-    if x.quiver != table.quiver:
-        raise ValueError("representation and table quivers differ")
-    if x.field != table.field:
-        raise ValueError("representation and table fields differ")
-
-
 # ----------------------------------------------------------------------
 # Quiver Grassmannian criteria
 
@@ -103,7 +96,7 @@ class GrassmannianChecker:
 
     def __init__(self, m: Representation, table: IndecomposableTable):
         require_dynkin(m.quiver)
-        _require_table_match(m, table)
+        table.require_rep(m)
         self.m = m
         self.table = table
         self.hom_into_m = tuple(hom_dim(u, m) for u in table.reps)
@@ -585,7 +578,7 @@ def an_criterion(
         raise ValueError("an_criterion requires an equioriented type A quiver")
     if n.quiver != m.quiver or n.field != m.field:
         raise ValueError("representations must share a quiver and a field")
-    _require_table_match(n, table)
+    table.require_rep(n)
     intervals = _roots_as_intervals(table, order)
     n_mults = decompose(n, table)
     m_mults = decompose(m, table)

@@ -292,10 +292,7 @@ class IndecomposableTable:
         block c x_p has the rank of x_p.  ValueError when x is not over the
         table's quiver and field.
         """
-        if x.quiver != self.quiver:
-            raise ValueError("representation is not over the table's quiver")
-        if x.field != self.field:
-            raise ValueError("representation is not over the table's field")
+        self.require_rep(x)
         f, dims, mats = x.field, x.dims, x.arrow_mats
         comp = {}
         for a, b, arrow, i in self._composite_steps:
@@ -346,6 +343,13 @@ class IndecomposableTable:
             for i in range(q.vertex_count)
         )
 
+    def require_rep(self, x: Representation) -> None:
+        """ValueError unless x is over the table's quiver and field."""
+        if x.quiver != self.quiver:
+            raise ValueError("representation is not over the table's quiver")
+        if x.field != self.field:
+            raise ValueError("representation is not over the table's field")
+
     def root_index(self, root: DimVector) -> int:
         return self.roots.index(tuple(root))
 
@@ -390,9 +394,20 @@ def _euler_values(q: Quiver, dims) -> tuple[tuple[int, ...], ...]:
 def decompose(x: Representation, table: IndecomposableTable) -> dict[DimVector, int]:
     """Multiplicities of the indecomposables in x, from ([U, x])_U read off
     the table's projective presentations (`IndecomposableTable.hom_into`)
-    by its back-substitution (`IndecomposableTable.multiplicities`)."""
-    mu = table.multiplicities(table.hom_into(x), x.dims)
-    return {root: m for root, m in zip(table.roots, mu) if m}
+    by its back-substitution (`IndecomposableTable.multiplicities`).
+
+    By Krull-Schmidt they belong to x alone, and every table of x's quiver
+    and field lists the same roots, so the first call caches them on x
+    (a `Representation` is treated as immutable) and later calls, with any
+    such table, return a copy.  A table over another quiver or field is a
+    ValueError, cached or not.
+    """
+    table.require_rep(x)
+    mults = getattr(x, "_decomposition", None)
+    if mults is None:
+        mu = table.multiplicities(table.hom_into(x), x.dims)
+        mults = x._decomposition = {root: m for root, m in zip(table.roots, mu) if m}
+    return dict(mults)
 
 
 def assemble(table: IndecomposableTable, mults: dict[DimVector, int]) -> Representation:

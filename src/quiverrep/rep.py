@@ -26,10 +26,12 @@ class Representation:
     """Vector spaces at the vertices, one exact matrix per arrow.
 
     The matrix of an arrow a: i -> j has shape dims[j] x dims[i] and acts on
-    column vectors.
+    column vectors.  Treated as immutable: `dynkin.decompose` caches its
+    multiplicities on the object, in the `_decomposition` slot, which stays
+    unset until then.
     """
 
-    __slots__ = ("quiver", "field", "dims", "arrow_mats")
+    __slots__ = ("quiver", "field", "dims", "arrow_mats", "_decomposition")
 
     def __init__(self, quiver: Quiver, field: FieldSpec, dims: DimVector, arrow_mats):
         dims = check_dimvector(quiver, dims)
@@ -426,11 +428,42 @@ def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> 
 
 
 def socle_at(x: Representation, vertex: int) -> Matrix:
-    """Basis (columns) of the joint kernel of the arrow maps leaving vertex."""
+    """Basis (columns) of the joint kernel of the arrow maps leaving vertex.
+
+    That kernel is the socle at vertex only when x is nilpotent, so on a
+    quiver with an oriented cycle a non-nilpotent x is a ValueError
+    (`_require_nilpotent`); acyclic quivers skip the test.
+    """
+    if not is_acyclic(x.quiver):
+        _require_nilpotent(x)
     outgoing = [x.arrow_mats[i] for i, _ in x.quiver.out_arrows[vertex]]
     if not outgoing:
         return Matrix.identity(x.field, x.dims[vertex])
     return Matrix.vstack(outgoing).kernel_basis()
+
+
+def _require_nilpotent(x: Representation) -> None:
+    """ValueError unless every path of length total_dim acts as 0 on x.
+
+    A non-nilpotent x has simple subrepresentations other than the S_v
+    (the one-loop quiver with x = 1 has no S_v in it at all), so the joint
+    kernels of `socle_at` miss them.  Walks the spans of the images of the
+    paths of length 1, 2, ..., total_dim, one row basis per vertex: the sum
+    of the arrows' images, not the image of their sum, which parallel
+    arrows a and -a would make 0 whatever a is.
+    """
+    f = x.field
+    span = [Matrix.identity(f, d) for d in x.dims]
+    for _ in range(x.total_dim):
+        images = [[Matrix.zeros(f, 0, d)] for d in x.dims]
+        for (s, t), a in zip(x.quiver.arrows, x.arrow_mats):
+            images[t].append(span[s] @ a.transpose())
+        span = []
+        for t, blocks in enumerate(images):
+            red, pivots = Matrix.vstack(blocks).rref()
+            span.append(Matrix(f, red.rows[: len(pivots)], validate=False, ncols=x.dims[t]))
+    if any(b.nrows for b in span):
+        raise ValueError("representation is not nilpotent: its socle is not the kernel of the arrows")
 
 
 def _column_span_contains(span: Matrix, vecs: Matrix) -> bool:

@@ -12,8 +12,8 @@ import quiverrep
 from quiverrep.cli import MAX_LEDGER_LINES, main
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import d4_p1, d4_x, kronecker3_g, kronecker3_m
-from quiverrep.quiver import a_n, save_quiver
-from quiverrep.rep import Representation, load_morphism, load_rep, rep_to_json, save_rep, simple
+from quiverrep.quiver import Quiver, a_n, save_quiver
+from quiverrep.rep import Representation, direct_sum, load_morphism, load_rep, rep_to_json, save_rep, simple
 
 
 def write_rep(tmp_path, name, rep):
@@ -291,6 +291,51 @@ def test_check_embed_inconclusive_exit(fixture_dir):
         ]
     )
     assert rc == 2  # the criterion holds but no embedding exists at r = 1
+
+
+@pytest.mark.parametrize("stable", [[], ["--stable"]], ids=["plain", "stable"])
+def test_check_embed_refuses_a_non_nilpotent_loop(tmp_path, capsys, stable):
+    """n = (x = 1) on the one-loop quiver over F_2, into the zero
+    representation and into (x = 0): input errors, not verdicts."""
+    f2 = GF(2)
+    loop = Quiver(1, ((0, 0),))
+    n = write_rep(tmp_path, "n.json", Representation(loop, f2, (1,), [Matrix(f2, [[1]])]))
+    z = write_rep(tmp_path, "z.json", Representation(loop, f2, (0,), [Matrix.zeros(f2, 0, 0)]))
+    m = write_rep(tmp_path, "m.json", Representation(loop, f2, (1,), [Matrix(f2, [[0]])]))
+    for target in (z, m):
+        assert main(["check-embed", n, target, *stable]) == 3
+        captured = capsys.readouterr()
+        assert "not nilpotent" in captured.err and captured.out == ""
+
+
+def test_check_embed_stable_certified_no(tmp_path, capsys):
+    """On A2 (0 -> 1) the search certifies that no embedding exists at any
+    r for S_0 into S_1 (Hom = 0) and for S_1^2 into P_0 = (1, 1) (a
+    vertex too small), and says so; a budget miss stays inconclusive.
+    JSON and exit codes are as before."""
+    f2 = GF(2)
+    s0, s1 = simple(a_n(2), f2, 0), simple(a_n(2), f2, 1)
+    p0 = Representation(a_n(2), f2, (1, 1), [Matrix(f2, [[1]])])
+    cases = [
+        (s0, s1, "Hom(n, m) = 0"),
+        (direct_sum([s1, s1]), p0, "no injective map can exist at any r"),
+    ]
+    for n, m, reason in cases:
+        pn, pm = write_rep(tmp_path, "n.json", n), write_rep(tmp_path, "m.json", m)
+        assert main(["check-embed", pn, pm, "--stable"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["no embedding exists at any r", f"reason: {reason}"]
+        assert not any("inconclusive" in line for line in lines)
+        assert main(["check-embed", pn, pm, "--stable", "--format", "json"]) == 1
+        search = json.loads(capsys.readouterr().out)["result"]["stable_search"]
+        assert search["found"] is False and search["reason"] == reason
+    fx = tmp_path / "fx"
+    assert main(["fixtures", "--out", str(fx), "--field", "F_2"]) == 0
+    capsys.readouterr()
+    pi, m = str(fx / "kronecker3.pi.json"), str(fx / "kronecker3.m.json")
+    assert main(["check-embed", pi, m, "--stable", "--rmax", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["embedding not found up to r = 1 (inconclusive)", "reason: budget exhausted"]
 
 
 def test_check_embed_exhaustive_q_reduction(tmp_path):

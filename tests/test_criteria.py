@@ -664,6 +664,28 @@ def test_nc2_flow_reads_multiplicities_only(monkeypatch):
     assert cold == 6  # one first check per table
 
 
+def test_an_criterion_and_flow_decompose_each_representation_once(table_a3_f2, monkeypatch):
+    """an_criterion (on its own table) and the flow (on the cached one)
+    share each representation's multiplicities: a cold A3/F_2 pair makes
+    two hom_into calls, and repeating both makes none, whether the pair
+    holds (with an_criterion's embedding) or fails."""
+    cached_table(A3, F2)
+    calls = []
+    real = dynkin.IndecomposableTable.hom_into
+    monkeypatch.setattr(dynkin.IndecomposableTable, "hom_into", lambda t, x: calls.append(x) or real(t, x))
+    for holds in (True, False):
+        n = random_representation(A3, (1, 2, 1), F2, seed=11)
+        m = direct_sum([n, random_representation(A3, (1, 1, 1), F2, seed=12)])
+        x, y = (n, m) if holds else (m, n)
+        for expected in (2, 0):
+            calls.clear()
+            v_an = an_criterion(x, y, table_a3_f2)
+            v_flow = check_nc2(x, y)
+            assert v_an.holds == v_flow.holds == holds and v_flow.context["mode"] == "type-a-flow"
+            assert len(calls) == expected
+    assert table_a3_f2 is not cached_table(A3, F2)
+
+
 def _type_a_pairs(field, count: int):
     """Seeded pairs (n, m) on equioriented and alternating A3 and A4 and a
     mixed A5.  In turn, m is n plus a random summand (n embeds), a random
@@ -817,6 +839,53 @@ def test_nc2_requires_matching_inputs():
     m = random_representation(A2, (1, 1), F3, seed=0)
     with pytest.raises(ValueError):
         check_nc2(n, m, CheckConfig())
+
+
+LOOP = Quiver(1, ((0, 0),))
+
+
+def _jordan(field, partition) -> Representation:
+    """The loop acting on field^|partition| by nilpotent Jordan blocks of
+    the given sizes."""
+    blocks = [Matrix(field, [[int(c == r + 1) for c in range(k)] for r in range(k)]) for k in partition]
+    return Representation(LOOP, field, (sum(partition),), [Matrix.block_diag(field, blocks)])
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=str)
+def test_nc2_refuses_a_non_nilpotent_loop(field):
+    """n = (x = 1) on the loop embeds neither into 0 nor into (x = 0), but
+    its joint kernel is 0, so nc2 used to hold vacuously: now a ValueError."""
+    n = Representation(LOOP, field, (1,), [Matrix(field, [[1]])])
+    for m in (_jordan(field, ()), _jordan(field, (1,))):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            check_nc2(n, m, CheckConfig())
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_nc2_on_the_loop_is_jordan_partition_containment(field):
+    """For nilpotent representations of the loop (modules over k[x]/(x^4))
+    n embeds in m exactly when n's Jordan partition lies inside m's
+    (Macdonald, Symmetric Functions and Hall Polynomials, II), and nc2
+    decides it: every partition of 0-4 with parts at most 3, both ways."""
+    partitions = [p for size in range(5) for p in _partitions(size, 3)]
+    assert len(partitions) == 11
+    held = 0
+    for lam in partitions:
+        for mu in partitions:
+            inside = len(lam) <= len(mu) and all(a <= b for a, b in zip(lam, mu))
+            v = check_nc2(_jordan(field, lam), _jordan(field, mu))
+            assert v.conclusive and v.holds == inside, (lam, mu)
+            held += inside
+    assert 30 <= held <= 121 - 30
+
+
+def _partitions(size: int, largest: int):
+    """Partitions of size into parts at most largest, parts decreasing."""
+    if size == 0:
+        yield ()
+    for part in range(min(size, largest), 0, -1):
+        for rest in _partitions(size - part, part):
+            yield (part,) + rest
 
 
 def test_stable_embedding_implies_nc2():

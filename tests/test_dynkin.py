@@ -306,6 +306,60 @@ def test_decompose_rejects_field_mismatch(table_a3_f5):
         decompose(x, table_a3_f5)
 
 
+def _refuse_hom_into(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("decompose recomputed [U, x]")
+
+    monkeypatch.setattr(IndecomposableTable, "hom_into", refuse)
+
+
+def test_decompose_caches_on_the_representation(monkeypatch):
+    """A second decompose of the same object, with the same table or
+    another one of its quiver and field, makes no hom_into call."""
+    table = build_table(a_n(3), F2)
+    x = random_representation(a_n(3), (2, 2, 1), F2, seed=7)
+    assert not hasattr(x, "_decomposition")
+    first = decompose(x, table)
+    _refuse_hom_into(monkeypatch)
+    assert decompose(x, table) == first
+    assert decompose(x, build_table(a_n(3), F2)) == first
+
+
+def test_decompose_cache_keeps_the_table_check():
+    """A table over another field or quiver is still a ValueError once x
+    has its multiplicities."""
+    x = random_representation(a_n(3), (1, 2, 1), F2, seed=8)
+    decompose(x, build_table(a_n(3), F2))
+    for other in (build_table(a_n(3), F3), build_table(Quiver(3, ((0, 1), (2, 1))), F2)):
+        with pytest.raises(ValueError, match="not over the table's"):
+            decompose(x, other)
+
+
+def test_decompose_returns_a_copy():
+    """Mutating an answer does not change the next one."""
+    table = build_table(d4_subspace(), F3)
+    x = random_representation(d4_subspace(), (2, 1, 1, 1), F3, seed=2)
+    first = decompose(x, table)
+    expected = dict(first)
+    first[(1, 0, 0, 0)] = 99
+    first.clear()
+    assert decompose(x, table) == expected
+
+
+@pytest.mark.parametrize("q", [a_n(3), d4_subspace(), E6], ids=["A3", "D4", "E6"])
+def test_cached_decomposition_matches_a_fresh_representation(q, monkeypatch):
+    """On seeded inputs the cached answer, read with the same table and
+    with another one, equals that of a fresh, uncached copy of x."""
+    table = build_table(q, F3)
+    xs = _seeded_reps(table, 4, seed=q.vertex_count)
+    first = [decompose(x, table) for x in xs]
+    fresh = [decompose(rep.Representation(x.quiver, x.field, x.dims, x.arrow_mats), table) for x in xs]
+    assert first == fresh
+    _refuse_hom_into(monkeypatch)
+    assert [decompose(x, table) for x in xs] == fresh
+    assert [decompose(x, build_table(q, F3)) for x in xs] == fresh
+
+
 def _sampled_decomposition(q, e, table, seed=0, retries=64):
     """The decomposition of G_e by sampling, the oracle for the sink walk:
     decompose seeded random representations of dimension vector e until

@@ -371,6 +371,41 @@ def test_socle_additive_over_sums():
             assert socle_at(s, i).ncols == socle_at(x, i).ncols + socle_at(y, i).ncols
 
 
+def test_socle_at_refuses_non_nilpotent_representations(monkeypatch):
+    """With an oriented cycle the joint kernel is the socle only when
+    every long enough path acts as 0: a loop x = 1, a 2-cycle of
+    identities and two loops a, -a with a invertible (their sum is 0) are
+    ValueErrors, their nilpotent counterparts are not.  Acyclic quivers
+    never run the test."""
+    f = GF(3)
+    loop, two_cycle, two_loops = Quiver(1, ((0, 0),)), Quiver(2, ((0, 1), (1, 0))), Quiver(1, ((0, 0), (0, 0)))
+    one, eye, shift = Matrix(f, [[1]]), Matrix.identity(f, 2), Matrix(f, [[0, 1], [0, 0]])
+    refused = [
+        Representation(loop, f, (1,), [one]),
+        Representation(two_cycle, f, (1, 1), [one, one]),
+        Representation(two_loops, f, (2,), [eye, -eye]),
+        Representation(two_loops, f, (2,), [shift, shift.transpose()]),
+    ]
+    accepted = [
+        (Representation(loop, f, (1,), [Matrix(f, [[0]])]), [1]),
+        (Representation(loop, f, (2,), [shift]), [1]),
+        (Representation(two_cycle, f, (1, 1), [one, Matrix(f, [[0]])]), [0, 1]),
+        (Representation(two_loops, f, (2,), [shift, shift.scale(2)]), [1]),
+    ]
+    for x in refused:
+        with pytest.raises(ValueError, match="not nilpotent"):
+            socle_at(x, 0)
+    for x, socle_dims in accepted:
+        assert [socle_at(x, i).ncols for i in range(x.quiver.vertex_count)] == socle_dims
+
+    def refuse(x):
+        raise AssertionError("acyclic quivers skip the nilpotency test")
+
+    monkeypatch.setattr(rep_module, "_require_nilpotent", refuse)
+    x = random_representation(K3, (2, 3), F5, seed=1)
+    assert socle_at(x, 0).ncols + socle_at(x, 1).ncols > 0
+
+
 def test_quotient_by_zero_is_isomorphic_copy():
     x = random_representation(A3, (2, 2, 1), F5, seed=7)
     zero_sub = [Matrix.zeros(F5, d, 0) for d in x.dims]
