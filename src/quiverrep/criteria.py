@@ -30,11 +30,10 @@ from .rep import (
     hom_basis,
     hom_dim,
     hom_evaluation_rows,
-    hom_evaluations,
     identity_morphism,
     is_injective_morphism,
     search_hom,
-    socle_at,
+    _socles,
 )
 
 
@@ -225,11 +224,6 @@ def _bracket_payload(i, k, vec, hom_nk_n, hom_nk_m, zn, zm):
         "lhs": zn,
         "rhs": zm,
     }
-
-
-def _socles(n: Representation) -> dict[int, Matrix]:
-    """The nonzero socles of n, by vertex."""
-    return {i: soc for i in range(n.quiver.vertex_count) if (soc := socle_at(n, i)).ncols}
 
 
 def check_nc2(n: Representation, m: Representation, config: CheckConfig | None = None) -> Verdict:
@@ -491,9 +485,9 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
     The socle of n^k at vertex i is k diagonal copies of n's socle there,
     so a socle vector of n^k is k socle vectors soc c_1, ..., soc c_k of
     n, and each side of the estimate is the evaluation rank
-    dim{f(s) : f in Hom(n^k, y)} = dim span{A_b c_t : b, t}, with A_b the
-    action of the b-th basis element of Hom(n, y) on the socle.  No power
-    or quotient is built.
+    dim{f(s) : f in Hom(n^k, y)} = dim span{A_b c_t : b, t}, with
+    A_b = phi_b,i soc the action on the socle of phi_b, the b-th morphism
+    of `hom_basis(n, y)`.  No power or quotient is built.
     """
     f = n.field
     rng = random.Random(config.seed)
@@ -501,8 +495,10 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
     details = []
     witness = None
     if socles:
-        acts_n = hom_evaluations(n, n, socles)[1]
-        acts_m = hom_evaluations(n, m, socles)[1]
+        acts_n, acts_m = (
+            {i: [phi.vertex_mats[i] @ soc for phi in basis] for i, soc in socles.items()}
+            for basis in (hom_basis(n, n).morphisms, hom_basis(n, m).morphisms)
+        )
         verts = sorted(socles)
         for _ in range(config.trials):
             i = verts[rng.randrange(len(verts))]

@@ -5,25 +5,29 @@ enumeration and nc2's socle-subspace scan.  It deliberately shares no
 elimination code with :mod:`quiverrep.exactlin`, so enumeration results can
 serve as an independent cross-check for the criterion computations, and
 nc2's exactlin cross-checks (the literal quotient check in the tests, the
-type A criterion) share no elimination with its scan.  Over a finite field
-nc2 runs here end to end once the socles are known: the Hom kernel of the
-intertwining equations (emitted in the handle's row format by
-``rep.hom_evaluation_rows``), the stacked evaluation tables cut apart by
-``row_blocks`` and reassembled by ``transpose_rows``, and each class's
-span grown from its prefix's by ``extend_rref``.
+type A criterion) share no elimination with its scan.  The tests, in turn,
+check these functions against exactlin's kernels and ranks.  Over a finite
+field nc2 runs here end to end once the socles are known: the Hom kernel of
+the intertwining equations (``rep.hom_evaluation_rows``), the stacked
+evaluation tables cut apart by ``row_blocks`` and reassembled by
+``transpose_rows``, and each class's span grown from its prefix's by
+``extend_rref``.
 
 Elements of GF(q), q = p^k, are integers 0..q-1.  For k > 1 the integer
 encodes the coefficient vector of a polynomial over F_p in base p, and
 arithmetic runs through multiplication tables built from a brute-force
 irreducible polynomial.
 
-Every row-space function takes a field handle first, and the handle fixes
-the row format:
+Every row-space function takes a field handle first.  The handle fixes the
+row format and nothing else: each operation is written once, on primitives
+the handle supplies (reduce a row against a reduced echelon basis,
+eliminate rows into one, join two row halves and read back the right halves
+of rows whose left half is zero) and on its layout operations (packing,
+blocks, transpose, product, the rows of one pivot for ``enumerate_rref``).
 
 * a :class:`Gfq` handle (``gfq(q)``, any q, including 2) takes matrices as
   tuples of row tuples.  nc2 and the enumeration oracle over q > 2, the
-  stable search and the tests use it; the tests keep it as the reference
-  for the packed format.
+  stable search and the tests use it.
 * the :data:`GF2_PACKED` handle takes each row of length n as one int, with
   column j at bit n-1-j, so integer order is the lexicographic order of the
   row tuples and a reduced echelon basis lists its rows in decreasing order.
@@ -31,8 +35,8 @@ the row format:
   over F_2.
 
 ``handle(q)`` makes that choice once for its callers.  ``pack_rows`` and
-``unpack_rows`` convert at the boundary; both formats give the same
-subspaces, in the same order, from every function.
+``unpack_rows`` convert at the boundary; RREF is unique, so both formats
+give the same subspaces, in the same rows and order, from every function.
 """
 
 from __future__ import annotations
@@ -108,9 +112,8 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 
 class Gfq:
-    """Arithmetic tables for GF(q) with q <= 64 (any prime p is fine at k=1)."""
-
-    packed = False
+    """Arithmetic tables for GF(q) with q <= 64 (any prime p is fine at k=1),
+    and the tuple row format: a row is a tuple of field elements."""
 
     def __init__(self, q: int):
         p, k = factor_prime_power(q)
@@ -126,7 +129,6 @@ class Gfq:
             self.mul_table = None
             self.inv_table = None
             self.neg_table = None
-
     def _decode(self, a: int) -> tuple[int, ...]:
         digits = []
         for _ in range(self.k):
@@ -208,6 +210,81 @@ class Gfq:
     def from_int(self, n: int) -> int:
         return n % self.p
 
+    # The row primitives the row-space functions below are written on;
+    # PackedGF2 has the same ones for its format.  A reduced echelon tuple
+    # row is 0 before its pivot and 1 at it, so its pivot is row.index(1),
+    # and decreasing tuple order lists such rows by increasing pivot.
+
+    def _axpy(self, x, c: int, b) -> tuple:
+        """The row x + c b."""
+        if self.mul_table is None:
+            p = self.p
+            return tuple([(u + c * v) % p for u, v in zip(x, b)])
+        add, times = self.add_table, self.mul_table[c]
+        return tuple([add[u][times[v]] for u, v in zip(x, b)])
+
+    def _pack(self, row) -> tuple:
+        return tuple(row)
+
+    def _unpack(self, row, n: int) -> tuple:
+        return row
+
+    def _reduce(self, basis, x):
+        """x reduced against the rows of a reduced echelon basis."""
+        for b in basis:
+            c = x[b.index(1)]
+            if c:
+                x = self._axpy(x, self.neg(c), b)
+        return x
+
+    def _eliminate(self, basis: list, rows) -> list:
+        """`basis`, a list of reduced echelon rows, with `rows` eliminated
+        into it: each row is reduced and, unless zero, scaled to pivot 1,
+        cleared from the others at its pivot and appended.  Unsorted."""
+        for x in rows:
+            x = self._reduce(basis, tuple(x))
+            p = next((j for j, v in enumerate(x) if v), None)
+            if p is None:
+                continue
+            if x[p] != 1:
+                x = self._axpy((0,) * len(x), self.inv(x[p]), x)
+            for i, b in enumerate(basis):
+                if b[p]:
+                    basis[i] = self._axpy(b, self.neg(b[p]), x)
+            basis.append(x)
+        return basis
+
+    def _join(self, lefts, rights, width: int) -> list:
+        """The rows (x | y) for x, y in zip(lefts, rights), y `width` wide."""
+        return [x + y for x, y in zip(lefts, rights)]
+
+    def _right_halves(self, rows, width: int) -> Rows:
+        """The right halves, `width` wide, of the rows whose left half is 0."""
+        return tuple(r[len(r) - width :] for r in rows if not any(r[: len(r) - width]))
+
+    def _blocks(self, rows, n: int, start: int, count: int, width: int) -> Rows:
+        return tuple(r[start + a * width : start + (a + 1) * width] for r in rows for a in range(count))
+
+    def _transpose(self, rows, n: int) -> Rows:
+        return tuple(tuple(r[j] for r in rows) for j in range(n))
+
+    def _matmul(self, a, b, ncols: int) -> Rows:
+        out = []
+        for row in a:
+            acc = (0,) * ncols
+            for x, brow in zip(row, b):
+                if x:
+                    acc = self._axpy(acc, x, brow)
+            out.append(acc)
+        return tuple(out)
+
+    def _pivot_rows(self, n: int, pivots, p: int):
+        """The rows with pivot p of the k x n RREF matrices with pivot
+        columns `pivots`, in lexicographic order."""
+        return itertools.product(
+            *((1,) if j == p else range(self.q) if j > p and j not in pivots else (0,) for j in range(n))
+        )
+
 
 _GFQ_CACHE: dict[int, Gfq] = {}
 
@@ -220,11 +297,84 @@ def gfq(q: int) -> Gfq:
 
 class PackedGF2:
     """The GF(2) handle whose rows are packed into ints (see the module
-    docstring).  It carries no element arithmetic: the row-space functions
-    work on whole rows by XOR."""
+    docstring).  It carries no element arithmetic: rows are added by XOR.
+    The pivot of a reduced echelon row is its top bit, so "x has the pivot
+    bit of b set" reads x ^ b < x."""
 
     q = 2
-    packed = True
+
+    def _pack(self, row) -> int:
+        x = 0
+        for bit in row:
+            x = (x << 1) | bit
+        return x
+
+    def _unpack(self, x: int, n: int) -> tuple:
+        return tuple((x >> (n - 1 - j)) & 1 for j in range(n))
+
+    def _reduce(self, basis, x: int) -> int:
+        for b in basis:
+            if x ^ b < x:
+                x ^= b
+        return x
+
+    def _eliminate(self, basis: list, rows) -> list:
+        for x in rows:
+            for b in basis:  # _reduce, inlined on the oracle's hottest loop
+                if x ^ b < x:
+                    x ^= b
+            if x:
+                for i, b in enumerate(basis):
+                    if b ^ x < b:
+                        basis[i] = b ^ x
+                basis.append(x)
+        return basis
+
+    def _join(self, lefts, rights, width: int) -> list[int]:
+        return [(x << width) | y for x, y in zip(lefts, rights)]
+
+    def _right_halves(self, rows, width: int) -> Rows:
+        return tuple(r for r in rows if r >> width == 0)
+
+    def _blocks(self, rows, n: int, start: int, count: int, width: int) -> Rows:
+        mask = (1 << width) - 1
+        shifts = [n - start - (a + 1) * width for a in range(count)]
+        return tuple([(x >> s) & mask for x in rows for s in shifts])
+
+    def _transpose(self, rows, n: int) -> Rows:
+        out = []
+        for j in range(n - 1, -1, -1):
+            x = 0
+            for r in rows:
+                x = x << 1 | (r >> j) & 1
+            out.append(x)
+        return tuple(out)
+
+    def _matmul(self, a, b, ncols: int) -> Rows:
+        by_bit = b[::-1]  # by_bit[i] is the row of b selected by bit i
+        out = []
+        for x in a:
+            acc = i = 0
+            while x:
+                if x & 1:
+                    acc ^= by_bit[i]
+                x >>= 1
+                i += 1
+            out.append(acc)
+        return tuple(out)
+
+    def _pivot_rows(self, n: int, pivots, p: int) -> list[int]:
+        # the free entries in lexicographic order are the submasks of the
+        # free bits in increasing order
+        lead, free = 1 << (n - 1 - p), 0
+        for j in range(p + 1, n):
+            if j not in pivots:
+                free |= 1 << (n - 1 - j)
+        rows, s = [lead], 0
+        while s != free:
+            s = (s - free) & free
+            rows.append(lead | s)
+        return rows
 
 
 GF2_PACKED = PackedGF2()
@@ -238,78 +388,40 @@ def handle(q: int) -> Handle:
 
 
 # ----------------------------------------------------------------------
-# Row-space operations.  A "row matrix" is a tuple of rows in the handle's
-# format; a subspace of F^n is represented by the row space of such a
-# matrix in reduced row-echelon form.
+# Row-space operations, each written once on the handle's primitives.  A
+# "row matrix" is a tuple of rows in the handle's format; a subspace of F^n
+# is represented by the row space of such a matrix in reduced row-echelon
+# form.
 
 Rows = tuple  # of row tuples (Gfq), or of packed int rows (GF2_PACKED)
 
 
 def pack_rows(gf: Handle, rows) -> Rows:
     """Rows given as sequences of field elements, in gf's row format."""
-    if gf.packed:
-        return tuple(_pack(r) for r in rows)
-    return tuple(tuple(r) for r in rows)
-
-
-def _pack(row) -> int:
-    x = 0
-    for bit in row:
-        x = (x << 1) | bit
-    return x
+    return tuple(map(gf._pack, rows))
 
 
 def unpack_rows(gf: Handle, rows: Rows, n: int) -> Rows:
     """Rows of length n in gf's row format, as tuples of field elements."""
-    if gf.packed:
-        return tuple(tuple((x >> (n - 1 - j)) & 1 for j in range(n)) for x in rows)
-    return rows
+    return tuple(gf._unpack(x, n) for x in rows)
 
 
 def rref_rows(gf: Handle, rows) -> Rows:
     """Reduced row echelon form with zero rows dropped."""
-    if gf.packed:
-        return _rref_packed(rows)
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
-        inv = gf.inv(mat[pivot_row][col])
-        if inv != 1:
-            mat[pivot_row] = [gf.mul(inv, x) for x in mat[pivot_row]]
-        prow = mat[pivot_row]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                c = mat[r][col]
-                row = mat[r]
-                mat[r] = [gf.sub(x, gf.mul(c, y)) for x, y in zip(row, prow)]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
+    return tuple(sorted(gf._eliminate([], rows), reverse=True))
 
 
 def extend_rref(gf: Handle, span_rref: Rows, rows) -> Rows:
     """RREF of span(span_rref) + span(rows), span_rref already in RREF: the
-    one rref_rows(span_rref + rows) gives.
-
-    On packed rows only `rows` are eliminated, against the span and each
-    other, and the span's rows are only cleared at the new pivots.  Tuple
-    rows go through rref_rows, which passes over reduced rows cheaply.
-    """
-    if gf.packed:
-        return _rref_packed(rows, span_rref)
-    return rref_rows(gf, span_rref + tuple(rows))
+    one rref_rows(span_rref + rows) gives.  Only `rows` are eliminated,
+    against the span and each other, and the span's rows are only cleared
+    at the new pivots; the span comes back as it is when the rows all lie
+    in it."""
+    basis = gf._eliminate(list(span_rref), rows)
+    if len(basis) == len(span_rref):
+        return span_rref
+    basis.sort(reverse=True)
+    return tuple(basis)
 
 
 def row_blocks(gf: Handle, rows, n: int, start: int, count: int, width: int) -> Rows:
@@ -317,119 +429,57 @@ def row_blocks(gf: Handle, rows, n: int, start: int, count: int, width: int) -> 
     `width` entries that begin at its entry `start` (the rows of a
     count x width matrix stored row-major there), stacked into one row
     matrix in gf's format."""
-    if gf.packed:
-        mask = (1 << width) - 1
-        shifts = [n - start - (a + 1) * width for a in range(count)]
-        return tuple([(x >> s) & mask for x in rows for s in shifts])
-    return tuple(
-        tuple(r[start + a * width : start + (a + 1) * width]) for r in rows for a in range(count)
-    )
+    return gf._blocks(rows, n, start, count, width)
 
 
 def transpose_rows(gf: Handle, rows, n: int) -> Rows:
     """The n x len(rows) transpose of rows of length n."""
-    if gf.packed:
-        out = []
-        for j in range(n - 1, -1, -1):
-            x = 0
-            for r in rows:
-                x = x << 1 | (r >> j) & 1
-            out.append(x)
-        return tuple(out)
-    return tuple(tuple(r[j] for r in rows) for j in range(n))
+    return gf._transpose(rows, n)
 
 
 def right_kernel_rows(gf: Handle, rows, ncols: int) -> Rows:
-    """Basis (as rows, in RREF) of {v in F^ncols : M v = 0}."""
-    if gf.packed:
-        return _kernel_packed(rows, ncols)
-    red = rref_rows(gf, rows)
-    pivots = []
-    for r in red:
-        for j, x in enumerate(r):
-            if x:
-                pivots.append(j)
-                break
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = gf.neg(red[i][f])
-        basis.append(tuple(v))
-    return rref_rows(gf, basis)
+    """Basis (as rows, in RREF) of {v in F^ncols : M v = 0}: the preimage
+    of 0 under M."""
+    return preimage_rows(gf, transpose_rows(gf, rows, ncols), (), ncols, len(rows))
 
 
 def matmul_rows(gf: Handle, a, b, ncols: int) -> Rows:
     """Product of row matrices a (r x s) and b (s x ncols).  The width is
     passed because tuple rows of b cannot carry it when s = 0."""
-    if gf.packed:
-        return _matmul_packed(a, b)
-    out = []
-    for row in a:
-        acc = [0] * ncols
-        for x, brow in zip(row, b):
-            if x:
-                if x == 1:
-                    for j, y in enumerate(brow):
-                        if y:
-                            acc[j] = gf.add(acc[j], y)
-                else:
-                    for j, y in enumerate(brow):
-                        if y:
-                            acc[j] = gf.add(acc[j], gf.mul(x, y))
-        out.append(tuple(acc))
-    return tuple(out)
+    return gf._matmul(a, b, ncols)
 
 
 def rank_rows(gf: Handle, rows) -> int:
     return len(rref_rows(gf, rows))
 
 
-def reduce_mod_span(gf: Gfq, span_rref: Rows, vec) -> tuple[int, ...]:
-    """Reduce a vector against an RREF row basis."""
-    v = list(vec)
-    for row in span_rref:
-        piv = next(j for j, x in enumerate(row) if x)
-        if v[piv]:
-            c = v[piv]
-            v = [gf.sub(x, gf.mul(c, y)) for x, y in zip(v, row)]
-    return tuple(v)
-
-
 def row_in_span(gf: Handle, span_rref: Rows, vec) -> bool:
-    """Membership test assuming span_rref is in RREF."""
-    if gf.packed:
-        return not _reduce_packed(span_rref, vec)
-    return not any(reduce_mod_span(gf, span_rref, vec))
+    """Membership test assuming span_rref is in RREF: vec reduces to a row
+    that elimination drops."""
+    return not gf._eliminate([], (gf._reduce(span_rref, vec),))
 
 
 def complement_in(gf: Handle, w_rref: Rows, b_rref: Rows) -> Rows:
     """Basis rows of a complement of span(w) inside span(b); requires
     span(w) <= span(b)."""
-    if gf.packed:
-        return _rref_packed([r for r in (_reduce_packed(w_rref, x) for x in b_rref) if r])
-    reduced = [reduce_mod_span(gf, w_rref, row) for row in b_rref]
-    return rref_rows(gf, [r for r in reduced if any(r)])
+    return rref_rows(gf, [gf._reduce(w_rref, x) for x in b_rref])
 
 
 def intersect_rows(gf: Handle, a: Rows, b: Rows, ncols: int) -> Rows:
-    """Intersection of two row spaces of F^ncols, both given by basis rows."""
-    if len(a) == 0 or len(b) == 0:
+    """Intersection of two row spaces of F^ncols, both given by basis rows.
+
+    Zassenhaus: the rows (x | x) for x in a and (y | 0) for y in b are
+    eliminated, and the rows whose left half vanishes span the
+    intersection in their right half.  A side that spans all of F^ncols
+    (the oracle's starting bound) leaves the other one, in RREF.
+    """
+    if not a or not b:
         return ()
-    if gf.packed:
-        return _intersect_packed(a, b, ncols)
-    # v = c . a lies in span(b)  iff  N_b (a^T c^T) = 0 with N_b the
-    # functionals vanishing on span(b).
-    nb = right_kernel_rows(gf, b, ncols)
-    if not nb:
-        return rref_rows(gf, a)
-    at = tuple(tuple(row[j] for row in a) for j in range(ncols))
-    system = matmul_rows(gf, nb, at, len(a))  # (ncols-dim b) x dim a
-    coeffs = right_kernel_rows(gf, system, len(a))
-    return rref_rows(gf, matmul_rows(gf, coeffs, a, ncols))
+    if len(a) == ncols or len(b) == ncols:
+        return rref_rows(gf, b if len(a) == ncols else a)
+    zero = gf._pack((0,) * ncols)
+    joined = gf._join([*a, *b], [*a] + [zero] * len(b), ncols)
+    return gf._right_halves(rref_rows(gf, joined), ncols)
 
 
 def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
@@ -437,24 +487,23 @@ def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_di
     tgt x src matrix, given by its columns (the rows of its transpose), and
     sub in RREF.
 
-    On packed rows this is one elimination (the Zassenhaus trick of
-    `intersect_rows`): the rows (X e_j mod sub | e_j), one per unit vector
-    e_j of F^src, are reduced, and the rows whose left half vanishes span
-    the preimage in their right half.  Tuple rows take the functionals
-    N vanishing on sub and return the kernel of N X.  RREF is unique, so
-    both give the same rows.
+    One elimination, the Zassenhaus trick of `intersect_rows`: the rows
+    (X e_j mod sub | e_j), one per unit vector e_j of F^src, are reduced,
+    and the rows whose left half vanishes span the preimage in their right
+    half.
     """
-    if gf.packed:
-        return _preimage_packed(x_cols, sub_rref, src_dim)
-    n_funcs = right_kernel_rows(gf, sub_rref, tgt_dim)
-    if not n_funcs:
-        return pack_rows(gf, identity_rows(src_dim))
-    system = matmul_rows(gf, n_funcs, transpose_rows(gf, x_cols, tgt_dim), src_dim)
-    return right_kernel_rows(gf, system, src_dim)
+    reduced = [gf._reduce(sub_rref, c) for c in x_cols]
+    joined = gf._join(reduced, _identity(gf, src_dim), src_dim)
+    return gf._right_halves(rref_rows(gf, joined), src_dim)
 
 
 def identity_rows(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _identity(gf: Handle, n: int) -> Rows:
+    return pack_rows(gf, identity_rows(n))
 
 
 @functools.cache
@@ -474,131 +523,17 @@ def enumerate_rref(gf: Handle, n: int, k: int):
     """Yield all k x n RREF matrices over GF(q), in lexicographic order.
 
     Pivot column sets run in lexicographic order, and for each set the free
-    entries run through all assignments in lexicographic order.
+    entries run through all assignments in lexicographic order, row by row.
+    The rows are drawn lazily, so a caller that stops early never builds
+    the whole set.
     """
-    if gf.packed:
-        yield from _enumerate_rref_packed(n, k)
-        return
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    q = gf.q
-    for pivots in itertools.combinations(range(n), k):
-        pivset = set(pivots)
-        free_pos = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivset
-        ]
-        for values in itertools.product(range(q), repeat=len(free_pos)):
-            mat = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                mat[i][p] = 1
-            for (i, j), v in zip(free_pos, values):
-                mat[i][j] = v
-            yield tuple(tuple(r) for r in mat)
 
-
-# ----------------------------------------------------------------------
-# The GF2_PACKED kernels.  The pivot of a row in echelon form is its top
-# bit, so "x has the pivot bit of b set" reads x ^ b < x.
-
-
-def _reduce_packed(basis, x: int) -> int:
-    """x reduced against the rows of a reduced echelon basis."""
-    for b in basis:
-        if x ^ b < x:
-            x ^= b
-    return x
-
-
-def _rref_packed(rows, span=()) -> Rows:
-    # `span`, if given, is a reduced echelon basis (a tuple) the rows are
-    # added to; it comes back as it is when they all lie in it
-    basis = list(span)
-    for x in rows:
-        for b in basis:
-            if x ^ b < x:
-                x ^= b
-        if x:
-            for i, b in enumerate(basis):
-                if b ^ x < b:
-                    basis[i] = b ^ x
-            basis.append(x)
-    if len(basis) == len(span):
-        return tuple(span)
-    basis.sort(reverse=True)
-    return tuple(basis)
-
-
-def _kernel_packed(rows, ncols: int) -> Rows:
-    red = _rref_packed(rows)
-    pivots = [r.bit_length() - 1 for r in red]
-    basis = []
-    for bit in range(ncols - 1, -1, -1):
-        if bit in pivots:
-            continue
-        v = 1 << bit
-        for r, p in zip(red, pivots):
-            if r >> bit & 1:
-                v |= 1 << p
-        basis.append(v)
-    return _rref_packed(basis)
-
-
-def _matmul_packed(a, b) -> Rows:
-    by_bit = b[::-1]  # by_bit[i] is the row of b selected by bit i
-    out = []
-    for x in a:
-        acc = i = 0
-        while x:
-            if x & 1:
-                acc ^= by_bit[i]
-            x >>= 1
-            i += 1
-        out.append(acc)
-    return tuple(out)
-
-
-def _intersect_packed(a, b, ncols: int) -> Rows:
-    # Zassenhaus: eliminate the rows (a | a) and (b | 0); the rows whose
-    # left half vanishes span the intersection in their right half.
-    red = _rref_packed([(x << ncols) | x for x in a] + [y << ncols for y in b])
-    return tuple(r for r in red if r >> ncols == 0)
-
-
-def _preimage_packed(x_cols, sub_rref, src_dim: int) -> Rows:
-    # the bit of e_j in the right half is the one pack_rows gives column j
-    # of a src-wide row
-    red = _rref_packed(
-        [(_reduce_packed(sub_rref, c) << src_dim) | 1 << (src_dim - 1 - j) for j, c in enumerate(x_cols)]
-    )
-    return tuple(r for r in red if r >> src_dim == 0)
-
-
-def _submasks(mask: int):
-    """Every submask of mask, in increasing order."""
-    s = 0
-    while True:
-        yield s
-        if s == mask:
+    def fill(pivots, rows):
+        if len(rows) == len(pivots):
+            yield rows
             return
-        s = (s - mask) & mask
+        for row in gf._pivot_rows(n, pivots, pivots[len(rows)]):
+            yield from fill(pivots, rows + (row,))
 
-
-def _enumerate_rref_packed(n: int, k: int):
-    # Each row's free entries in lexicographic order are its free-bit
-    # submasks in increasing order, so the product runs as the tuple one.
     for pivots in itertools.combinations(range(n), k):
-        per_row = []
-        for p in pivots:
-            free = 0
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    free |= 1 << (n - 1 - j)
-            lead = 1 << (n - 1 - p)
-            per_row.append([lead | s for s in _submasks(free)])
-        yield from itertools.product(*per_row)
+        yield from fill(pivots, ())

@@ -282,59 +282,24 @@ def hom_basis(x: Representation, y: Representation) -> HomBasis:
     return HomBasis(x, y, morphisms)
 
 
-def hom_evaluations(x: Representation, y: Representation, bases) -> tuple[int, dict]:
-    """dim Hom(x, y) and, for each vertex v of `bases` (a dict of column
-    bases B_v of subspaces of x_v), the list [phi_v @ B_v for phi in
-    hom_basis(x, y).morphisms], in the same basis order.
-
-    The basis elements' blocks at v are stacked into one (h*y_v) x x_v
-    matrix and multiplied with B_v once; no morphism is built.
-    """
-    kern = _hom_system(x, y).kernel_basis()
-    h = kern.ncols
-    phis = list(zip(*kern.rows))  # the h kernel vectors
-    out = {}
-    for v, b in bases.items():
-        off = sum(x.dims[w] * y.dims[w] for w in range(v))
-        r, c = y.dims[v], x.dims[v]
-        stack = [phi[off + a * c : off + (a + 1) * c] for phi in phis for a in range(r)]
-        rows = (Matrix(x.field, stack, validate=False, ncols=c) @ b).rows
-        out[v] = [
-            Matrix(x.field, rows[j * r : (j + 1) * r], validate=False, ncols=b.ncols)
-            for j in range(h)
-        ]
-    return h, out
-
-
 def hom_evaluation_rows(
     gf: gflin.Handle, x: Representation, y: Representation, bases
 ) -> tuple[int, dict]:
-    """`hom_evaluations` over a finite field, in gflin's row format for the
-    handle gf: h = dim Hom(x, y) and, for each vertex v of `bases`, the
-    stacked table T_v = B_v^T [phi_1,v^T | ... | phi_h,v^T].
+    """The action of Hom(x, y) on subspaces of x over a finite field, in
+    gflin's row format for the handle gf: h = dim Hom(x, y) and, for each
+    vertex v of `bases` (a dict of column bases B_v of subspaces of x_v),
+    the stacked table T_v = B_v^T [phi_1,v^T | ... | phi_h,v^T] over a
+    basis phi_1, ..., phi_h of Hom(x, y).
 
     T_v has one row per column of B_v and h * y_v entries per row, grouped
     by basis element: u T_v holds the h evaluations (phi_b,v B_v u)^T side
-    by side.  The intertwining equations are emitted in gf's format and
-    their kernel is taken by `gflin.right_kernel_rows`; no `Matrix` is
-    built after the bases.
+    by side.  The intertwining equations are converted to gf's format by
+    `gflin.pack_rows` and their kernel is taken by
+    `gflin.right_kernel_rows`; no `Matrix` is built after the bases.
     """
     offsets, ncols = _hom_offsets(x, y)
-    blocks = _intertwining_blocks(x, y, offsets)
-    if gf.packed:
-        top = ncols - 1
-        rows = []
-        for plus_base, cols, minus in blocks:
-            for c, col in enumerate(cols):
-                row = 0
-                for t, _ in col:
-                    row ^= 1 << (top - plus_base - t)
-                for u, _ in minus:
-                    row ^= 1 << (top - c - u)
-                rows.append(row)
-    else:
-        rows = _equation_rows(blocks, ncols, 0, gf.sub)
-    kern = gflin.right_kernel_rows(gf, rows, ncols)
+    equations = _equation_rows(_intertwining_blocks(x, y, offsets), ncols, 0, x.field.sub)
+    kern = gflin.right_kernel_rows(gf, gflin.pack_rows(gf, equations), ncols)
     tables = {}
     for v, b in bases.items():
         off, r, c = offsets[v], y.dims[v], x.dims[v]
@@ -436,6 +401,19 @@ def socle_at(x: Representation, vertex: int) -> Matrix:
     """
     if not is_acyclic(x.quiver):
         _require_nilpotent(x)
+    return _arrow_kernel(x, vertex)
+
+
+def _socles(x: Representation) -> dict[int, Matrix]:
+    """The nonzero socles of x, by vertex: `socle_at` at every vertex, with
+    one nilpotency walk for all of them."""
+    if not is_acyclic(x.quiver):
+        _require_nilpotent(x)
+    return {v: soc for v in range(x.quiver.vertex_count) if (soc := _arrow_kernel(x, v)).ncols}
+
+
+def _arrow_kernel(x: Representation, vertex: int) -> Matrix:
+    """Basis (columns) of the joint kernel of the arrow maps leaving vertex."""
     outgoing = [x.arrow_mats[i] for i, _ in x.quiver.out_arrows[vertex]]
     if not outgoing:
         return Matrix.identity(x.field, x.dims[vertex])

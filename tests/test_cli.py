@@ -368,6 +368,24 @@ def test_check_embed_sampled_ledger(tmp_path, capsys):
     assert f"... ({256 - MAX_LEDGER_LINES} more ledger entries)" in lines
 
 
+def test_check_irred_on_the_d4_fixture(tmp_path, capsys):
+    """x over Q is the D4 indecomposable of root (2, 1, 1, 1); its
+    Grassmannian at e = (1, 1, 1, 1) is a projective line, so the
+    sufficient criterion holds with dimension 1, and the text output says
+    that a failing verdict would prove nothing."""
+    out = tmp_path / "fxq"
+    assert main(["fixtures", "--out", str(out)]) == 0  # rational fixtures
+    x = str(out / "d4.x.json")
+    capsys.readouterr()
+    assert main(["check-irred", x, "--e", "1,1,1,1", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["holds"] and result["context"]["dimension"] == 1
+    assert main(["check-irred", x, "--e", "1,1,1,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "dimension: 1" in lines
+    assert lines[-1] == "note: sufficient criterion only; a failing verdict draws no conclusion"
+
+
 def test_input_errors(tmp_path):
     assert main(["check-sub", str(tmp_path / "missing.json"), "--e", "1"]) == 3
     bad = tmp_path / "bad.json"

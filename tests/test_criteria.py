@@ -36,7 +36,6 @@ from quiverrep.rep import (
     dual,
     hom_basis,
     hom_dim,
-    hom_evaluations,
     is_injective_morphism,
     power,
     quotient,
@@ -339,14 +338,21 @@ def test_socle_rank_matches_its_definition():
                 assert rank(coeffs) == Matrix.hstack([a @ ut for a in acts]).rank()
 
 
+def _hom_actions(n: Representation, y: Representation, socles) -> tuple[int, dict]:
+    """dim Hom(n, y) and, at each socle vertex i, the actions
+    A_b = phi_b,i soc_i of the morphisms phi_b of `hom_basis(n, y)`."""
+    morphisms = hom_basis(n, y).morphisms
+    return len(morphisms), {i: [phi.vertex_mats[i] @ soc for phi in morphisms] for i, soc in socles.items()}
+
+
 def _check_nc2_exactlin_evaluations(n: Representation, m: Representation) -> Verdict:
     """The subspace scan on exactlin matrices, the oracle for the gflin scan:
     the same classes, each with zn and zm the rank of [A_1 U^T | ... |
-    A_h U^T] over the actions that `hom_evaluations` gives."""
+    A_h U^T] over the actions `_hom_actions` gives."""
     f = n.field
     socles = _socles(n)
-    hom_nn, acts_n = hom_evaluations(n, n, socles)
-    hom_nm, acts_m = hom_evaluations(n, m, socles)
+    hom_nn, acts_n = _hom_actions(n, n, socles)
+    hom_nm, acts_m = _hom_actions(n, m, socles)
     details = []
     witness = None
     for i, soc in socles.items():
@@ -449,8 +455,8 @@ def test_nc2_closure_preserves_both_sides():
                     for _ in range(2)
                 )
                 socles = _socles(n)
-                _, acts_n = hom_evaluations(n, n, socles)
-                _, acts_m = hom_evaluations(n, m, socles)
+                _, acts_n = _hom_actions(n, n, socles)
+                _, acts_m = _hom_actions(n, m, socles)
                 ledger = {
                     (e["vertex"], tuple(map(tuple, e["socle_vector"]))): (e["lhs"], e["rhs"])
                     for e in _check_nc2_subspaces(n, m).details
@@ -601,17 +607,20 @@ def test_nc2_sampling_matches_literal_quotients():
 
 
 def test_nc2_builds_no_quotient_power_or_hom_basis(monkeypatch):
-    """The subspace scan and the sampled mode take their brackets from the
-    Hom kernel: no quotient, no power, no HomBasis and no hom_dim call."""
+    """The subspace scan takes its brackets from the Hom kernel in gflin:
+    no quotient, no power, no HomBasis and no hom_dim call.  The sampled
+    mode over Q reads its actions off one HomBasis per target, Hom(n, n)
+    and Hom(n, m), and builds no quotient or power either."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("nc2 must not call this")
 
+    real_basis = rep.hom_basis
     for module in (rep, criteria):
         for name in ("hom_basis", "quotient", "power"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    calls = []
+    calls, bases = [], []
     real = criteria.hom_dim
     monkeypatch.setattr(criteria, "hom_dim", lambda x, y: calls.append(1) or real(x, y))
     for field in (F2, F3, QQ):
@@ -621,7 +630,11 @@ def test_nc2_builds_no_quotient_power_or_hom_basis(monkeypatch):
             if field.is_finite:
                 v = _check_nc2_subspaces(x, y)
             else:
-                v = check_nc2(x, y, CheckConfig(trials=32))
+                with monkeypatch.context() as patch:
+                    patch.setattr(criteria, "hom_basis", lambda a, b: bases.append((a, b)) or real_basis(a, b))
+                    bases.clear()
+                    v = check_nc2(x, y, CheckConfig(trials=32))
+                assert bases == [(x, x), (x, y)]
             assert v.details
     assert calls == []
 
@@ -646,7 +659,7 @@ def test_nc2_flow_reads_multiplicities_only(monkeypatch):
         raise AssertionError("the flow must not call this")
 
     for module in (rep, criteria, dynkin):
-        for name in ("hom_basis", "hom_evaluations", "hom_evaluation_rows", "socle_at", "quotient", "power"):
+        for name in ("hom_basis", "hom_evaluation_rows", "socle_at", "_socles", "quotient", "power"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     calls = []
@@ -859,6 +872,23 @@ def test_nc2_refuses_a_non_nilpotent_loop(field):
     for m in (_jordan(field, ()), _jordan(field, (1,))):
         with pytest.raises(ValueError, match="not nilpotent"):
             check_nc2(n, m, CheckConfig())
+
+
+def test_nc2_walks_the_paths_once(monkeypatch):
+    """On a quiver with an oriented cycle check_nc2 tests nilpotency once,
+    not once per socle vertex: one walk for a nilpotent representation of
+    the 3-cycle, over F_3 (the class scan) and over Q (sampling)."""
+    cycle = Quiver(3, ((0, 1), (1, 2), (2, 0)))
+    walks = []
+    real = rep._require_nilpotent
+    monkeypatch.setattr(rep, "_require_nilpotent", lambda x: walks.append(x) or real(x))
+    for field in (F3, QQ):
+        one, zero = Matrix(field, [[1]]), Matrix(field, [[0]])
+        n = Representation(cycle, field, (1, 1, 1), [one, one, zero])
+        m = Representation(cycle, field, (1, 1, 1), [one, zero, zero])
+        walks.clear()
+        v = check_nc2(n, m, CheckConfig(trials=4))
+        assert v.context["field"] == str(field) and len(walks) == 1
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=str)

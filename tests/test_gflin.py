@@ -1,7 +1,11 @@
+import itertools
 import random
 
 from quiverrep import gflin
 from quiverrep.exactlin import GF, Matrix
+from quiverrep.grassmannian import SubrepOracle
+from quiverrep.quiver import a_n
+from quiverrep.rep import random_representation
 
 F2 = gflin.gfq(2)
 PACKED = gflin.GF2_PACKED
@@ -185,10 +189,11 @@ def test_packed_handle_matches_tuple_rows_on_random_f2():
 
 
 def test_packed_preimage_matches_the_tuple_path():
-    """The packed preimage is one elimination, the tuple one two kernels
-    and a product; both return the RREF of the same subspace, so the rows
-    agree exactly: on zero-dimensional source and target, on sub = 0 and
-    sub = the whole target, and on seeded random maps and subspaces."""
+    """Both handles run the same elimination on their own row layout (the
+    joined halves, the bit of each unit vector), and the rows agree
+    exactly once unpacked: on zero-dimensional source and target, on
+    sub = 0 and sub = the whole target, and on seeded random maps and
+    subspaces."""
     rng = random.Random(15)
     edges = {"src 0": 0, "tgt 0": 0, "sub 0": 0, "sub whole": 0}
     for case in range(3000):
@@ -210,3 +215,74 @@ def test_packed_preimage_matches_the_tuple_path():
         got = gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, xt), gflin.pack_rows(PACKED, sub), src, tgt)
         assert gflin.unpack_rows(PACKED, got, src) == want, (x, sub)
     assert min(edges.values()) > 100, edges
+
+
+def _exact_rref(f, rows, n: int) -> tuple:
+    """The nonzero rows of exactlin's RREF of rows of width n."""
+    red, pivots = Matrix(f, rows, ncols=n).rref()
+    return red.rows[: len(pivots)]
+
+
+def _exact_kernel_head(f, blocks, head: int) -> tuple:
+    """RREF rows spanned by the first `head` coordinates of the right
+    kernel vectors of hstack(blocks), by exactlin."""
+    kern = Matrix.hstack(blocks).kernel_basis()
+    return _exact_rref(f, [v[:head] for v in kern.transpose().rows], head)
+
+
+def test_row_space_functions_match_exactlin():
+    """right_kernel_rows, intersect_rows, preimage_rows and complement_in
+    against exactlin, an independent elimination, on seeded random rows
+    of width 0 to 6 over F_2 (both handles), F_3, F_4, F_5 and F_67, a
+    prime above the table limit: the kernel is exactlin's kernel_basis,
+    A cap B the span of c A over the kernel vectors (c, d) of [A^T | -B^T],
+    the preimage of S under X the span of v over the kernel vectors
+    (v, c) of [X | -S^T], all in RREF; the complement is checked by rank.
+    An oracle over F_67 counts what it enumerates."""
+    rng = random.Random(27)
+    meets = proper = 0
+    f67 = gflin.gfq(67)
+    assert f67.mul_table is None
+    for a, b in ((3, 65), (0, 1), (66, 66)):
+        assert (f67.add(a, b), f67.sub(a, b), f67.mul(a, b)) == ((a + b) % 67, (a - b) % 67, a * b % 67)
+    for gf in _handles(2, 3, 4, 5) + [f67]:
+        f = GF(gf.q)
+
+        def rand(nr, nc):
+            return tuple(tuple(rng.randrange(gf.q) * (rng.random() < 0.6) for _ in range(nc)) for _ in range(nr))
+
+        def same(got, want, n):
+            assert gflin.unpack_rows(gf, got, n) == want, gf.q
+
+        for _ in range(40):
+            n = rng.randint(0, 6)
+            m = rand(rng.randint(0, 4), n)
+            same(gflin.right_kernel_rows(gf, gflin.pack_rows(gf, m), n),
+                 _exact_kernel_head(f, [Matrix(f, m, ncols=n)], n), n)
+            a, b = (_exact_rref(f, rand(rng.randint(0, 4), n), n) for _ in range(2))
+            at, bt = (Matrix(f, r, ncols=n).transpose() for r in (a, b))
+            coeffs = _exact_kernel_head(f, [at, -bt], len(a))
+            want = _exact_rref(f, (Matrix(f, coeffs, ncols=len(a)) @ Matrix(f, a, ncols=n)).rows, n)
+            same(gflin.intersect_rows(gf, gflin.pack_rows(gf, a), gflin.pack_rows(gf, b), n), want, n)
+            ab = _exact_rref(f, a + b, n)
+            meets += 0 < len(want) < len(ab)
+            comp = gflin.unpack_rows(gf, gflin.complement_in(gf, gflin.pack_rows(gf, a), gflin.pack_rows(gf, ab)), n)
+            assert _exact_rref(f, comp, n) == comp and len(comp) == len(ab) - len(a)
+            assert len(_exact_rref(f, a + comp, n)) == len(_exact_rref(f, ab + comp, n)) == len(ab)
+            # X: tgt x n, S: rows of width tgt
+            tgt = rng.randint(0, 5)
+            x = Matrix(f, rand(tgt, n), ncols=n)
+            sub = _exact_rref(f, rand(rng.randint(0, tgt), tgt), tgt)
+            want = _exact_kernel_head(f, [x, -Matrix(f, sub, ncols=tgt).transpose()], n)
+            got = gflin.preimage_rows(
+                gf, gflin.pack_rows(gf, x.transpose().rows), gflin.pack_rows(gf, sub), n, tgt
+            )
+            same(got, want, n)
+            proper += 0 < len(want) < n
+    assert meets >= 30 and proper >= 80, (meets, proper)  # 43, 111
+    m = random_representation(a_n(3), (2, 2, 1), GF(67), seed=5)
+    counts = []
+    for e in itertools.product(range(3), range(3), range(2)):
+        counts.append(SubrepOracle(m).count(e))
+        assert counts[-1] == len(SubrepOracle(m).enumerate(e)), e
+    assert counts.count(68) == 3  # a line in F_67^2: [2, 1]_67 = 68
