@@ -86,7 +86,8 @@ def indecomposable(q: Quiver, root: DimVector, field: FieldSpec) -> Representati
     reverse order: at a source k of the current orientation, V_k is
     replaced by the cokernel of V_k -> (+)_j V_j, and the reversed arrows
     j -> k are the blocks of the quotient map.  The matrices have entries
-    in {0, +-1}.  Certified by dim End = 1, else RuntimeError.
+    in {0, +-1}.  Certified by dim End = 1, else RuntimeError; the
+    certificate is kept on x, so `rep.reductions` does not compute it again.
     """
     root = check_dimvector(q, root)
     if euler_form(q, root, root) != 1 or not any(root):
@@ -116,6 +117,7 @@ def indecomposable(q: Quiver, root: DimVector, field: FieldSpec) -> Representati
     x = Representation(q, field, root, [current(a, t, s) for a, (s, t) in enumerate(q.arrows)])
     if hom_dim(x, x) != 1:
         raise RuntimeError(f"the reflection-functor module of {root} over {field} has End != 1")
+    x._reductions = 1, {}
     return x
 
 

@@ -440,7 +440,7 @@ def transpose_rows(gf: Handle, rows, n: int) -> Rows:
 def right_kernel_rows(gf: Handle, rows, ncols: int) -> Rows:
     """Basis (as rows, in RREF) of {v in F^ncols : M v = 0}: the preimage
     of 0 under M."""
-    return preimage_rows(gf, transpose_rows(gf, rows, ncols), (), ncols, len(rows))
+    return preimage_rows(gf, transpose_rows(gf, rows, ncols), (), ncols)
 
 
 def matmul_rows(gf: Handle, a, b, ncols: int) -> Rows:
@@ -482,7 +482,7 @@ def intersect_rows(gf: Handle, a: Rows, b: Rows, ncols: int) -> Rows:
     return gf._right_halves(rref_rows(gf, joined), ncols)
 
 
-def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_dim: int) -> Rows:
+def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int) -> Rows:
     """RREF basis rows of {v in F^src : X v in rowspace(sub)} for X a
     tgt x src matrix, given by its columns (the rows of its transpose), and
     sub in RREF.
@@ -493,17 +493,15 @@ def preimage_rows(gf: Handle, x_cols: Rows, sub_rref: Rows, src_dim: int, tgt_di
     half.
     """
     reduced = [gf._reduce(sub_rref, c) for c in x_cols]
-    joined = gf._join(reduced, _identity(gf, src_dim), src_dim)
+    joined = gf._join(reduced, identity_rows(gf, src_dim), src_dim)
     return gf._right_halves(rref_rows(gf, joined), src_dim)
 
 
-def identity_rows(n: int) -> Rows:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 @functools.lru_cache(maxsize=256)
-def _identity(gf: Handle, n: int) -> Rows:
-    return pack_rows(gf, identity_rows(n))
+def identity_rows(gf: Handle, n: int) -> Rows:
+    """The n x n identity in gf's row format, a basis of the whole space
+    in RREF; cached, since the oracle starts every vertex from it."""
+    return pack_rows(gf, (tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 @functools.cache

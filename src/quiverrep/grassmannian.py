@@ -94,7 +94,6 @@ same growth order as the preimage cache.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
@@ -117,11 +116,6 @@ class BudgetExceeded(RuntimeError):
         )
         self.visits = visits
         self.budget = budget
-
-
-@functools.lru_cache(maxsize=256)
-def _whole_space(gf: gflin.Handle, d: int) -> gflin.Rows:
-    return gflin.pack_rows(gf, gflin.identity_rows(d))
 
 
 class SubrepOracle:
@@ -154,7 +148,7 @@ class SubrepOracle:
             for rows, mat in zip(self.arrow_rows, m.arrow_mats)
         )
         # the whole space at each vertex, the bound of an unconstrained vertex
-        self.full_rows = tuple(_whole_space(gf, d) for d in m.dims)
+        self.full_rows = tuple(gflin.identity_rows(gf, d) for d in m.dims)
         self._preimage_cache: dict = {}
         self._candidate_cache: dict = {}
         self._visits = 0
@@ -223,10 +217,8 @@ class SubrepOracle:
         key = (arrow_idx, sub_rows)
         got = self._preimage_cache.get(key)
         if got is None:
-            s, t = self.q.arrows[arrow_idx]
-            got = gflin.preimage_rows(
-                self.gf, self.arrow_rows_t[arrow_idx], sub_rows, self.m.dims[s], self.m.dims[t]
-            )
+            s = self.q.arrows[arrow_idx][0]
+            got = gflin.preimage_rows(self.gf, self.arrow_rows_t[arrow_idx], sub_rows, self.m.dims[s])
             self._preimage_cache[key] = got
         return got
 
@@ -644,7 +636,9 @@ def counting_poly(
     The representation must be given over Q with entries reducible modulo
     every requested order; an order where the reduction changes dim End is
     rejected (recorded in `rejected`).  The reductions and that decision
-    come from `rep.reductions`, so F_4 and F_8 share F_2's verdict.  The
+    come from `rep.reductions`, so F_4 and F_8 share F_2's verdict, and
+    they are computed once per representation: fits of the same m at other
+    e, or with more orders, reuse them.  The oracles are not kept.  The
     fit, by Newton interpolation in integers, fails loudly when the samples
     do not overdetermine it (at least degree + 2 points are required, so at
     least one acts as a held-out confirmation), when a coefficient is

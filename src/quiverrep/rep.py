@@ -26,12 +26,15 @@ class Representation:
     """Vector spaces at the vertices, one exact matrix per arrow.
 
     The matrix of an arrow a: i -> j has shape dims[j] x dims[i] and acts on
-    column vectors.  Treated as immutable: `dynkin.decompose` caches its
-    multiplicities on the object, in the `_decomposition` slot, which stays
-    unset until then.
+    column vectors.  Treated as immutable: two answers that depend only on
+    the matrices are cached on the object, in slots that `__init__` leaves
+    unset.  `dynkin.decompose` keeps its multiplicities in `_decomposition`;
+    `reductions` keeps (dim End over x's field, {order: reduction or None})
+    in `_reductions`, whose End entry `dynkin.indecomposable` fills from its
+    certificate.
     """
 
-    __slots__ = ("quiver", "field", "dims", "arrow_mats", "_decomposition")
+    __slots__ = ("quiver", "field", "dims", "arrow_mats", "_decomposition", "_reductions")
 
     def __init__(self, quiver: Quiver, field: FieldSpec, dims: DimVector, arrow_mats):
         dims = check_dimvector(quiver, dims)
@@ -343,24 +346,37 @@ def reductions(m: Representation, orders) -> dict[int, Representation | None]:
     """m over Q reduced into F_q for each order q in `orders`, or None where
     the reduction changes dim End.
 
-    dim End is computed over Q (`hom_dim`) and modulo every characteristic
-    at once (`hom_dims_mod`); only where that elimination cannot decide,
-    once per characteristic over F_p.  m is reduced once per
+    Computed once per representation: the answers are kept on m (its
+    `_reductions` slot), so a later call reuses dim End over Q, each
+    characteristic's reduction and verdict, and each order's reduced
+    `Representation`, and returns the same objects in a fresh dict.
+
+    dim End is computed over Q (`hom_dim`) and modulo every new
+    characteristic at once (`hom_dims_mod`); only where that elimination
+    cannot decide, once per characteristic over F_p.  m is reduced once per
     characteristic: its reduction into F_{p^k} has its entries in F_p, so
     it reuses F_p's entries and verdict.  A denominator that a
-    characteristic divides is `Matrix.change_field`'s ValueError.
+    characteristic divides is `Matrix.change_field`'s ValueError, and such
+    a call keeps nothing.
     """
     fields = {q: FieldSpec.of_order(q) for q in orders}
+    end, reduced = getattr(m, "_reductions", None) or (None, {})
     mod_p = {}
     for f in fields.values():
-        if f.characteristic not in mod_p:
-            mod_p[f.characteristic] = m.change_field(FieldSpec.of_order(f.characteristic))
-    end_q = hom_dim(m, m)
-    end_mod = hom_dims_mod(m, m, mod_p) or {p: hom_dim(x, x) for p, x in mod_p.items()}
-    return {
-        q: mod_p[f.characteristic].change_field(f) if end_mod[f.characteristic] == end_q else None
-        for q, f in fields.items()
-    }
+        p = f.characteristic
+        if p not in reduced and p not in mod_p:
+            mod_p[p] = m.change_field(FieldSpec.of_order(p))
+    if mod_p:
+        if end is None:
+            end = hom_dim(m, m)
+        end_mod = hom_dims_mod(m, m, mod_p) or {p: hom_dim(x, x) for p, x in mod_p.items()}
+        reduced.update((p, x if end_mod[p] == end else None) for p, x in mod_p.items())
+        m._reductions = end, reduced
+    for q, f in fields.items():
+        if q not in reduced:
+            x = reduced[f.characteristic]
+            reduced[q] = None if x is None else x.change_field(f)
+    return {q: reduced[q] for q in fields}
 
 
 def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> int:

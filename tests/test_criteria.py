@@ -467,7 +467,7 @@ def test_nc2_closure_preserves_both_sides():
 
                 for i, soc in socles.items():
                     s_i = soc.ncols
-                    assert (i, gflin.identity_rows(s_i)) in ledger, (f, n.dims, i)
+                    assert (i, gflin.identity_rows(gflin.gfq(f.order), s_i)) in ledger, (f, n.dims, i)
                     for l in range(1, s_i + 1):
                         for coeffs in gflin.enumerate_rref(gflin.gfq(f.order), s_i, l):
                             ut = Matrix(f, coeffs).transpose()

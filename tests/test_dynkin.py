@@ -592,6 +592,21 @@ def test_q_tables_stay_indecomposable_in_every_counting_order(q):
     assert t.size == len(positive_roots(q))
 
 
+def test_reduction_orders_reuse_the_end_certificate(monkeypatch):
+    # `indecomposable` certifies End = 1 over Q; `rep.reductions` takes
+    # that as its reference instead of computing it again
+    real = rep.hom_dim
+
+    def finite_fields_only(x, y):
+        assert x.field.is_finite, "dim End over Q computed twice"
+        return real(x, y)
+
+    monkeypatch.setattr(rep, "hom_dim", finite_fields_only)
+    monkeypatch.setattr(rep, "hom_dims_mod", lambda x, y, primes: None)
+    t = build_table(a_n(3), QQ, reduction_orders=(2, 3, 5))
+    assert all(x._reductions[0] == 1 for x in t.reps)
+
+
 def test_reduction_orders_check_refuses_instead_of_retrying(monkeypatch):
     real = rep.hom_dim
 

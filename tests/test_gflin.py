@@ -89,7 +89,7 @@ def test_intersection_and_preimage():
         assert gflin.unpack_rows(gf, inter, 3) == ((0, 1, 0),)
         # preimage of span(e1) under projection onto first two coordinates
         x = ((1, 0, 0), (0, 1, 0))  # F_2^3 -> F_2^2
-        pre = gflin.preimage_rows(gf, gflin.pack_rows(gf, _cols(x, 3)), gflin.pack_rows(gf, ((1, 0),)), 3, 2)
+        pre = gflin.preimage_rows(gf, gflin.pack_rows(gf, _cols(x, 3)), gflin.pack_rows(gf, ((1, 0),)), 3)
         assert len(pre) == 2
         for v in gflin.unpack_rows(gf, pre, 3):
             img = _mat_vec(F2, x, v)
@@ -98,7 +98,7 @@ def test_intersection_and_preimage():
 
 def test_complement_in():
     for gf in _handles(2, 3):
-        b = gflin.pack_rows(gf, gflin.identity_rows(3))
+        b = gflin.identity_rows(gf, 3)
         w = gflin.rref_rows(gf, gflin.pack_rows(gf, ((1, gf.q - 1, 0),)))
         comp = gflin.complement_in(gf, w, b)
         assert len(comp) == 2
@@ -177,8 +177,8 @@ def test_packed_handle_matches_tuple_rows_on_random_f2():
         # the preimage under a (as a len(a) x nc matrix) of a random subspace
         sub = gflin.rref_rows(F2, _random_f2_rows(rng, rng.randint(0, 3), len(a)))
         at = _cols(a, nc)
-        same(gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, at), gflin.pack_rows(PACKED, sub), nc, len(a)),
-             gflin.preimage_rows(F2, at, sub, nc, len(a)))
+        same(gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, at), gflin.pack_rows(PACKED, sub), nc),
+             gflin.preimage_rows(F2, at, sub, nc))
         # a (len(a) x nc) times c (nc x t); at nc = 0 both handles must
         # give len(a) zero rows of width t
         t = rng.randint(0, 4)
@@ -203,7 +203,7 @@ def test_packed_preimage_matches_the_tuple_path():
         if kind == 0:
             sub = ()
         elif kind == 1:
-            sub = gflin.identity_rows(tgt)
+            sub = gflin.identity_rows(F2, tgt)
         else:
             sub = gflin.rref_rows(F2, _random_f2_rows(rng, rng.randint(0, tgt), tgt))
         edges["src 0"] += src == 0
@@ -211,8 +211,8 @@ def test_packed_preimage_matches_the_tuple_path():
         edges["sub 0"] += not sub
         edges["sub whole"] += tgt > 0 and len(sub) == tgt
         xt = _cols(x, src)
-        want = gflin.preimage_rows(F2, xt, sub, src, tgt)
-        got = gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, xt), gflin.pack_rows(PACKED, sub), src, tgt)
+        want = gflin.preimage_rows(F2, xt, sub, src)
+        got = gflin.preimage_rows(PACKED, gflin.pack_rows(PACKED, xt), gflin.pack_rows(PACKED, sub), src)
         assert gflin.unpack_rows(PACKED, got, src) == want, (x, sub)
     assert min(edges.values()) > 100, edges
 
@@ -274,9 +274,7 @@ def test_row_space_functions_match_exactlin():
             x = Matrix(f, rand(tgt, n), ncols=n)
             sub = _exact_rref(f, rand(rng.randint(0, tgt), tgt), tgt)
             want = _exact_kernel_head(f, [x, -Matrix(f, sub, ncols=tgt).transpose()], n)
-            got = gflin.preimage_rows(
-                gf, gflin.pack_rows(gf, x.transpose().rows), gflin.pack_rows(gf, sub), n, tgt
-            )
+            got = gflin.preimage_rows(gf, gflin.pack_rows(gf, x.transpose().rows), gflin.pack_rows(gf, sub), n)
             same(got, want, n)
             proper += 0 < len(want) < n
     assert meets >= 30 and proper >= 80, (meets, proper)  # 43, 111

@@ -184,6 +184,21 @@ def test_counting_poly_refuses_unconfirmed_fit():
     assert gc2.poly_degree() == 4 and gc2.leading_coefficient() == 1
 
 
+def _counting(monkeypatch, *names):
+    """Count the calls of the named `rep` functions, as `rep.reductions`
+    sees them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(rep, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rep, name, counted)
+    return calls
+
+
 def test_counting_poly_rejects_bad_reduction(monkeypatch):
     # a representation whose mod-2 reduction degenerates: End dimension
     # jumps, so order 2 must be rejected
@@ -195,40 +210,51 @@ def test_counting_poly_rejects_bad_reduction(monkeypatch):
     assert 2 in gc.rejected
     assert gc.poly == [1]
     # F_4 and F_8 reduce through F_2, so they share its verdict; End is
-    # computed over Q and once per characteristic (in `rep.reductions`)
-    calls = 0
-    real = rep.hom_dim
-
-    def counting_hom_dim(x, y):
-        nonlocal calls
-        calls += 1
-        return real(x, y)
-
-    monkeypatch.setattr(rep, "hom_dim", counting_hom_dim)
+    # computed over Q and once per characteristic (in `rep.reductions`):
+    # the modular elimination finds no unit pivot mod 210, so each
+    # characteristic falls back to `hom_dim`
+    calls = _counting(monkeypatch, "hom_dim", "hom_dims_mod")
+    m = Representation(q, QQ, (1, 1), [Matrix(QQ, [[2]])])
     gc = counting_poly(m, (0, 1), [2, 3, 4, 5, 7, 8])
     assert gc.rejected == [2, 4, 8]
     assert [q for q, _ in gc.samples] == [3, 5, 7]
-    assert calls == 1 + 4
-    calls = 0
+    assert calls == {"hom_dim": 1 + 4, "hom_dims_mod": 1}
+    # the answers are kept on m, so a repeat computes no End
+    calls.update(dict.fromkeys(calls, 0))
     gc = counting_poly(m, (0, 1), [3, 4, 5, 8])
     assert gc.rejected == [4, 8]
-    assert calls == 1 + 3
+    assert calls == {"hom_dim": 0, "hom_dims_mod": 0}
+    # a new characteristic costs one modular elimination, of its own
+    gc = counting_poly(m, (0, 1), [3, 5, 11])
+    assert gc.rejected == [] and [q for q, _ in gc.samples] == [3, 5, 11]
+    assert calls == {"hom_dim": 0, "hom_dims_mod": 1}
+
+
+def test_counting_poly_on_a_cached_rep_matches_a_fresh_copy():
+    from quiverrep.exactlin import Matrix
+
+    # End jumps mod 2 (the entry 2), so F_2, F_4 and F_8 are rejected
+    q = a_n(3)
+    m = direct_sum(
+        [Representation(q, QQ, (1, 1, 1), [Matrix(QQ, [[2]]), Matrix(QQ, [[1]])]), _interval_q(1, 2)]
+    )
+    qs = [2, 3, 4, 5, 7, 8, 9]
+    for e in itertools.product(range(3), range(3), range(2)):
+        fresh = Representation(m.quiver, m.field, m.dims, m.arrow_mats)
+        assert getattr(fresh, "_reductions", None) is None
+        got, want = (counting_poly(x, e, qs) for x in (m, fresh))
+        assert (got.samples, got.poly, got.rejected, got.visits) == (
+            want.samples, want.poly, want.rejected, want.visits
+        ), e
+        assert got.rejected == [2, 4, 8]
 
 
 def test_counting_poly_checks_end_once_over_q_for_good_reduction(monkeypatch):
-    calls = 0
-    real = rep.hom_dim
-
-    def counting_hom_dim(x, y):
-        nonlocal calls
-        calls += 1
-        return real(x, y)
-
-    monkeypatch.setattr(rep, "hom_dim", counting_hom_dim)
+    calls = _counting(monkeypatch, "hom_dim")
     gc = counting_poly(direct_sum([_interval_q(1, 2)] * 2), (1, 1, 0), [2, 3, 4, 5, 7])
     assert gc.rejected == [] and gc.poly == [1, 1]
     # dim End over Q; every characteristic comes from one elimination mod 210
-    assert calls == 1
+    assert calls == {"hom_dim": 1}
 
 
 def _newton_fractions(points):
@@ -820,7 +846,7 @@ def _eager_path_nullities(m, gf):
     paths.  The reference for the list the oracle builds lazily."""
     arrow_rows = [gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats]
     out = []
-    frontier = {v: {v: gflin.pack_rows(gf, gflin.identity_rows(d))} for v, d in enumerate(m.dims)}
+    frontier = {v: {v: gflin.identity_rows(gf, d)} for v, d in enumerate(m.dims)}
     for v in m.quiver.topological_order:
         for arrow_idx, (s, t) in enumerate(m.quiver.arrows):
             if s != v:

@@ -201,6 +201,17 @@ def _reductions_by_hom_dim(x, orders):
     return out
 
 
+def _fresh(x):
+    """An equal copy of x with nothing cached on it."""
+    return Representation(x.quiver, x.field, x.dims, x.arrow_mats)
+
+
+def _one_third(x):
+    """x with the entry 1/3 in its first arrow, so no reduction mod 3."""
+    first = Matrix(QQ, [["1/3", *x.arrow_mats[0].rows[0][1:]], x.arrow_mats[0].rows[1]])
+    return Representation(x.quiver, QQ, x.dims, [first, *x.arrow_mats[1:]])
+
+
 def test_reductions_match_hom_dim_on_every_order():
     rng = random.Random(19)
     reps = []
@@ -209,9 +220,7 @@ def test_reductions_match_hom_dim_on_every_order():
             dims = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
             box = rng.choice((1, 1, 3))
             reps.append(random_representation(q, dims, QQ, seed=rng.randrange(2**31), box=box))
-    x = random_representation(A3, (2, 2, 1), QQ, seed=5, box=1)
-    first = Matrix(QQ, [["1/3", *x.arrow_mats[0].rows[0][1:]], x.arrow_mats[0].rows[1]])
-    third = Representation(A3, QQ, x.dims, [first, x.arrow_mats[1]])
+    third = _one_third(random_representation(A3, (2, 2, 1), QQ, seed=5, box=1))
     stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
     reps += [third, stuck]
     rejected = 0
@@ -223,9 +232,11 @@ def test_reductions_match_hom_dim_on_every_order():
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                     reductions(x, orders)
                 continue
-            got = reductions(x, orders)
-            assert list(got) == list(orders)
-            assert got == expected
+            # x keeps the answers of the earlier orders; its copy starts afresh
+            for y in (x, _fresh(x)):
+                got = reductions(y, orders)
+                assert list(got) == list(orders)
+                assert got == expected
             rejected += sum(y is None for y in got.values())
     assert rejected
     # [[2]] is zero mod 2, so End jumps from 1 to 2 over F_2, F_4 and F_8
@@ -234,6 +245,51 @@ def test_reductions_match_hom_dim_on_every_order():
     assert got[9].field == GF(9) and got[9].arrow_mats[0].rows == ((2,),)
     with pytest.raises(ValueError, match="^denominator of 1/3 not invertible mod 3$"):
         reductions(third, (2, 9))
+
+
+def test_reductions_are_computed_once_per_representation(monkeypatch):
+    x = random_representation(A3, (2, 2, 1), QQ, seed=5, box=1)
+    stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
+    first = {id(y): reductions(y, (2, 3, 4, 9)) for y in (x, stuck)}
+
+    def recomputed(*args):
+        raise AssertionError("recomputed")
+
+    # a known characteristic needs no End: F_8 and F_27 come from F_2 and F_3
+    monkeypatch.setattr(rep_module, "hom_dim", recomputed)
+    monkeypatch.setattr(rep_module, "hom_dims_mod", recomputed)
+    for y in (x, stuck):
+        assert reductions(y, (8, 27)) == _reductions_by_hom_dim(_fresh(y), (8, 27))
+    # known orders need no reduction either: the same objects come back
+    monkeypatch.setattr(Representation, "change_field", recomputed)
+    for y in (x, stuck):
+        again = reductions(y, (27, 9, 8, 4, 3, 2))
+        assert list(again) == [27, 9, 8, 4, 3, 2]
+        assert all(again[q] is r for q, r in first[id(y)].items())
+        again.clear()  # a fresh dict each call
+        assert reductions(y, (2,))[2] is first[id(y)][2]
+    # both kinds of answer are kept: rejections and reductions
+    for y in (x, stuck):
+        assert [q for q, r in first[id(y)].items() if r is None] == [2, 4]
+
+
+def test_a_failed_reduction_keeps_nothing():
+    third = _one_third(random_representation(A3, (2, 2, 1), QQ, seed=5, box=1))
+
+    def fails(orders):
+        with pytest.raises(ValueError, match="^denominator of 1/3 not invertible mod 3$"):
+            reductions(third, orders)
+
+    fails((2, 9))
+    fails((2, 9))
+    assert getattr(third, "_reductions", None) is None
+    good = reductions(third, (2, 4, 5))
+    assert good == _reductions_by_hom_dim(_fresh(third), (2, 4, 5))
+    fails((3,))
+    fails((5, 27))
+    later = reductions(third, (4, 5, 7))
+    assert later == _reductions_by_hom_dim(_fresh(third), (4, 5, 7))
+    assert later[4] is good[4] and later[5] is good[5]
 
 
 def test_no_end_is_computed_over_an_extension_field(monkeypatch):
@@ -253,10 +309,11 @@ def test_no_end_is_computed_over_an_extension_field(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("quiverrep") and getattr(module, "hom_dim", None) is real:
             monkeypatch.setattr(module, "hom_dim", prime_fields_only)
-    stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
     for modular in (True, False):
         if not modular:  # the fallback: one hom_dim per characteristic
             monkeypatch.setattr(rep_module, "hom_dims_mod", lambda x, y, primes: None)
+        # a new one each round, since its reductions are kept on it
+        stuck = Representation(A2, QQ, (1, 1), [Matrix(QQ, [[2]])])
         gc = counting_poly(stuck, (0, 1), [2, 3, 4, 5, 7, 8, 9])
         assert gc.rejected == [2, 4, 8] and gc.poly == [1]
         t = build_table(A3, QQ, reduction_orders=(2, 3, 4, 5, 7, 8, 9))
