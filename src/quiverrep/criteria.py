@@ -10,12 +10,11 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
-from .dynkin import IndecomposableTable, assemble, cached_table, decompose
+from .dynkin import IndecomposableTable, assemble, cached_table, decompose, path_order
 from .exactlin import Matrix
 from .grassmannian import SubrepOracle, DEFAULT_BUDGET
 from .quiver import (
     DimVector,
-    Quiver,
     check_dimvector,
     dim_leq,
     dim_sub,
@@ -30,7 +29,6 @@ from .rep import (
     hom_basis,
     hom_dim,
     hom_evaluation_rows,
-    identity_morphism,
     is_injective_morphism,
     search_hom,
     _socles,
@@ -538,29 +536,6 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
 # Equioriented type A
 
 
-def path_order(q: Quiver):
-    """Vertices of an equioriented A_n quiver in path order, or None: a
-    type A quiver with no two arrows into or out of one vertex is a
-    directed path, whose one topological order is its path order."""
-    if not (q.dynkin_type or "").startswith("A"):
-        return None
-    if any(len(arrows) > 1 for arrows in q.in_arrows + q.out_arrows):
-        return None
-    return q.topological_order
-
-
-def _roots_as_intervals(table: IndecomposableTable, order) -> dict[int, tuple[int, int]]:
-    """Map root index -> (i, j), 1-based interval along the path order."""
-    position = {v: p + 1 for p, v in enumerate(order)}
-    out = {}
-    for idx, root in enumerate(table.roots):
-        support = sorted(position[v] for v, x in enumerate(root) if x)
-        if any(x > 1 for x in root) or support != list(range(support[0], support[-1] + 1)):
-            raise RuntimeError("type A root is not an interval; table corrupted")
-        out[idx] = (support[0], support[-1])
-    return out
-
-
 def an_criterion(
     n: Representation,
     m: Representation,
@@ -568,29 +543,34 @@ def an_criterion(
     seed: int = 0,
 ) -> Verdict:
     """Prefix-sum criterion for an embedding n -> m over equioriented A_n,
-    with an explicit certified embedding on success."""
-    order = path_order(n.quiver)
-    if order is None:
+    with an explicit certified embedding on success.
+
+    The embedding is built between the assembled forms n0 and m0 of the
+    decompositions from the table's interval maps (`interval_map`), then
+    composed with isomorphisms n -> n0 and m0 -> m found by `_find_iso`.
+    Only that search uses `seed`, and it runs only for an input that is
+    not already in assembled form."""
+    if path_order(n.quiver) is None:
         raise ValueError("an_criterion requires an equioriented type A quiver")
     if n.quiver != m.quiver or n.field != m.field:
         raise ValueError("representations must share a quiver and a field")
     table.require_rep(n)
-    intervals = _roots_as_intervals(table, order)
+    intervals = table.intervals
     n_mults = decompose(n, table)
     m_mults = decompose(m, table)
-    nv = len(order)
+    nv = n.quiver.vertex_count
     n_ij = {}
     m_ij = {}
-    for idx, (i, j) in intervals.items():
-        root = table.roots[idx]
-        n_ij[(i, j)] = n_mults.get(root, 0)
-        m_ij[(i, j)] = m_mults.get(root, 0)
+    for root, ij in zip(table.roots, intervals):
+        n_ij[ij] = n_mults.get(root, 0)
+        m_ij[ij] = m_mults.get(root, 0)
     details = []
     witness = None
     for j in range(1, nv + 1):
+        lhs = rhs = 0
         for i in range(1, j + 1):
-            lhs = sum(n_ij.get((k, j), 0) for k in range(1, i + 1))
-            rhs = sum(m_ij.get((k, j), 0) for k in range(1, i + 1))
+            lhs += n_ij.get((i, j), 0)
+            rhs += m_ij.get((i, j), 0)
             ok = lhs <= rhs
             details.append({"i": i, "j": j, "lhs": lhs, "rhs": rhs, "ok": ok})
             if not ok and witness is None:
@@ -604,7 +584,7 @@ def an_criterion(
     }
     verdict = Verdict(holds=holds, witness=witness, details=details, context=context)
     if holds:
-        emb = _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed)
+        emb = _build_an_embedding(n, m, table, n_mults, m_mults, seed)
         if not is_injective_morphism(emb):
             raise RuntimeError("constructed type A embedding failed its injectivity certificate")
         verdict.context["embedding"] = emb
@@ -612,9 +592,9 @@ def an_criterion(
 
 
 def _find_iso(a: Representation, b: Representation, seed: int, trials: int = 128) -> Morphism:
-    """An isomorphism a -> b found by sampling Hom(a, b); requires a ~ b."""
-    if a == b:
-        return identity_morphism(a)
+    """An isomorphism a -> b found by sampling Hom(a, b) with `seed`;
+    requires a ~ b.  `an_criterion` calls it only for an input that differs
+    from its assembled form."""
 
     def is_iso(mor: Morphism) -> bool:
         return all(mat.nrows == mat.ncols and mat.rank() == mat.nrows for mat in mor.vertex_mats)
@@ -625,7 +605,8 @@ def _find_iso(a: Representation, b: Representation, seed: int, trials: int = 128
     return mor
 
 
-def _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed) -> Morphism:
+def _build_an_embedding(n, m, table, n_mults, m_mults, seed) -> Morphism:
+    intervals = table.intervals
     # summand slots in table-root order, with multiplicity
     n_slots = []
     m_slots = []
@@ -634,7 +615,7 @@ def _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed) -> Morph
         m_slots.extend([idx] * m_mults.get(root, 0))
     # match per right endpoint j
     target_of = {}
-    for j in sorted(set(ij[1] for ij in intervals.values())):
+    for j in sorted(set(ij[1] for ij in intervals)):
         n_list = [(intervals[idx][0], pos) for pos, idx in enumerate(n_slots) if intervals[idx][1] == j]
         m_list = [(intervals[idx][0], pos) for pos, idx in enumerate(m_slots) if intervals[idx][1] == j]
         n_list.sort()
@@ -648,38 +629,30 @@ def _build_an_embedding(n, m, table, intervals, n_mults, m_mults, seed) -> Morph
             target_of[npos] = pick[1]
     n0 = assemble(table, n_mults)
     m0 = assemble(table, m_mults)
+    # an input already in assembled form is its own n0 or m0: no isomorphism
+    source = n if n == n0 else n0
+    target = m if m == m0 else m0
     f = n.field
-    # block morphism N0 -> M0
-    blocks = {}
-    for npos, mpos in target_of.items():
-        src = table.reps[n_slots[npos]]
-        tgt = table.reps[m_slots[mpos]]
-        hb = hom_basis(src, tgt)
-        emb = None
-        for mor in hb.morphisms:
-            if is_injective_morphism(mor):
-                emb = mor
-                break
-        if emb is None:
-            raise RuntimeError("no injective interval embedding found")
-        blocks[(mpos, npos)] = emb
+    # block morphism source -> target
     n_off = _slot_offsets(table, n_slots)
     m_off = _slot_offsets(table, m_slots)
+    blocks = [
+        (table.interval_map(n_slots[npos], m_slots[mpos]), m_off[mpos], n_off[npos])
+        for npos, mpos in target_of.items()
+    ]
     mats = []
     for v in range(n.quiver.vertex_count):
         big = [[f.zero] * n0.dims[v] for _ in range(m0.dims[v])]
-        for (mpos, npos), emb in blocks.items():
-            sub = emb.vertex_mats[v]
-            r0 = m_off[mpos][v]
-            c0 = n_off[npos][v]
-            for i, row in enumerate(sub.rows):
-                for j, x in enumerate(row):
-                    big[r0 + i][c0 + j] = x
+        for emb, r0, c0 in blocks:
+            for i, row in enumerate(emb.vertex_mats[v].rows):
+                big[r0[v] + i][c0[v] : c0[v] + len(row)] = row
         mats.append(Matrix(f, tuple(tuple(r) for r in big), validate=False, ncols=n0.dims[v]))
-    e0 = Morphism(n0, m0, mats)
-    alpha = _find_iso(n, n0, seed=seed + 11)
-    beta = _find_iso(m0, m, seed=seed + 13)
-    return beta.compose(e0).compose(alpha)
+    emb = Morphism(source, target, mats)
+    if source is not n:
+        emb = emb.compose(_find_iso(n, n0, seed=seed + 11))
+    if target is not m:
+        emb = _find_iso(m0, m, seed=seed + 13).compose(emb)
+    return emb
 
 
 def _slot_offsets(table, slots):

@@ -1,6 +1,8 @@
 """Dynkin-specific machinery: positive roots, indecomposables by reflection
 functors, decomposition read off their projective presentations, the type-A
-socle reach R_i read off the roots, and generic representations."""
+socle reach R_i read off the roots, the intervals of equioriented type A and
+one injective map between each two nested ones, and generic
+representations."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .quiver import (
     require_dynkin,
 )
 from .rep import (
+    Morphism,
     Representation,
     _paths_from,
     direct_sum,
@@ -54,6 +57,17 @@ def positive_roots(q: Quiver) -> list[DimVector]:
             if euler_form(q, d, s) + euler_form(q, s, d) == -1
         }
     return sorted(roots)
+
+
+def path_order(q: Quiver):
+    """Vertices of an equioriented A_n quiver in path order, or None: a
+    type A quiver with no two arrows into or out of one vertex is a
+    directed path, whose one topological order is its path order."""
+    if not (q.dynkin_type or "").startswith("A"):
+        return None
+    if any(len(arrows) > 1 for arrows in q.in_arrows + q.out_arrows):
+        return None
+    return q.topological_order
 
 
 def _sinks(q: Quiver):
@@ -211,7 +225,9 @@ class IndecomposableTable:
     refuses to exist without it.  Roots are kept in lexicographic order.
     projective and injective hold the indices of the roots of the
     projectives and injectives, found by path counts.  euler[u][v] =
-    <u, v>, computed with the table.
+    <u, v>, computed with the table.  Views that not every caller needs
+    (presentations, socle_reach, intervals, interval_map) are built on
+    first use.
     """
 
     quiver: Quiver
@@ -223,6 +239,9 @@ class IndecomposableTable:
     hom_order: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     projective: frozenset[int] = dc_field(init=False, repr=False, compare=False)
     injective: frozenset[int] = dc_field(init=False, repr=False, compare=False)
+    _interval_maps: dict[tuple[int, int], Morphism] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "euler", _euler_values(self.quiver, self.roots))
@@ -344,6 +363,44 @@ class IndecomposableTable:
             )
             for i in range(q.vertex_count)
         )
+
+    @functools.cached_property
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) for every root, indexed like roots: its support as the
+        1-based interval i..j along the path order of an equioriented A_n
+        (`path_order`).  ValueError on any other quiver; a root that is not
+        an interval is a RuntimeError (a corrupted table)."""
+        order = path_order(self.quiver)
+        if order is None:
+            raise ValueError("intervals are read along a path order, so equioriented type A only")
+        position = {v: p + 1 for p, v in enumerate(order)}
+        out = []
+        for root in self.roots:
+            support = sorted(position[v] for v, x in enumerate(root) if x)
+            if any(x > 1 for x in root) or support != list(range(support[0], support[-1] + 1)):
+                raise RuntimeError("type A root is not an interval; table corrupted")
+            out.append((support[0], support[-1]))
+        return tuple(out)
+
+    def interval_map(self, u: int, v: int) -> Morphism:
+        """An injective morphism reps[u] -> reps[v], the first injective
+        element of hom_basis(reps[u], reps[v]).  One exists exactly when
+        the intervals are (i, j) and (k, j) with k <= i: the submodules of
+        an interval module are the intervals with its right end, and
+        [U, V] <= 1 (Gabriel, 1972).  Any other pair is a ValueError, and a
+        basis with no injective element a RuntimeError.  Each pair's map is
+        solved for on first use and kept on the table."""
+        maps = self._interval_maps
+        if (u, v) not in maps:
+            (i, j), (k, l) = self.intervals[u], self.intervals[v]
+            if l != j or k > i:
+                raise ValueError(f"the interval {(i, j)} has no injective map into {(k, l)}")
+            basis = hom_basis(self.reps[u], self.reps[v])
+            emb = next((mor for mor in basis.morphisms if is_injective_morphism(mor)), None)
+            if emb is None:
+                raise RuntimeError("no injective interval embedding found")
+            maps[u, v] = emb
+        return maps[u, v]
 
     def require_rep(self, x: Representation) -> None:
         """ValueError unless x is over the table's quiver and field."""

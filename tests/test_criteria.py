@@ -36,6 +36,7 @@ from quiverrep.rep import (
     dual,
     hom_basis,
     hom_dim,
+    identity_morphism,
     is_injective_morphism,
     power,
     quotient,
@@ -981,21 +982,115 @@ def test_an_criterion_rejects_wrong_quiver(table_d4_f2):
         an_criterion(x, x, table_d4_f2)
 
 
-def test_an_matches_nc2_on_random_pairs(table_a3_f2):
-    rng = random.Random(8)
-    roots = table_a3_f2.roots
-    for _ in range(30):
-        mn = {r: rng.randint(0, 2) for r in roots}
-        mm = {r: rng.randint(0, 2) for r in roots}
-        n = assemble(table_a3_f2, {r: c for r, c in mn.items() if c})
-        m = assemble(table_a3_f2, {r: c for r, c in mm.items() if c})
-        va = an_criterion(n, m, table_a3_f2, seed=rng.randrange(10**6))
-        vn = check_nc2(n, m, CheckConfig())
-        assert va.holds == vn.holds
-        if va.holds:
-            emb = va.context["embedding"]
-            assert is_injective_morphism(emb)
-            assert emb.source.dims == n.dims and emb.target.dims == m.dims
+def test_an_matches_nc2_on_random_pairs():
+    """On equioriented A3 and A4 over F_2 and F_3, an_criterion holds
+    exactly when nc2's flow does, and every embedding it builds is
+    certified injective."""
+    for q, field in itertools.product((A3, a_n(4)), (F2, F3)):
+        table = cached_table(q, field)
+        rng = random.Random(8)
+        holding = 0
+        for _ in range(30):
+            mn = {r: rng.randint(0, 2) for r in table.roots}
+            mm = {r: rng.randint(0, 2) for r in table.roots}
+            n = assemble(table, {r: c for r, c in mn.items() if c})
+            m = assemble(table, {r: c for r, c in mm.items() if c})
+            va = an_criterion(n, m, table, seed=rng.randrange(10**6))
+            vn = check_nc2(n, m, CheckConfig())
+            assert vn.context["mode"] == "type-a-flow"
+            assert va.holds == vn.holds
+            if va.holds:
+                emb = va.context["embedding"]
+                assert is_injective_morphism(emb)
+                assert emb.source.dims == n.dims and emb.target.dims == m.dims
+                holding += 1
+        assert holding, (q, field)
+
+
+def _reference_an_embedding(n, m, table, seed):
+    """an_criterion's embedding built pair by pair: the greedy matching of
+    interval summands per right end, one hom_basis per matched block and
+    its first injective element, the block morphism n0 -> m0 between the
+    assembled forms, and an isomorphism composed on each side (the
+    identity for an input equal to its assembled form)."""
+    f = n.field
+    n_mults, m_mults = decompose(n, table), decompose(m, table)
+    ends = [(r.index(1) + 1, len(r) - r[::-1].index(1)) for r in table.roots]  # path order 0, 1, ...
+    n_slots = [u for u, r in enumerate(table.roots) for _ in range(n_mults.get(r, 0))]
+    m_slots = [u for u, r in enumerate(table.roots) for _ in range(m_mults.get(r, 0))]
+    pairs = []
+    for j in sorted({j for _, j in ends}):
+        pool = sorted((ends[u][0], pos) for pos, u in enumerate(m_slots) if ends[u][1] == j)
+        for i, npos in sorted((ends[u][0], pos) for pos, u in enumerate(n_slots) if ends[u][1] == j):
+            pick = [c for c in pool if c[0] <= i][-1]
+            pool.remove(pick)
+            pairs.append((npos, pick[1]))
+    n0, m0 = assemble(table, n_mults), assemble(table, m_mults)
+    n_off, m_off = criteria._slot_offsets(table, n_slots), criteria._slot_offsets(table, m_slots)
+    mats = []
+    for v in range(n.quiver.vertex_count):
+        big = [[f.zero] * n0.dims[v] for _ in range(m0.dims[v])]
+        for npos, mpos in pairs:
+            basis = hom_basis(table.reps[n_slots[npos]], table.reps[m_slots[mpos]])
+            block = next(g for g in basis.morphisms if is_injective_morphism(g)).vertex_mats[v]
+            for r, row in enumerate(block.rows):
+                big[m_off[mpos][v] + r][n_off[npos][v] : n_off[npos][v] + len(row)] = row
+        mats.append(Matrix(f, big, ncols=n0.dims[v]))
+    e0 = rep.Morphism(n0, m0, mats)
+    alpha = identity_morphism(n) if n == n0 else criteria._find_iso(n, n0, seed=seed + 11)
+    beta = identity_morphism(m0) if m0 == m else criteria._find_iso(m0, m, seed=seed + 13)
+    return beta.compose(e0).compose(alpha)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_an_embedding_matches_the_per_pair_construction(field):
+    """On seeded equioriented A3 and A4 pairs, in random bases and in
+    assembled form on either side, an_criterion's embedding has the vertex
+    matrices of the pair-by-pair reference and runs from n to m."""
+    kinds = set()
+    for n, m in _type_a_pairs(field, 9):
+        if path_order(n.quiver) is None:
+            continue
+        table = cached_table(n.quiver, field)
+        n0, m0 = assemble(table, decompose(n, table)), assemble(table, decompose(m, table))
+        for x, y in ((n, m), (n0, m0), (n0, m), (n, m0)):
+            v = an_criterion(x, y, table, seed=5)
+            if not v.holds:
+                break
+            emb = v.context["embedding"]
+            assert emb.vertex_mats == _reference_an_embedding(x, y, table, 5).vertex_mats
+            assert emb.source == x and emb.target == y
+            kinds.add((x is n, y is m))
+    assert len(kinds) == 4
+
+
+def test_interval_maps_are_built_on_first_use_and_once(monkeypatch):
+    """A fresh table solves no Hom system until the first holding pair
+    needs an interval map, and none when holding pairs repeat; a pair in
+    assembled form makes no isomorphism search and no composition."""
+    table = build_table(A3, F2)
+    calls = []
+    for module in (criteria, dynkin):
+        real = module.hom_basis
+        monkeypatch.setattr(module, "hom_basis", lambda x, y, real=real: calls.append((x, y)) or real(x, y))
+    assert "intervals" not in vars(table) and not table._interval_maps
+    u12 = assemble(table, {(1, 1, 0): 1})
+    s3 = assemble(table, {(0, 0, 1): 1})
+    m = assemble(table, {(1, 1, 1): 2, (0, 1, 1): 1})
+    assert not an_criterion(u12, s3, table).holds
+    assert not calls
+    pairs = [(s3, m), (assemble(table, {(0, 1, 1): 1, (0, 0, 1): 1}), m), (m, m)]
+    assert all(an_criterion(n, m, table).holds for n, m in pairs)
+    assert calls and len(calls) == len(table._interval_maps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an assembled pair searched for an isomorphism or composed")
+
+    monkeypatch.setattr(criteria, "_find_iso", refuse)
+    monkeypatch.setattr(rep.Morphism, "compose", refuse)
+    calls.clear()
+    assert all(an_criterion(n, m, table).holds for n, m in pairs)
+    assert not calls
 
 
 # ----------------------------------------------------------------------
