@@ -10,7 +10,6 @@ certificate never looks like a negative verdict.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -114,11 +113,12 @@ NO_EMBEDDING_AT_ANY_R = ("Hom(n, m) = 0", "no injective map can exist at any r")
 
 def _exhaustive_reduction(args, *reps):
     """reps reduced into F_q for q = --exhaustive-q when they are over Q.
-    dim End is not checked: the user chose the field."""
-    if args.exhaustive_q and reps[0].field.is_rationals:
-        f = FieldSpec.of_order(args.exhaustive_q)
-        return tuple(x.change_field(f) for x in reps)
-    return reps
+    q must be a field order on every input; finite-field input stays as it
+    is.  dim End is not checked: the user chose the field."""
+    if args.exhaustive_q is None:
+        return reps
+    f = FieldSpec.of_order(args.exhaustive_q)
+    return tuple(x.change_field(f) for x in reps) if reps[0].field.is_rationals else reps
 
 
 def _table_for(rep):
@@ -143,7 +143,7 @@ def cmd_hom(args) -> int:
 
 def cmd_ext(args) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
-    d = ext_dim(n, m, cross_check=args.cross_check)
+    d = ext_dim(n, m)
     _emit(args, [f"dim Ext^1(N,M) = {d}"], {"ext": d})
     return EXIT_HOLDS
 
@@ -302,109 +302,103 @@ def cmd_check_an(args) -> int:
     return _verdict_exit(v)
 
 
+# The five result options, then --format and --output, which every command
+# takes.  A command takes only the result options its cmd_ function reads,
+# so that a value nothing reads is a usage error; `--format json` reports a
+# command's options, in this order, as its "config" block.
+OPTIONS = {
+    "--seed": {"type": int, "default": 0},
+    "--rmax": {"type": int, "default": 8, "dest": "r_max"},
+    "--trials": {"type": int, "default": 256},
+    "--samples": {"type": int, "default": 64},
+    "--enum-budget": {"type": int, "default": DEFAULT_BUDGET},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--output": {"default": None},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: a prefix such as --e must not silently
     # resolve to another option (--enum-budget) on a subcommand without it
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    shared = (
-        common.add_argument("--seed", type=int, default=0),
-        common.add_argument("--rmax", type=int, default=8, dest="r_max"),
-        common.add_argument("--trials", type=int, default=256),
-        common.add_argument("--samples", type=int, default=64),
-        common.add_argument("--enum-budget", type=int, default=DEFAULT_BUDGET),
-        common.add_argument("--format", choices=("text", "json"), default="text"),
-        common.add_argument("--output", default=None),
-    )
-    # every command takes these; `--format json` reports them, in this
-    # order, as its "config" block
-    common.set_defaults(shared=tuple(action.dest for action in shared))
     parser = argparse.ArgumentParser(
         prog="quiverrep",
         allow_abbrev=False,
         description="Exact criteria, oracles, and searches for embeddings of quiver representations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = add("roots", help="positive roots of a Dynkin quiver")
+    def add(name, func, help, *options):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        wanted = (*options, "--format", "--output")
+        shared = [p.add_argument(flag, **kw) for flag, kw in OPTIONS.items() if flag in wanted]
+        p.set_defaults(func=func, shared=tuple(action.dest for action in shared))
+        return p
+
+    p = add("roots", cmd_roots, "positive roots of a Dynkin quiver")
     p.add_argument("quiver")
-    p.set_defaults(func=cmd_roots)
 
-    p = add("hom", help="dim Hom(N, M)")
+    p = add("hom", cmd_hom, "dim Hom(N, M)")
     p.add_argument("n")
     p.add_argument("m")
-    p.set_defaults(func=cmd_hom)
 
-    p = add("ext", help="dim Ext^1(N, M)")
+    p = add("ext", cmd_ext, "dim Ext^1(N, M)")
     p.add_argument("n")
     p.add_argument("m")
-    p.add_argument("--cross-check", action="store_true")
-    p.set_defaults(func=cmd_ext)
 
-    p = add("decompose", help="indecomposable multiplicities (Dynkin)")
+    p = add("decompose", cmd_decompose, "indecomposable multiplicities (Dynkin)")
     p.add_argument("rep")
-    p.set_defaults(func=cmd_decompose)
 
-    p = add("check-sub", help="subrepresentation existence criterion")
+    p = add("check-sub", cmd_check_sub, "subrepresentation existence criterion")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
-    p.set_defaults(func=cmd_check_sub)
 
-    p = add("check-irred", help="Grassmannian irreducibility criterion (sufficient)")
+    p = add("check-irred", cmd_check_irred, "Grassmannian irreducibility criterion (sufficient)")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
-    p.set_defaults(func=cmd_check_irred)
 
-    p = add("check-embed", help="quotient estimate, optionally with stable search")
+    p = add("check-embed", cmd_check_embed, "quotient estimate, optionally with stable search",
+            "--seed", "--rmax", "--trials")
     p.add_argument("n")
     p.add_argument("m")
     p.add_argument("--stable", action="store_true")
     p.add_argument("--exhaustive-q", type=int, default=None,
                    help="reduce rational input mod this order for the exhaustive check")
-    p.set_defaults(func=cmd_check_embed)
 
-    p = add("check-an", help="equioriented type A prefix criterion with embedding")
+    p = add("check-an", cmd_check_an, "equioriented type A prefix criterion with embedding", "--seed")
     p.add_argument("n")
     p.add_argument("m")
-    p.set_defaults(func=cmd_check_an)
 
-    p = add("dual-surj", help="surjection criterion via duality")
+    p = add("dual-surj", cmd_dual_surj, "surjection criterion via duality", "--seed", "--trials")
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--exhaustive-q", type=int, default=None)
-    p.set_defaults(func=cmd_dual_surj)
 
-    p = add("enum-gr", help="enumerate subrepresentations over a finite field")
+    p = add("enum-gr", cmd_enum_gr, "enumerate subrepresentations over a finite field", "--enum-budget")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
-    p.set_defaults(func=cmd_enum_gr)
 
-    p = add("count-poly", help="counting polynomial of a quiver Grassmannian")
+    p = add("count-poly", cmd_count_poly, "counting polynomial of a quiver Grassmannian", "--enum-budget")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--qs", default="2,3,4,5,7")
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_count_poly)
 
-    p = add("semistable", help="e-semistability")
+    p = add("semistable", cmd_semistable, "e-semistability", "--enum-budget")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--q-enum", type=int, default=None)
     p.add_argument("--force-enum", action="store_true")
-    p.set_defaults(func=cmd_semistable)
 
-    p = add("stabilize", help="generic hom stabilization report")
+    p = add("stabilize", cmd_stabilize, "generic hom stabilization report", "--seed", "--samples", "--enum-budget")
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--r-range", default="1:8")
     p.add_argument("--q-enum", type=int, default=5)
     p.add_argument("--assume-hypothesis", action="store_true")
-    p.set_defaults(func=cmd_stabilize)
 
-    p = add("fixtures", help="emit the worked counterexample files")
+    p = add("fixtures", cmd_fixtures, "emit the worked counterexample files")
     p.add_argument("--out", default="fixtures")
     p.add_argument("--field", default="Q")
-    p.set_defaults(func=cmd_fixtures)
 
     return parser
 

@@ -112,8 +112,9 @@ class GrassmannianChecker:
         e = check_dimvector(m.quiver, e)
         context = {"criterion": "grassmannian-nonempty", "field": m.field.name, "e": list(e)}
         if not dim_leq(e, m.dims):
-            # trivially false; the theorem still guarantees a violated
-            # inequality, which the scan below surfaces as the witness
+            # trivially false, and the scan below finds a violated
+            # inequality: where e_v > m_v, the projective P_v has
+            # [P_v, m] = m_v < e_v = <dim P_v, e> on an acyclic quiver
             context["dimension_count_failed"] = True
         details = []
         witness = None
@@ -124,9 +125,6 @@ class GrassmannianChecker:
             details.append({"root": list(root), "hom": lhs, "euler": rhs, "ok": ok})
             if not ok and witness is None:
                 witness = {"kind": "indecomposable", "root": list(root), "hom": lhs, "euler": rhs}
-        if witness is None and context.get("dimension_count_failed"):
-            # cannot happen for a valid table; keep a safe fallback witness
-            witness = {"kind": "dimension-count", "e": list(e), "dims": list(m.dims)}
         return Verdict(holds=witness is None, witness=witness, details=details, context=context)
 
     def irreducible(self, e: DimVector) -> Verdict:

@@ -379,28 +379,23 @@ def reductions(m: Representation, orders) -> dict[int, Representation | None]:
     return {q: reduced[q] for q in fields}
 
 
-def ext_dim(x: Representation, y: Representation, cross_check: bool = False) -> int:
+def ext_dim(x: Representation, y: Representation) -> int:
     """dim Ext^1(x, y) = dim Hom(x, y) - <dim x, dim y> (hereditary case).
 
-    With cross_check=True the dimension is recomputed as the cokernel of
-    the standard two-term projective resolution's Hom sequence and the two
-    answers are required to agree.
+    The same elimination gives the dimension a second time, as the cokernel
+    of the standard two-term projective resolution's Hom sequence; the two
+    answers must agree, or a RuntimeError reports the internal
+    inconsistency.  The check costs nothing beyond that one elimination.
     """
     _check_pair(x, y)
     if not is_acyclic(x.quiver):
         raise ValueError("Ext^1 formula requires an acyclic quiver")
     system = _hom_system(x, y)
     rk = system.rank()
-    hom = system.ncols - rk
-    ext = hom - euler_form(x.quiver, x.dims, y.dims)
-    if ext < 0:
-        raise RuntimeError("negative Ext dimension; internal inconsistency")
-    if cross_check:
-        coker = system.nrows - rk
-        if coker != ext:
-            raise RuntimeError(
-                f"Ext cross-check failed: cokernel gives {coker}, Euler identity gives {ext}"
-            )
+    ext = system.ncols - rk - euler_form(x.quiver, x.dims, y.dims)
+    coker = system.nrows - rk
+    if coker != ext:
+        raise RuntimeError(f"Ext cross-check failed: cokernel gives {coker}, Euler identity gives {ext}")
     return ext
 
 

@@ -12,6 +12,7 @@ import quiverrep
 from quiverrep.cli import MAX_LEDGER_LINES, main
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import d4_p1, d4_x, kronecker3_g, kronecker3_m
+from quiverrep.grassmannian import DEFAULT_BUDGET
 from quiverrep.quiver import Quiver, a_n, save_quiver
 from quiverrep.rep import Representation, direct_sum, load_morphism, load_rep, rep_to_json, save_rep, simple
 
@@ -122,8 +123,8 @@ def test_check_embed_json_output(tmp_path, fixture_dir):
     data = json.loads(out.read_text())
     assert data["result"]["nc2"]["holds"] is True
     assert data["config"]["seed"] == 0
-    # the shared options of the common parser, in their order
-    assert list(data["config"]) == ["seed", "r_max", "trials", "samples", "enum_budget", "format", "output"]
+    # the result options check-embed reads, then --format and --output
+    assert list(data["config"]) == ["seed", "r_max", "trials", "format", "output"]
     # the ledger is recomputable: each entry repeats the compared sides
     for entry in data["result"]["nc2"]["details"]:
         assert entry["ok"] == (entry["lhs"] <= entry["rhs"])
@@ -152,7 +153,7 @@ def test_hom_ext_commands(tmp_path, capsys):
     s2 = write_rep(tmp_path, "s2.json", simple(a_n(2), f5, 1))
     assert main(["hom", s1, s2]) == 0
     assert "[N,M] = 0" in capsys.readouterr().out
-    assert main(["ext", s1, s2, "--cross-check"]) == 0
+    assert main(["ext", s1, s2]) == 0
     assert "= 1" in capsys.readouterr().out
 
 
@@ -253,13 +254,89 @@ def test_nonpositive_samples_exit_3(fixture_dir, capsys):
 
 
 def test_option_prefixes_are_not_abbreviations(fixture_dir, capsys):
-    """decompose has no --e; the prefix must not resolve to --enum-budget."""
+    """decompose has no --e, and enum-gr's --enum-budget is never spelled
+    by a prefix."""
     x = str(fixture_dir / "d4.x.json")
     for value in ("1,1", "5"):
         assert main(["decompose", x, "--e", value]) == 3
         assert "unrecognized arguments: --e" in capsys.readouterr().err
     assert main(["decompose", x, "--enum-b", "5"]) == 3
-    assert main(["decompose", x, "--enum-budget", "5"]) == 0
+    assert main(["decompose", x, "--enum-budget", "5"]) == 3
+    assert main(["enum-gr", x, "--e", "1,1,1,1", "--enum-b", "100"]) == 3
+    assert "unrecognized arguments: --enum-b 100" in capsys.readouterr().err
+
+
+# The five result options with their defaults and config keys, in the order
+# `--format json` reports them
+RESULT_OPTIONS = {
+    "--seed": ("0", "seed"),
+    "--rmax": ("8", "r_max"),
+    "--trials": ("256", "trials"),
+    "--samples": ("64", "samples"),
+    "--enum-budget": (str(DEFAULT_BUDGET), "enum_budget"),
+}
+# Each subcommand on a quick input (F_2 fixture files in fx/, rational ones
+# in q/), with the result options it reads
+OPTION_SURFACE = {
+    "roots": (["a3.quiver.json"], ()),
+    "hom": (["fx/d4.p1.json", "fx/d4.x.json"], ()),
+    "ext": (["fx/d4.p1.json", "fx/d4.x.json"], ()),
+    "decompose": (["fx/d4.x.json"], ()),
+    "check-sub": (["fx/d4.x.json", "--e", "1,1,1,1"], ()),
+    "check-irred": (["fx/d4.x.json", "--e", "1,1,1,1"], ()),
+    "check-embed": (["fx/d4.p1.json", "fx/d4.x.json", "--stable", "--exhaustive-q", "3"],
+                    ("--seed", "--rmax", "--trials")),
+    "check-an": (["s2.json", "s2.json"], ("--seed",)),
+    "dual-surj": (["fx/d4.x.json", "fx/d4.x.json"], ("--seed", "--trials")),
+    "enum-gr": (["fx/d4.x.json", "--e", "1,1,1,1"], ("--enum-budget",)),
+    "count-poly": (["q/d4.x.json", "--e", "1,1,1,1", "--qs", "2,3,5"], ("--enum-budget",)),
+    "semistable": (["fx/kronecker3.m.json", "--e", "2,1", "--q-enum", "2"], ("--enum-budget",)),
+    "stabilize": (["fx/kronecker3.m.json", "--e", "2,1", "--r-range", "1:2", "--q-enum", "2"],
+                  ("--seed", "--samples", "--enum-budget")),
+    "fixtures": (["--out", "out", "--field", "F_2"], ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_SURFACE))
+def test_each_command_takes_only_the_result_options_it_reads(command, tmp_path, monkeypatch, fixture_dir, capsys):
+    """A listed result option is accepted and, at its default, changes
+    nothing; any other is an unrecognized argument, exit 3.  The JSON config
+    names the listed options in table order, then format and output."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fixtures", "--out", "q"]) == 0
+    save_quiver(a_n(3), "a3.quiver.json")
+    write_rep(tmp_path, "s2.json", simple(a_n(2), GF(2), 1))
+    capsys.readouterr()
+    args, options = OPTION_SURFACE[command]
+    argv = [command, *args, "--format", "json"]
+    code = main(argv)
+    assert code in (0, 1, 2)
+    out = capsys.readouterr().out
+    config = json.loads(out)["config"]
+    assert list(config) == [key for flag, (_, key) in RESULT_OPTIONS.items() if flag in options] + ["format", "output"]
+    for flag, (default, _) in RESULT_OPTIONS.items():
+        if flag in options:
+            assert main([*argv, flag, default]) == code
+            assert capsys.readouterr().out == out
+        else:
+            assert main([*argv, flag, default]) == 3
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {flag} {default}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["Q", "F_2"])
+@pytest.mark.parametrize("command", ["check-embed", "dual-surj"])
+def test_exhaustive_q_must_be_a_field_order(command, field, tmp_path, capsys):
+    """--exhaustive-q is a field order on every input, finite-field input
+    included, where it reduces nothing."""
+    fx = tmp_path / "fx"
+    assert main(["fixtures", "--out", str(fx), "--field", field]) == 0
+    capsys.readouterr()
+    pair = [str(fx / "kronecker3.pi.json"), str(fx / "kronecker3.m.json")]
+    for q in ("0", "1", "6"):
+        assert main([command, *pair, "--exhaustive-q", q]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_check_an_command(tmp_path):

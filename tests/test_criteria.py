@@ -109,6 +109,25 @@ def test_gr_nonempty_agrees_with_oracle(table_a3_f2, table_d4_f2):
                 assert checker.nonempty(e).holds == oracle.nonempty(e)
 
 
+@pytest.mark.parametrize("quiver", [A3, a_n(4), d4_subspace()], ids=["A3", "A4", "D4"])
+def test_gr_nonempty_above_dim_m_fails_at_a_projective(quiver):
+    """An e above dim m needs no fallback witness: where e_v > m_v the
+    projective P_v has [P_v, m] = m_v < e_v = <dim P_v, e>, so the scan's
+    own witness is an indecomposable and a projective's entry fails."""
+    table = cached_table(quiver, F2)
+    rng = random.Random(4)
+    dims = [tuple(rng.randint(0, 2) for _ in range(quiver.vertex_count)) for _ in range(20)]
+    reps = [*table.reps, *(random_representation(quiver, d, F2, seed=rng.randrange(10**6)) for d in dims)]
+    for m in reps:
+        checker = GrassmannianChecker(m, table)
+        for e in itertools.product(*(range(d + 2) for d in m.dims)):
+            if all(map(int.__le__, e, m.dims)):
+                continue
+            v = checker.nonempty(e)
+            assert v.context["dimension_count_failed"] and v.witness["kind"] == "indecomposable"
+            assert any(not v.details[u]["ok"] for u in table.projective)
+
+
 # ----------------------------------------------------------------------
 # Irreducibility criterion
 

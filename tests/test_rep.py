@@ -65,7 +65,7 @@ def test_hom_simple_self():
     for i, x in enumerate(simples):
         for j, y in enumerate(simples):
             assert hom_dim(x, y) == hom_basis(x, y).dim == (i == j)
-    assert ext_dim(simples[0], simples[1], cross_check=True) == 1
+    assert ext_dim(simples[0], simples[1]) == 1
     # no arrows: every tuple of matrices intertwines, and the basis is the
     # standard one in the order of the flattened unknowns
     q = Quiver(2, ())
@@ -73,7 +73,7 @@ def test_hom_simple_self():
     y = random_representation(q, (1, 3), F5, seed=1)
     basis = hom_basis(x, y)
     assert hom_dim(x, y) == basis.dim == 5
-    assert ext_dim(x, y, cross_check=True) == 0
+    assert ext_dim(x, y) == 0
     flat = [[e for mat in phi.vertex_mats for e in mat.flatten()] for phi in basis.morphisms]
     assert flat == [[int(i == j) for j in range(5)] for i in range(5)]
 
@@ -329,11 +329,11 @@ def test_ext_examples():
     s1, s2 = simple(A2, F5, 0), simple(A2, F5, 1)
     # S_2 sits at the sink and is projective; the nonsplit extension is on
     # the other side
-    assert ext_dim(s2, s1, cross_check=True) == 0
-    assert ext_dim(s1, s2, cross_check=True) == 1
+    assert ext_dim(s2, s1) == 0
+    assert ext_dim(s1, s2) == 1
     p = build_projective(A3, 0, F5)
     x = random_representation(A3, (2, 1, 2), F5, seed=3)
-    assert ext_dim(p, x, cross_check=True) == 0
+    assert ext_dim(p, x) == 0
 
 
 def test_euler_identity_on_random_pairs():
@@ -346,7 +346,7 @@ def test_euler_identity_on_random_pairs():
                 dy = tuple(rng.randint(0, 3) for _ in range(n))
                 x = random_representation(q, dx, field, seed=rng.randrange(10**6), box=5)
                 y = random_representation(q, dy, field, seed=rng.randrange(10**6), box=5)
-                assert hom_dim(x, y) - ext_dim(x, y, cross_check=True) == euler_form(q, dx, dy)
+                assert hom_dim(x, y) - ext_dim(x, y) == euler_form(q, dx, dy)
 
 
 def test_ext_requires_acyclic():
@@ -354,6 +354,15 @@ def test_ext_requires_acyclic():
     x = random_representation(cyc, (1, 1), F5, seed=0)
     with pytest.raises(ValueError):
         ext_dim(x, x)
+
+
+def test_ext_cross_check_raises_on_a_mismatch(monkeypatch):
+    """The cokernel and the Euler identity are compared on every call: an
+    Euler form off by one is an internal error, not an answer."""
+    s1, s2 = simple(A2, F5, 0), simple(A2, F5, 1)
+    monkeypatch.setattr(rep_module, "euler_form", lambda q, a, b: euler_form(q, a, b) + 1)
+    with pytest.raises(RuntimeError, match="cross-check failed: cokernel gives 1, Euler identity gives 0"):
+        ext_dim(s1, s2)
 
 
 def test_socle_examples():
