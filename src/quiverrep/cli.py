@@ -112,13 +112,16 @@ NO_EMBEDDING_AT_ANY_R = ("Hom(n, m) = 0", "no injective map can exist at any r")
 
 
 def _exhaustive_reduction(args, *reps):
-    """reps reduced into F_q for q = --exhaustive-q when they are over Q.
-    q must be a field order on every input; finite-field input stays as it
-    is.  dim End is not checked: the user chose the field."""
+    """reps, over Q, reduced into F_q for q = --exhaustive-q, a field order.
+    Finite-field input is already checked exhaustively, so the option is
+    refused there (ValueError).  dim End is not checked: the user chose the
+    field."""
     if args.exhaustive_q is None:
         return reps
     f = FieldSpec.of_order(args.exhaustive_q)
-    return tuple(x.change_field(f) for x in reps) if reps[0].field.is_rationals else reps
+    if not reps[0].field.is_rationals:
+        raise ValueError(f"--exhaustive-q reduces rational input; this input is over {reps[0].field}")
+    return tuple(x.change_field(f) for x in reps)
 
 
 def _table_for(rep):
@@ -297,7 +300,7 @@ def cmd_dual_surj(args) -> int:
 def cmd_check_an(args) -> int:
     n, m = load_rep(args.n), load_rep(args.m)
     table = _table_for(n)
-    v = an_criterion(n, m, table, seed=args.seed)
+    v = an_criterion(n, m, table)
     _emit(args, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)
 
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-q", type=int, default=None,
                    help="reduce rational input mod this order for the exhaustive check")
 
-    p = add("check-an", cmd_check_an, "equioriented type A prefix criterion with embedding", "--seed")
+    p = add("check-an", cmd_check_an, "equioriented type A prefix criterion with embedding")
     p.add_argument("n")
     p.add_argument("m")
 

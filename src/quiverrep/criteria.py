@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
-from .dynkin import IndecomposableTable, assemble, cached_table, decompose, path_order
+from .dynkin import IndecomposableTable, cached_table, decompose, path_order
 from .exactlin import Matrix
 from .grassmannian import SubrepOracle, DEFAULT_BUDGET
 from .quiver import (
@@ -30,7 +30,6 @@ from .rep import (
     hom_dim,
     hom_evaluation_rows,
     is_injective_morphism,
-    search_hom,
     _socles,
 )
 
@@ -543,11 +542,9 @@ def an_criterion(
     """Prefix-sum criterion for an embedding n -> m over equioriented A_n,
     with an explicit certified embedding on success.
 
-    The embedding is built between the assembled forms n0 and m0 of the
-    decompositions from the table's interval maps (`interval_map`), then
-    composed with isomorphisms n -> n0 and m0 -> m found by `_find_iso`.
-    Only that search uses `seed`, and it runs only for an input that is
-    not already in assembled form."""
+    The embedding is read off interval bases of n and m
+    (`_build_an_embedding`); nothing is searched for.  `seed` is ignored:
+    the embedding does not depend on it."""
     if path_order(n.quiver) is None:
         raise ValueError("an_criterion requires an equioriented type A quiver")
     if n.quiver != m.quiver or n.field != m.field:
@@ -582,86 +579,105 @@ def an_criterion(
     }
     verdict = Verdict(holds=holds, witness=witness, details=details, context=context)
     if holds:
-        emb = _build_an_embedding(n, m, table, n_mults, m_mults, seed)
+        emb = _build_an_embedding(n, m, table)
         if not is_injective_morphism(emb):
             raise RuntimeError("constructed type A embedding failed its injectivity certificate")
         verdict.context["embedding"] = emb
     return verdict
 
 
-def _find_iso(a: Representation, b: Representation, seed: int, trials: int = 128) -> Morphism:
-    """An isomorphism a -> b found by sampling Hom(a, b) with `seed`;
-    requires a ~ b.  `an_criterion` calls it only for an input that differs
-    from its assembled form."""
+def _interval_basis(x: Representation, table: IndecomposableTable) -> tuple:
+    """A basis of x over equioriented A_n in which x is a direct sum of
+    intervals: one (u, chain) per summand, u its type's index in
+    `table.intervals` and chain its vectors g, Ag, ..., A^(j-i) g at the
+    positions i, ..., j of the path order, A the arrows along it.
 
-    def is_iso(mor: Morphism) -> bool:
-        return all(mat.nrows == mat.ncols and mat.rank() == mat.nrows for mat in mor.vertex_mats)
+    For a type U = i..j that `decompose` finds in x, Hom(U, x) read at U's
+    top is the kernel of the path i -> j+1, so each element of
+    hom_basis(U, x) gives a candidate generator g in x_i.  One is kept
+    when it is independent of the image of the arrow into i and of the
+    generators kept before it.  Taken in order of j, the generators kept
+    at i are a basis of x_i modulo that image adapted to the kernels of
+    the paths out of i, so their chains are a basis of x (Gabriel, 1972;
+    Zomorodian and Carlsson, 2005).  A type whose count of generators is
+    not its multiplicity is a RuntimeError.  Like the multiplicities, the
+    basis is kept on x (its `_interval_basis` slot) and later calls
+    return it."""
+    basis = getattr(x, "_interval_basis", None)
+    if basis is not None:
+        return basis
+    f, q, mats = x.field, x.quiver, x.arrow_mats
+    dot = f.row_ops[0]
+    order = path_order(q)
+    mults = decompose(x, table)
+    kept = {}  # vertex -> independent rows: the arrow's image, then the generators kept
+    basis = []
+    for u in sorted(range(table.size), key=lambda u: table.intervals[u][1]):
+        count = mults.get(table.roots[u], 0)
+        if not count:
+            continue
+        i, j = table.intervals[u]
+        top = order[i - 1]
+        if top not in kept:
+            image = [row for a, _ in q.in_arrows[top] for row in mats[a].transpose().rows]
+            red, pivots = Matrix(f, image, validate=False, ncols=x.dims[top]).rref()
+            kept[top] = list(red.rows[: len(pivots)])
+        rows = kept[top]
+        for mor in hom_basis(table.reps[u], x).morphisms:
+            g = mor.vertex_mats[top].col(0)
+            if Matrix(f, rows + [g], validate=False).rank() == len(rows):
+                continue
+            rows.append(g)
+            chain = [g]
+            for p in order[i - 1 : j - 1]:
+                ((a, _),) = q.out_arrows[p]
+                chain.append(tuple(dot(row, chain[-1]) for row in mats[a].rows))
+            basis.append((u, tuple(chain)))
+            count -= 1
+        if count:
+            raise RuntimeError(f"interval {(i, j)}: generators disagree with its multiplicity")
+    x._interval_basis = basis = tuple(basis)
+    return basis
 
-    mor = search_hom(hom_basis(a, b), is_iso, seed, trials)
-    if mor is None:
-        raise RuntimeError("no isomorphism found by sampling; inputs may not be isomorphic")
-    return mor
 
+def _build_an_embedding(n, m, table) -> Morphism:
+    """An embedding n -> m read off their interval bases (`_interval_basis`).
 
-def _build_an_embedding(n, m, table, n_mults, m_mults, seed) -> Morphism:
-    intervals = table.intervals
-    # summand slots in table-root order, with multiplicity
-    n_slots = []
-    m_slots = []
-    for idx, root in enumerate(table.roots):
-        n_slots.extend([idx] * n_mults.get(root, 0))
-        m_slots.extend([idx] * m_mults.get(root, 0))
-    # match per right endpoint j
-    target_of = {}
-    for j in sorted(set(ij[1] for ij in intervals)):
-        n_list = [(intervals[idx][0], pos) for pos, idx in enumerate(n_slots) if intervals[idx][1] == j]
-        m_list = [(intervals[idx][0], pos) for pos, idx in enumerate(m_slots) if intervals[idx][1] == j]
-        n_list.sort()
-        pool = sorted(m_list)
-        for i, npos in n_list:
-            cands = [(i2, mpos) for i2, mpos in pool if i2 <= i]
-            if not cands:
-                raise RuntimeError("greedy interval matching failed despite prefix sums")
-            pick = cands[-1]
-            pool.remove(pick)
-            target_of[npos] = pick[1]
-    n0 = assemble(table, n_mults)
-    m0 = assemble(table, m_mults)
-    # an input already in assembled form is its own n0 or m0: no isomorphism
-    source = n if n == n0 else n0
-    target = m if m == m0 else m0
-    f = n.field
-    # block morphism source -> target
-    n_off = _slot_offsets(table, n_slots)
-    m_off = _slot_offsets(table, m_slots)
-    blocks = [
-        (table.interval_map(n_slots[npos], m_slots[mpos]), m_off[mpos], n_off[npos])
-        for npos, mpos in target_of.items()
-    ]
+    Per right end j, the summands i..j of n, in order of i, each take the
+    summand k..j of m with the largest k <= i not yet taken; the prefix
+    sums make that succeed.  Such a summand of n maps into its partner, so
+    each chain vector of n goes to the partner's chain vector at the same
+    vertex.  At each vertex v the chain vectors X_v of n are a basis and
+    their images Y_v are given, so f_v solves f_v X_v = Y_v.  The
+    `Morphism` check certifies that f intertwines the arrows."""
+    intervals, order, f = table.intervals, path_order(n.quiver), n.field
+    pools: dict = {}
+    for u, chain in _interval_basis(m, table):
+        k, j = intervals[u]
+        pools.setdefault(j, []).append((k, chain))
+    for pool in pools.values():
+        pool.sort(key=lambda summand: summand[0])
+    xs = [[] for _ in order]
+    ys = [[] for _ in order]
+    for u, chain in sorted(_interval_basis(n, table), key=lambda summand: intervals[summand[0]]):
+        i, j = intervals[u]
+        pool = pools.get(j, [])
+        pick = max((t for t, (k, _) in enumerate(pool) if k <= i), default=None)
+        if pick is None:
+            raise RuntimeError("greedy interval matching failed despite prefix sums")
+        k, target = pool.pop(pick)
+        for t, vec in enumerate(chain):
+            v = order[i - 1 + t]
+            xs[v].append(vec)
+            ys[v].append(target[i - k + t])
     mats = []
-    for v in range(n.quiver.vertex_count):
-        big = [[f.zero] * n0.dims[v] for _ in range(m0.dims[v])]
-        for emb, r0, c0 in blocks:
-            for i, row in enumerate(emb.vertex_mats[v].rows):
-                big[r0[v] + i][c0[v] : c0[v] + len(row)] = row
-        mats.append(Matrix(f, tuple(tuple(r) for r in big), validate=False, ncols=n0.dims[v]))
-    emb = Morphism(source, target, mats)
-    if source is not n:
-        emb = emb.compose(_find_iso(n, n0, seed=seed + 11))
-    if target is not m:
-        emb = _find_iso(m0, m, seed=seed + 13).compose(emb)
-    return emb
-
-
-def _slot_offsets(table, slots):
-    """Per-slot, per-vertex offsets into the assembled direct sum."""
-    offsets = []
-    acc = [0] * table.quiver.vertex_count
-    for idx in slots:
-        offsets.append(tuple(acc))
-        for v, x in enumerate(table.roots[idx]):
-            acc[v] += x
-    return offsets
+    for v, (a, b) in enumerate(zip(n.dims, m.dims)):
+        # f_v X_v = Y_v, transposed: the rows are the chain vectors
+        ft = Matrix(f, xs[v], validate=False, ncols=a).solve_matrix(Matrix(f, ys[v], validate=False, ncols=b))
+        if ft is None:
+            raise RuntimeError(f"the chain vectors of n at vertex {v} are not a basis")
+        mats.append(ft.transpose())
+    return Morphism(n, m, mats)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Dynkin-specific machinery: positive roots, indecomposables by reflection
 functors, decomposition read off their projective presentations, the type-A
-socle reach R_i read off the roots, the intervals of equioriented type A and
-one injective map between each two nested ones, and generic
-representations."""
+socle reach R_i read off the roots, the intervals of equioriented type A, and
+generic representations."""
 
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from .quiver import (
     require_dynkin,
 )
 from .rep import (
-    Morphism,
     Representation,
     _paths_from,
     direct_sum,
@@ -226,8 +224,7 @@ class IndecomposableTable:
     projective and injective hold the indices of the roots of the
     projectives and injectives, found by path counts.  euler[u][v] =
     <u, v>, computed with the table.  Views that not every caller needs
-    (presentations, socle_reach, intervals, interval_map) are built on
-    first use.
+    (presentations, socle_reach, intervals) are built on first use.
     """
 
     quiver: Quiver
@@ -239,9 +236,6 @@ class IndecomposableTable:
     hom_order: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
     projective: frozenset[int] = dc_field(init=False, repr=False, compare=False)
     injective: frozenset[int] = dc_field(init=False, repr=False, compare=False)
-    _interval_maps: dict[tuple[int, int], Morphism] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "euler", _euler_values(self.quiver, self.roots))
@@ -381,26 +375,6 @@ class IndecomposableTable:
                 raise RuntimeError("type A root is not an interval; table corrupted")
             out.append((support[0], support[-1]))
         return tuple(out)
-
-    def interval_map(self, u: int, v: int) -> Morphism:
-        """An injective morphism reps[u] -> reps[v], the first injective
-        element of hom_basis(reps[u], reps[v]).  One exists exactly when
-        the intervals are (i, j) and (k, j) with k <= i: the submodules of
-        an interval module are the intervals with its right end, and
-        [U, V] <= 1 (Gabriel, 1972).  Any other pair is a ValueError, and a
-        basis with no injective element a RuntimeError.  Each pair's map is
-        solved for on first use and kept on the table."""
-        maps = self._interval_maps
-        if (u, v) not in maps:
-            (i, j), (k, l) = self.intervals[u], self.intervals[v]
-            if l != j or k > i:
-                raise ValueError(f"the interval {(i, j)} has no injective map into {(k, l)}")
-            basis = hom_basis(self.reps[u], self.reps[v])
-            emb = next((mor for mor in basis.morphisms if is_injective_morphism(mor)), None)
-            if emb is None:
-                raise RuntimeError("no injective interval embedding found")
-            maps[u, v] = emb
-        return maps[u, v]
 
     def require_rep(self, x: Representation) -> None:
         """ValueError unless x is over the table's quiver and field."""

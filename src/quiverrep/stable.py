@@ -368,28 +368,6 @@ def generic_hom(
     return GenericHomEstimate(e, r, best, samples)
 
 
-def generic_rank_vector(
-    m: Representation, e: DimVector, samples: int = 64, seed: int = 0
-) -> DimVector:
-    """Coordinatewise-maximal vertex rank vector of sampled maps from m to
-    sampled representations of dimension vector e.  At least one sample is
-    required."""
-    e = check_dimvector(m.quiver, e)
-    if samples < 1:
-        raise ValueError(f"samples = {samples}: at least one sample is required")
-    rng = random.Random(seed)
-    best = [0] * m.quiver.vertex_count
-    for t in range(samples):
-        x = random_representation(m.quiver, e, m.field, seed=seed + 127 * t)
-        basis = hom_basis(m, x)
-        if basis.dim == 0:
-            continue
-        mor = basis.combination([m.field.random(rng) for _ in range(basis.dim)])
-        for v, mat in enumerate(mor.vertex_mats):
-            best[v] = max(best[v], mat.rank())
-    return tuple(best)
-
-
 @dataclass
 class StabilizationReport:
     e: DimVector

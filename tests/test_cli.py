@@ -284,9 +284,9 @@ OPTION_SURFACE = {
     "decompose": (["fx/d4.x.json"], ()),
     "check-sub": (["fx/d4.x.json", "--e", "1,1,1,1"], ()),
     "check-irred": (["fx/d4.x.json", "--e", "1,1,1,1"], ()),
-    "check-embed": (["fx/d4.p1.json", "fx/d4.x.json", "--stable", "--exhaustive-q", "3"],
+    "check-embed": (["q/d4.p1.json", "q/d4.x.json", "--stable", "--exhaustive-q", "3"],
                     ("--seed", "--rmax", "--trials")),
-    "check-an": (["s2.json", "s2.json"], ("--seed",)),
+    "check-an": (["s2.json", "s2.json"], ()),
     "dual-surj": (["fx/d4.x.json", "fx/d4.x.json"], ("--seed", "--trials")),
     "enum-gr": (["fx/d4.x.json", "--e", "1,1,1,1"], ("--enum-budget",)),
     "count-poly": (["q/d4.x.json", "--e", "1,1,1,1", "--qs", "2,3,5"], ("--enum-budget",)),
@@ -327,16 +327,19 @@ def test_each_command_takes_only_the_result_options_it_reads(command, tmp_path, 
 @pytest.mark.parametrize("field", ["Q", "F_2"])
 @pytest.mark.parametrize("command", ["check-embed", "dual-surj"])
 def test_exhaustive_q_must_be_a_field_order(command, field, tmp_path, capsys):
-    """--exhaustive-q is a field order on every input, finite-field input
-    included, where it reduces nothing."""
+    """--exhaustive-q is a field order, and it reduces rational input only:
+    on finite-field input, which is checked exhaustively already, a field
+    order is refused too, naming the input's field."""
     fx = tmp_path / "fx"
     assert main(["fixtures", "--out", str(fx), "--field", field]) == 0
     capsys.readouterr()
     pair = [str(fx / "kronecker3.pi.json"), str(fx / "kronecker3.m.json")]
-    for q in ("0", "1", "6"):
+    for q in ("0", "1", "6") if field == "Q" else ("0", "1", "6", "3"):
         assert main([command, *pair, "--exhaustive-q", q]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+        if q == "3":
+            assert "over F_2" in captured.err
 
 
 def test_check_an_command(tmp_path):
@@ -348,6 +351,28 @@ def test_check_an_command(tmp_path):
     u12 = write_rep(tmp_path, "u12.json", assemble(t, {(1, 1): 1}))
     assert main(["check-an", s2, u12]) == 0
     assert main(["check-an", u12, s2]) == 1
+
+
+# An A3 pair over F_2 in no assembled form: n is the intervals (1, 1),
+# (2, 3) and (3, 3), m each of the six intervals once, and neither is in the
+# basis of a direct sum of the table's representatives.
+A3_SCRAMBLED_N = {"dims": [1, 1, 2], "matrices": [[[0]], [[0], [1]]]}
+A3_SCRAMBLED_M = {
+    "dims": [3, 4, 3],
+    "matrices": [[[0, 1, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], [[1, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0]]],
+}
+
+
+def test_check_an_builds_the_embedding_in_any_basis(tmp_path, capsys):
+    """check-an constructs and certifies the embedding of a pair that is not
+    in assembled form, and exits 0."""
+    a3 = {"vertices": ["1", "2", "3"], "arrows": [["1", "2"], ["2", "3"]]}
+    paths = []
+    for name, data in (("n.json", A3_SCRAMBLED_N), ("m.json", A3_SCRAMBLED_M)):
+        (tmp_path / name).write_text(json.dumps({"quiver": a3, "field": "F_2", **data}))
+        paths.append(str(tmp_path / name))
+    assert main(["check-an", *paths]) == 0
+    assert "explicit embedding: constructed and certified injective" in capsys.readouterr().out.splitlines()
 
 
 def test_dual_surj_command(tmp_path):

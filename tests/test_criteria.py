@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from quiverrep.dynkin import assemble, build_table, cached_table, decompose
 from quiverrep.exactlin import GF, QQ, Matrix
 from quiverrep.fixtures import kronecker3_m, kronecker3_pi
 from quiverrep.grassmannian import SubrepOracle
-from quiverrep.quiver import Quiver, a_n, d4_subspace, euler_form, kronecker
+from quiverrep.quiver import Quiver, a_n, d4_subspace, euler_form, kronecker, opposite
 from quiverrep.rep import (
     Representation,
     build_injective,
@@ -36,7 +37,6 @@ from quiverrep.rep import (
     dual,
     hom_basis,
     hom_dim,
-    identity_morphism,
     is_injective_morphism,
     power,
     quotient,
@@ -1026,90 +1026,96 @@ def test_an_matches_nc2_on_random_pairs():
         assert holding, (q, field)
 
 
-def _reference_an_embedding(n, m, table, seed):
-    """an_criterion's embedding built pair by pair: the greedy matching of
-    interval summands per right end, one hom_basis per matched block and
-    its first injective element, the block morphism n0 -> m0 between the
-    assembled forms, and an isomorphism composed on each side (the
-    identity for an input equal to its assembled form)."""
-    f = n.field
-    n_mults, m_mults = decompose(n, table), decompose(m, table)
-    ends = [(r.index(1) + 1, len(r) - r[::-1].index(1)) for r in table.roots]  # path order 0, 1, ...
-    n_slots = [u for u, r in enumerate(table.roots) for _ in range(n_mults.get(r, 0))]
-    m_slots = [u for u, r in enumerate(table.roots) for _ in range(m_mults.get(r, 0))]
-    pairs = []
-    for j in sorted({j for _, j in ends}):
-        pool = sorted((ends[u][0], pos) for pos, u in enumerate(m_slots) if ends[u][1] == j)
-        for i, npos in sorted((ends[u][0], pos) for pos, u in enumerate(n_slots) if ends[u][1] == j):
-            pick = [c for c in pool if c[0] <= i][-1]
-            pool.remove(pick)
-            pairs.append((npos, pick[1]))
-    n0, m0 = assemble(table, n_mults), assemble(table, m_mults)
-    n_off, m_off = criteria._slot_offsets(table, n_slots), criteria._slot_offsets(table, m_slots)
-    mats = []
-    for v in range(n.quiver.vertex_count):
-        big = [[f.zero] * n0.dims[v] for _ in range(m0.dims[v])]
-        for npos, mpos in pairs:
-            basis = hom_basis(table.reps[n_slots[npos]], table.reps[m_slots[mpos]])
-            block = next(g for g in basis.morphisms if is_injective_morphism(g)).vertex_mats[v]
-            for r, row in enumerate(block.rows):
-                big[m_off[mpos][v] + r][n_off[npos][v] : n_off[npos][v] + len(row)] = row
-        mats.append(Matrix(f, big, ncols=n0.dims[v]))
-    e0 = rep.Morphism(n0, m0, mats)
-    alpha = identity_morphism(n) if n == n0 else criteria._find_iso(n, n0, seed=seed + 11)
-    beta = identity_morphism(m0) if m0 == m else criteria._find_iso(m0, m, seed=seed + 13)
-    return beta.compose(e0).compose(alpha)
+def _scrambled(x, rng):
+    """x in another basis: x_v changed by a seeded invertible matrix g_v,
+    so each arrow i -> j acts by g_j X g_i^-1."""
+    f = x.field
+    change = []
+    for d in x.dims:
+        g = Matrix(f, [[f.random(rng) for _ in range(d)] for _ in range(d)], ncols=d)
+        while g.rank() < d:
+            g = Matrix(f, [[f.random(rng) for _ in range(d)] for _ in range(d)], ncols=d)
+        change.append((g, g.solve_matrix(Matrix.identity(f, d))))
+    mats = [
+        change[j][0] @ a @ change[i][1] if a.nrows and a.ncols else a
+        for (i, j), a in zip(x.quiver.arrows, x.arrow_mats)
+    ]
+    return Representation(x.quiver, f, x.dims, mats)
 
 
-@pytest.mark.parametrize("field", [F2, F3], ids=str)
-def test_an_embedding_matches_the_per_pair_construction(field):
-    """On seeded equioriented A3 and A4 pairs, in random bases and in
-    assembled form on either side, an_criterion's embedding has the vertex
-    matrices of the pair-by-pair reference and runs from n to m."""
-    kinds = set()
-    for n, m in _type_a_pairs(field, 9):
-        if path_order(n.quiver) is None:
-            continue
-        table = cached_table(n.quiver, field)
-        n0, m0 = assemble(table, decompose(n, table)), assemble(table, decompose(m, table))
-        for x, y in ((n, m), (n0, m0), (n0, m), (n, m0)):
-            v = an_criterion(x, y, table, seed=5)
-            if not v.holds:
-                break
-            emb = v.context["embedding"]
-            assert emb.vertex_mats == _reference_an_embedding(x, y, table, 5).vertex_mats
-            assert emb.source == x and emb.target == y
-            kinds.add((x is n, y is m))
-    assert len(kinds) == 4
+def _scrambled_a_pairs(table, rng, count):
+    """Seeded pairs of assembled forms over the table's equioriented
+    quiver, in turn m = n plus random summands (n embeds) and random
+    multiplicities, then each with n, m or both scrambled."""
+    for k in range(count):
+        mn = {r: c for r in table.roots if (c := rng.choice((0, 0, 1, 2)))}
+        extra = {r: c for r in table.roots if (c := rng.choice((0, 0, 1)))}
+        mm = {r: mn.get(r, 0) + extra.get(r, 0) for r in table.roots} if k % 2 else extra
+        n0 = assemble(table, mn)
+        m0 = assemble(table, {r: c for r, c in mm.items() if c})
+        yield _scrambled(n0, rng), m0
+        yield n0, _scrambled(m0, rng)
+        yield _scrambled(n0, rng), _scrambled(m0, rng)
 
 
-def test_interval_maps_are_built_on_first_use_and_once(monkeypatch):
-    """A fresh table solves no Hom system until the first holding pair
-    needs an interval map, and none when holding pairs repeat; a pair in
-    assembled form makes no isomorphism search and no composition."""
+@pytest.mark.parametrize("field", [F2, F3, GF(4)], ids=str)
+def test_an_embedding_in_scrambled_bases(field):
+    """On equioriented A3, A4 and A4 in the opposite direction, with n, m
+    or both in a seeded random basis, an_criterion never raises, holds
+    exactly when nc2's flow does, and every embedding runs from n to m and
+    is injective.  Each input's interval basis has the multiplicities of
+    `decompose`, type by type, and spans every vertex."""
+    holding = pairs = 0
+    for q in (A3, a_n(4), opposite(a_n(4))):
+        table = cached_table(q, field)
+        order = path_order(q)
+        rng = random.Random(f"scrambled:{q}:{field}")
+        for n, m in _scrambled_a_pairs(table, rng, 10):
+            verdict = an_criterion(n, m, table)
+            assert verdict.holds == check_nc2(n, m).holds
+            if verdict.holds:
+                emb = verdict.context["embedding"]
+                assert emb.source is n and emb.target is m
+                assert is_injective_morphism(emb)
+                holding += 1
+            pairs += 1
+            for x in (n, m):
+                basis = criteria._interval_basis(x, table)
+                assert collections.Counter(table.roots[u] for u, _ in basis) == decompose(x, table)
+                at = collections.defaultdict(list)
+                for u, chain in basis:
+                    for t, vec in enumerate(chain):
+                        at[order[table.intervals[u][0] - 1 + t]].append(vec)
+                assert all(len(at[v]) == d == Matrix(field, at[v], ncols=d).rank() for v, d in enumerate(x.dims))
+    assert pairs == 90 and 30 <= holding < pairs
+
+
+def test_interval_basis_is_built_once_per_representation(monkeypatch):
+    """A failing pair builds no interval basis.  The first holding pair
+    builds each input's, one hom_basis per summand type, and keeps it on
+    the input: a repeat call solves no Hom system and gives the same
+    embedding."""
     table = build_table(A3, F2)
+    rng = random.Random(3)
+    n = _scrambled(assemble(table, {(1, 1, 1): 1, (0, 1, 1): 1, (0, 0, 1): 1}), rng)
+    m = _scrambled(assemble(table, {(1, 1, 1): 2, (0, 1, 1): 1, (1, 1, 0): 1}), rng)
     calls = []
-    for module in (criteria, dynkin):
-        real = module.hom_basis
-        monkeypatch.setattr(module, "hom_basis", lambda x, y, real=real: calls.append((x, y)) or real(x, y))
-    assert "intervals" not in vars(table) and not table._interval_maps
-    u12 = assemble(table, {(1, 1, 0): 1})
-    s3 = assemble(table, {(0, 0, 1): 1})
-    m = assemble(table, {(1, 1, 1): 2, (0, 1, 1): 1})
-    assert not an_criterion(u12, s3, table).holds
+    real = criteria.hom_basis
+    monkeypatch.setattr(criteria, "hom_basis", lambda x, y: calls.append(y) or real(x, y))
+    assert not an_criterion(m, n, table).holds
     assert not calls
-    pairs = [(s3, m), (assemble(table, {(0, 1, 1): 1, (0, 0, 1): 1}), m), (m, m)]
-    assert all(an_criterion(n, m, table).holds for n, m in pairs)
-    assert calls and len(calls) == len(table._interval_maps)
+    first = an_criterion(n, m, table)
+    assert first.holds
+    assert [calls.count(x) for x in (n, m)] == [3, 3]
+    assert n._interval_basis is criteria._interval_basis(n, table)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an assembled pair searched for an isomorphism or composed")
+    def refuse(x, y):
+        raise AssertionError("an interval basis was built twice")
 
-    monkeypatch.setattr(criteria, "_find_iso", refuse)
-    monkeypatch.setattr(rep.Morphism, "compose", refuse)
-    calls.clear()
-    assert all(an_criterion(n, m, table).holds for n, m in pairs)
-    assert not calls
+    monkeypatch.setattr(criteria, "hom_basis", refuse)
+    again = an_criterion(n, m, table)
+    assert again.holds
+    assert again.context["embedding"].vertex_mats == first.context["embedding"].vertex_mats
 
 
 # ----------------------------------------------------------------------

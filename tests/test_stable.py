@@ -28,7 +28,6 @@ from quiverrep.stable import (
     check_z_hypothesis,
     find_injective_block,
     generic_hom,
-    generic_rank_vector,
     search_stable_embedding,
     z_to_kronecker,
 )
@@ -265,20 +264,6 @@ def test_generic_hom_subadditive():
             assert ests[r + s] <= ests[r] + ests[s]
 
 
-def test_generic_rank_vector_cases():
-    m = kronecker3_m(F5)
-    assert generic_rank_vector(m, (0, 0), samples=4, seed=0) == (0, 0)
-    s1 = simple(a_n(2), F5, 0)
-    # hand enumeration: maps S_1 -> X are zero unless the arrow of X
-    # vanishes, and the degenerate X then admits a rank-(1,0) map; the
-    # maximal possible rank vector is therefore (1, 0)
-    rv = generic_rank_vector(s1, (1, 1), samples=24, seed=0)
-    assert rv == (1, 0)
-    # against dims (1,0) the identity-like map appears
-    rv2 = generic_rank_vector(s1, (1, 0), samples=16, seed=0)
-    assert rv2 == (1, 0)
-
-
 # ----------------------------------------------------------------------
 # Stabilization
 
@@ -307,8 +292,6 @@ def test_nonpositive_samples_are_refused():
             generic_hom(m, (2, 1), r=1, samples=samples)
         with pytest.raises(ValueError, match="sample"):
             check_stabilization(m, (2, 1), r_range=range(1, 3), samples=samples, q_enum=5)
-        with pytest.raises(ValueError, match="sample"):
-            generic_rank_vector(m, (2, 1), samples=samples)
 
 
 def test_stabilization_refuses_violated_hypothesis():
