@@ -124,6 +124,11 @@ def _exhaustive_reduction(args, *reps):
     return tuple(x.change_field(f) for x in reps)
 
 
+def _unread(args, *dests) -> None:
+    """Leave options this run never read out of its JSON config."""
+    args.shared = tuple(dest for dest in args.shared if dest not in dests)
+
+
 def _table_for(rep):
     if not is_dynkin(rep.quiver):
         raise ValueError("this check requires a Dynkin quiver")
@@ -185,6 +190,12 @@ def cmd_check_embed(args) -> int:
     n_chk, m_chk = _exhaustive_reduction(args, n, m)
     cc = CheckConfig(trials=args.trials, seed=args.seed)
     verdict = check_nc2(n_chk, m_chk, cc)
+    # the stable search reads all three; without it only nc2's sampling,
+    # which runs over Q alone, reads seed and trials
+    if not args.stable:
+        _unread(args, "r_max")
+        if not n_chk.field.is_rationals:
+            _unread(args, "seed", "trials")
     lines = _verdict_lines(verdict)
     payload = {"nc2": verdict.to_json()}
     exit_code = _verdict_exit(verdict)
@@ -293,6 +304,8 @@ def cmd_dual_surj(args) -> int:
     u, v = load_rep(args.u), load_rep(args.v)
     u, v = _exhaustive_reduction(args, u, v)
     verdict = check_dual_surjection(u, v, CheckConfig(trials=args.trials, seed=args.seed))
+    if not u.field.is_rationals:
+        _unread(args, "seed", "trials")
     _emit(args, _verdict_lines(verdict), verdict.to_json())
     return _verdict_exit(verdict)
 
@@ -308,7 +321,9 @@ def cmd_check_an(args) -> int:
 # The five result options, then --format and --output, which every command
 # takes.  A command takes only the result options its cmd_ function reads,
 # so that a value nothing reads is a usage error; `--format json` reports a
-# command's options, in this order, as its "config" block.
+# command's options, in this order, as its "config" block, less those the
+# run did not read (`_unread`): seed and trials when nc2 did not sample and
+# no stable search ran, r_max without --stable.
 OPTIONS = {
     "--seed": {"type": int, "default": 0},
     "--rmax": {"type": int, "default": 8, "dest": "r_max"},

@@ -86,8 +86,11 @@ class GrassmannianChecker:
     The Hom dimensions [U, m] and [m, U] do not depend on the queried e,
     so they are computed once: [U, m] here, [m, U] = sum_V mu_V [V, U] over
     m's multiplicities mu on the first `irreducible` call, its only reader.
-    So are the Euler coefficients <dim U, eps_v> and <eps_v, dim U> on the
-    unit vectors; by bilinearity, checking a given e is a dot product per root.
+    The Euler coefficients <dim U, eps_v> and <eps_v, dim U> on the unit
+    vectors depend only on the table, which computes them for its first
+    checker and keeps them (`IndecomposableTable.euler_from_root` and
+    `euler_into_root`); by bilinearity, checking a given e is a dot product
+    per root.  The field's name, which every verdict reports, is read once.
     """
 
     def __init__(self, m: Representation, table: IndecomposableTable):
@@ -95,11 +98,10 @@ class GrassmannianChecker:
         table.require_rep(m)
         self.m = m
         self.table = table
+        self.field_name = m.field.name
         self.hom_into_m = tuple(hom_dim(u, m) for u in table.reps)
-        q = m.quiver
-        units = [tuple(int(v == w) for w in range(q.vertex_count)) for v in range(q.vertex_count)]
-        self.euler_from_root = tuple(tuple(euler_form(q, r, u) for u in units) for r in table.roots)
-        self.euler_into_root = tuple(tuple(euler_form(q, u, r) for u in units) for r in table.roots)
+        self.euler_from_root = table.euler_from_root
+        self.euler_into_root = table.euler_into_root
 
     @functools.cached_property
     def hom_from_m(self) -> tuple[int, ...]:
@@ -109,7 +111,7 @@ class GrassmannianChecker:
     def nonempty(self, e: DimVector) -> Verdict:
         m, table = self.m, self.table
         e = check_dimvector(m.quiver, e)
-        context = {"criterion": "grassmannian-nonempty", "field": m.field.name, "e": list(e)}
+        context = {"criterion": "grassmannian-nonempty", "field": self.field_name, "e": list(e)}
         if not dim_leq(e, m.dims):
             # trivially false, and the scan below finds a violated
             # inequality: where e_v > m_v, the projective P_v has
@@ -117,9 +119,8 @@ class GrassmannianChecker:
             context["dimension_count_failed"] = True
         details = []
         witness = None
-        for u, root in enumerate(table.roots):
-            lhs = self.hom_into_m[u]
-            rhs = _dot(self.euler_from_root[u], e)
+        for root, lhs, coeffs in zip(table.roots, self.hom_into_m, self.euler_from_root):
+            rhs = _dot(coeffs, e)
             ok = lhs >= rhs
             details.append({"root": list(root), "hom": lhs, "euler": rhs, "ok": ok})
             if not ok and witness is None:
@@ -155,7 +156,7 @@ class GrassmannianChecker:
         context = {
             "criterion": "grassmannian-irreducible",
             "sufficient_only": True,
-            "field": m.field.name,
+            "field": self.field_name,
             "e": list(e),
         }
         if holds:

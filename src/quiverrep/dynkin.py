@@ -224,7 +224,8 @@ class IndecomposableTable:
     projective and injective hold the indices of the roots of the
     projectives and injectives, found by path counts.  euler[u][v] =
     <u, v>, computed with the table.  Views that not every caller needs
-    (presentations, socle_reach, intervals) are built on first use.
+    (presentations, socle_reach, intervals, and the Euler rows on unit
+    vectors, euler_from_root and euler_into_root) are built on first use.
     """
 
     quiver: Quiver
@@ -376,6 +377,22 @@ class IndecomposableTable:
             out.append((support[0], support[-1]))
         return tuple(out)
 
+    @functools.cached_property
+    def euler_from_root(self) -> tuple[tuple[int, ...], ...]:
+        """<root, eps_v> for every root and vertex v, indexed like roots: by
+        bilinearity <root, e> is a dot product with e.  Computed with
+        `euler_form` on first use, so tables that no criterion reads build
+        none."""
+        units = _unit_vectors(self.quiver)
+        return tuple(tuple(euler_form(self.quiver, r, u) for u in units) for r in self.roots)
+
+    @functools.cached_property
+    def euler_into_root(self) -> tuple[tuple[int, ...], ...]:
+        """<eps_v, root> for every root and vertex v, indexed like roots;
+        computed as `euler_from_root` is."""
+        units = _unit_vectors(self.quiver)
+        return tuple(tuple(euler_form(self.quiver, u, r) for u in units) for r in self.roots)
+
     def require_rep(self, x: Representation) -> None:
         """ValueError unless x is over the table's quiver and field."""
         if x.quiver != self.quiver:
@@ -410,6 +427,11 @@ def build_table(
                     raise RuntimeError(f"the indecomposable of {x.dims} has End != 1 over F_{order}")
     hom = tuple(tuple(max(x, 0) for x in row) for row in _euler_values(q, roots))
     return IndecomposableTable(q, field, roots, reps, hom)
+
+
+def _unit_vectors(q: Quiver) -> list[DimVector]:
+    n = q.vertex_count
+    return [tuple(int(v == w) for w in range(n)) for v in range(n)]
 
 
 def _euler_values(q: Quiver, dims) -> tuple[tuple[int, ...], ...]:

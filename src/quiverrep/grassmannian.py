@@ -9,17 +9,25 @@ row-space functions, which take either format; only ``__init__`` (the
 arrow matrices and the whole spaces) and ``_rows_to_basis`` convert.
 
 The search assigns one vertex subspace at a time, always picking the
-unassigned vertex with the fewest admissible candidates.  A candidate at a
+unassigned vertex with the fewest admissible candidates (the first such
+vertex in index order).  A candidate at a
 vertex is exact with respect to every arrow whose other endpoint is already
 assigned: it must contain the forced span of the incoming images and lie in
 the intersection of the outgoing preimages, so each leaf of the search is a
 subrepresentation and infeasible branches die at a dimension count.  A
 composite-path rank prune rejects impossible dimension vectors up front.
+Every public operation runs the same search body, ``_dfs``, once per query
+the prunes admit.  It recurses as a method on (the assignment so far, the
+tuple of unassigned vertices) and returns an existence search's hit
+instead of setting a flag, so a query builds no closure.
 
 What an oracle needs is built at three levels.  Per quiver: a
 topological order and the in- and out-arrows of each vertex, read off the
 ``Quiver``, which computes them once.  Per (handle, dimension): the rows of
-the whole space.  Per oracle: the arrow matrices in the handle's row
+the whole space, and the root sandwiches.  With nothing assigned the
+sandwich at v is ((), the whole space, [d_v, e_v]_q), which depends on e_v
+alone, so the first level of every query reads it from a table instead of
+computing bounds.  Per oracle: the arrow matrices in the handle's row
 format and their transposes, with no elimination.  The path prune is
 built by the first query that could use it: a subrepresentation has
 e_t >= e_s - nullity(C) for the composite C of every path s -> t, and as
@@ -94,6 +102,7 @@ same growth order as the preimage cache.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
@@ -104,6 +113,16 @@ from .quiver import DimVector, check_dimvector, is_acyclic
 from .rep import Representation, hom_dim, reductions  # noqa: F401
 
 DEFAULT_BUDGET = 10**7
+
+
+@functools.lru_cache(maxsize=256)
+def root_sandwiches(gf: gflin.Handle, d: int) -> tuple:
+    """The sandwich (w_rows, bound, branch) of a vertex of dimension d with
+    no neighbour assigned, for each e_v = 0..d: ((), the whole space,
+    [d, e_v]_q).  It depends on e_v alone, so it is built once per (handle,
+    dimension), as the whole space's rows are."""
+    whole = gflin.identity_rows(gf, d)
+    return tuple(((), whole, gflin.gaussian_binomial(d, k, gf.q)) for k in range(d + 1))
 
 
 class BudgetExceeded(RuntimeError):
@@ -147,11 +166,15 @@ class SubrepOracle:
             gflin.transpose_rows(gf, rows, mat.ncols)
             for rows, mat in zip(self.arrow_rows, m.arrow_mats)
         )
-        # the whole space at each vertex, the bound of an unconstrained vertex
+        # the whole space at each vertex, the bound of an unconstrained
+        # vertex, and its sandwich per e_v with nothing assigned
         self.full_rows = tuple(gflin.identity_rows(gf, d) for d in m.dims)
+        self.root_sandwiches = tuple(root_sandwiches(gf, d) for d in m.dims)
         self._preimage_cache: dict = {}
         self._candidate_cache: dict = {}
         self._visits = 0
+        # (e, collect, early_exit, tally) of the query `_dfs` is running
+        self._query = None
         # built by the first query that a path prune could reject
         self._path_nullities = None
 
@@ -232,10 +255,9 @@ class SubrepOracle:
         gf = self.gf
         image_rows = []
         for arrow_idx, src in self.q.in_arrows[v]:
-            if src in chosen and chosen[src]:
-                image_rows.extend(
-                    gflin.matmul_rows(gf, chosen[src], self.arrow_rows_t[arrow_idx], self.m.dims[v])
-                )
+            rows = chosen.get(src)
+            if rows:
+                image_rows.extend(gflin.matmul_rows(gf, rows, self.arrow_rows_t[arrow_idx], self.m.dims[v]))
         w_rows = gflin.rref_rows(gf, image_rows) if image_rows else ()
         if len(w_rows) > e_v:
             return w_rows, None
@@ -366,7 +388,13 @@ class SubrepOracle:
         )
 
     def _dfs(self, e: DimVector, collect, early_exit: bool, tally=None) -> bool:
-        """Most-constrained-vertex-first search; True if anything found.
+        """The one search body: ``nonempty``, ``count``, ``enumerate`` and
+        ``first_subrep`` each call it once per query that ``_start`` admits.
+        It stores the query and descends from the root (`_descend`).  Each
+        leaf goes to ``collect(chosen)``; it returns the early-exit hit, True
+        when ``early_exit`` stopped at a leaf.  Only ``nonempty`` reads it:
+        ``count`` reads what ``tally`` received, ``enumerate`` and
+        ``first_subrep`` what ``collect`` received.
 
         With ``tally``, the last unassigned vertex is counted rather than
         enumerated: its sandwich is exact, so ``tally(branch)`` stands for
@@ -378,73 +406,75 @@ class SubrepOracle:
         candidate is searched first, and only if it finds no leaf is the
         pair closed, charging branch - 1 when refuted and 2 otherwise.
         """
-        nverts = self.q.vertex_count
-        found = False
+        self._query = (e, collect, early_exit, tally)
+        try:
+            return self._descend({}, tuple(range(self.q.vertex_count)))
+        finally:
+            # the callbacks may hold every leaf found; keep none of them
+            self._query = None
 
-        def recurse(chosen: dict) -> bool:
-            nonlocal found
-            if len(chosen) == nverts:
-                collect(chosen)
-                found = True
-                return early_exit
-            if tally is not None and len(chosen) == nverts - 1:
-                v = next(u for u in range(nverts) if u not in chosen)
-                branch = self._sandwich(v, e[v], chosen)[2]
-                if branch == 0:
-                    return False
-                # an existence search enumerating v would stop at its first
-                # candidate, which is a leaf
-                self._charge(1 if early_exit else branch)
-                tally(branch)
-                found = True
-                return early_exit
-            best = None
-            for v in range(nverts):
-                if v in chosen:
-                    continue
-                w_rows, bound, branch = self._sandwich(v, e[v], chosen)
-                if branch == 0:
-                    return False
-                if best is None or branch < best[0]:
-                    best = (branch, v, w_rows, bound)
-                    if branch == 1:
-                        break
-            branch, v, w_rows, bound = best
-            candidates = self._candidates(v, e[v], w_rows, bound, branch)
-            # a single candidate at v is cheaper to enumerate than to count
-            if tally is not None and len(chosen) == nverts - 2 and branch > 1:
-                if early_exit:
-                    # the first candidate decides almost every existence
-                    # query; only when it fails is the pair closed
-                    chosen[v] = next(candidates)
-                    hit = recurse(chosen)
-                    del chosen[v]
-                    if hit:
-                        return True
-                leaves = self._count_pair(e, chosen, best)
-                if leaves is not None:
-                    if early_exit:
-                        # enumeration charges every other candidate of a
-                        # refuted pair, and at least one more candidate and
-                        # its leaf otherwise
-                        self._charge(2 if leaves else branch - 1)
-                    else:
-                        self._charge(branch + leaves)
-                    if not leaves:
-                        return False
-                    tally(leaves)
-                    found = True
-                    return early_exit
-            for rows in candidates:
-                chosen[v] = rows
-                if recurse(chosen):
-                    del chosen[v]
-                    return True
+    def _descend(self, chosen: dict, rest: tuple) -> bool:
+        """Search below the assignment ``chosen`` (vertex -> rows), with
+        ``rest`` the unassigned vertices in index order: assign the first
+        vertex of least branch and recurse.  True on an early-exit hit.
+        With nothing chosen, the sandwiches come from ``root_sandwiches``."""
+        e, collect, early_exit, tally = self._query
+        if not rest:
+            collect(chosen)
+            return early_exit
+        if tally is not None and len(rest) == 1:
+            v = rest[0]
+            branch = self._sandwich(v, e[v], chosen)[2]
+            if branch == 0:
+                return False
+            # an existence search enumerating v would stop at its first
+            # candidate, which is a leaf
+            self._charge(1 if early_exit else branch)
+            tally(branch)
+            return early_exit
+        root = None if chosen else self.root_sandwiches
+        best = None
+        for i, v in enumerate(rest):
+            w_rows, bound, branch = self._sandwich(v, e[v], chosen) if root is None else root[v][e[v]]
+            if branch == 0:
+                return False
+            if best is None or branch < best[0]:
+                best, at = (branch, v, w_rows, bound), i
+                if branch == 1:
+                    break
+        branch, v, w_rows, bound = best
+        below = rest[:at] + rest[at + 1:]
+        candidates = self._candidates(v, e[v], w_rows, bound, branch)
+        # a single candidate at v is cheaper to enumerate than to count
+        if tally is not None and len(rest) == 2 and branch > 1:
+            if early_exit:
+                # the first candidate decides almost every existence
+                # query; only when it fails is the pair closed
+                chosen[v] = next(candidates)
+                hit = self._descend(chosen, below)
                 del chosen[v]
-            return False
-
-        recurse({})
-        return found
+                if hit:
+                    return True
+            leaves = self._count_pair(e, chosen, best)
+            if leaves is not None:
+                if early_exit:
+                    # enumeration charges every other candidate of a
+                    # refuted pair, and at least one more candidate and
+                    # its leaf otherwise
+                    self._charge(2 if leaves else branch - 1)
+                else:
+                    self._charge(branch + leaves)
+                if not leaves:
+                    return False
+                tally(leaves)
+                return early_exit
+        for rows in candidates:
+            chosen[v] = rows
+            hit = self._descend(chosen, below)
+            del chosen[v]
+            if hit:
+                return True
+        return False
 
     # -- public operations ---------------------------------------------------
 

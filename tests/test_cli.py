@@ -122,9 +122,9 @@ def test_check_embed_json_output(tmp_path, fixture_dir):
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["result"]["nc2"]["holds"] is True
-    assert data["config"]["seed"] == 0
-    # the result options check-embed reads, then --format and --output
-    assert list(data["config"]) == ["seed", "r_max", "trials", "format", "output"]
+    # over F_2 without --stable nothing reads seed, trials or r_max, so the
+    # config names only --format and --output
+    assert data["config"] == {"format": "json", "output": str(out)}
     # the ledger is recomputable: each entry repeats the compared sides
     for entry in data["result"]["nc2"]["details"]:
         assert entry["ok"] == (entry["lhs"] <= entry["rhs"])
@@ -287,7 +287,7 @@ OPTION_SURFACE = {
     "check-embed": (["q/d4.p1.json", "q/d4.x.json", "--stable", "--exhaustive-q", "3"],
                     ("--seed", "--rmax", "--trials")),
     "check-an": (["s2.json", "s2.json"], ()),
-    "dual-surj": (["fx/d4.x.json", "fx/d4.x.json"], ("--seed", "--trials")),
+    "dual-surj": (["q/d4.x.json", "q/d4.x.json"], ("--seed", "--trials")),
     "enum-gr": (["fx/d4.x.json", "--e", "1,1,1,1"], ("--enum-budget",)),
     "count-poly": (["q/d4.x.json", "--e", "1,1,1,1", "--qs", "2,3,5"], ("--enum-budget",)),
     "semistable": (["fx/kronecker3.m.json", "--e", "2,1", "--q-enum", "2"], ("--enum-budget",)),
@@ -322,6 +322,48 @@ def test_each_command_takes_only_the_result_options_it_reads(command, tmp_path, 
             assert main([*argv, flag, default]) == 3
             captured = capsys.readouterr()
             assert f"unrecognized arguments: {flag} {default}" in captured.err and captured.out == ""
+
+
+# (command, field, extra arguments) -> the config keys of a run that read
+# only those options: nc2 samples only rational input that --exhaustive-q
+# does not reduce, and the stable search reads seed, r_max and trials
+CONFIG_READ = [
+    ("check-embed", "F_2", [], []),
+    ("check-embed", "F_2", ["--stable", "--rmax", "2"], ["seed", "r_max", "trials"]),
+    ("check-embed", "Q", [], ["seed", "trials"]),
+    ("check-embed", "Q", ["--exhaustive-q", "3"], []),
+    ("check-embed", "Q", ["--exhaustive-q", "3", "--stable", "--rmax", "2"], ["seed", "r_max", "trials"]),
+    ("dual-surj", "F_2", [], []),
+    ("dual-surj", "Q", [], ["seed", "trials"]),
+    ("dual-surj", "Q", ["--exhaustive-q", "2"], []),
+]
+
+
+@pytest.mark.parametrize(
+    "command, field, extra, read", CONFIG_READ, ids=[" ".join([c, f, *x]) for c, f, x, _ in CONFIG_READ]
+)
+def test_config_names_only_the_options_the_run_read(command, field, extra, read, tmp_path, capsys):
+    """`--format json` reports in its config only the result options the
+    run read: an unread option at another value leaves the whole output
+    unchanged, and a read one shows its value in the config."""
+    fx = tmp_path / "fx"
+    assert main(["fixtures", "--out", str(fx), "--field", field]) == 0
+    capsys.readouterr()
+    argv = [command, str(fx / "kronecker3.pi.json"), str(fx / "kronecker3.m.json"), *extra, "--format", "json"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    config = json.loads(out)["config"]
+    assert list(config) == [*read, "format", "output"]
+    options = {"seed": "--seed", "trials": "--trials", "r_max": "--rmax"}
+    for key, flag in options.items():
+        if command == "dual-surj" and key == "r_max":
+            continue
+        got = main([*argv, flag, "5"])
+        again = capsys.readouterr().out
+        if key in read:
+            assert json.loads(again)["config"][key] == 5
+        else:
+            assert (got, again) == (code, out), (key, extra)
 
 
 @pytest.mark.parametrize("field", ["Q", "F_2"])

@@ -316,6 +316,66 @@ def test_checker_hom_from_m_matches_hom_dim(field):
             assert checker.hom_from_m == tuple(hom_dim(m, u) for u in table.reps), (q.arrows, d)
 
 
+def test_checker_euler_rows_are_computed_once_per_table(monkeypatch):
+    """The Euler rows on unit vectors depend only on the table: the first
+    checker on a table computes them with euler_form, a second checker on
+    the same table and the queries of both make no euler_form call."""
+    table = build_table(d4_subspace(), F2)
+    calls = []
+    real = dynkin.euler_form
+    monkeypatch.setattr(dynkin, "euler_form", lambda *args: calls.append(args) or real(*args))
+    first = GrassmannianChecker(random_representation(d4_subspace(), (2, 1, 1, 1), F2, seed=1), table)
+    assert len(calls) == 2 * table.size * 4
+    calls.clear()
+    second = GrassmannianChecker(random_representation(d4_subspace(), (3, 2, 1, 2), F2, seed=2), table)
+    for checker in (first, second):
+        checker.nonempty((1, 1, 0, 1))
+        checker.irreducible((1, 0, 0, 1))
+    assert second.euler_from_root is first.euler_from_root
+    assert second.euler_into_root is first.euler_into_root
+    assert calls == []
+
+
+# (digest, number of verdicts) of `Verdict.to_json()` of nonempty and
+# irreducible (or irreducible's ValueError) for every e <= dim m + 1 of the
+# representations in `_checker_cases`, per field: every ledger entry, the
+# witness and the context are pinned
+CHECKER_DIGESTS = {
+    "F_2": ("a21a7e332eff3c3a", 726),
+    "F_3": ("52bbcce09768fb03", 726),
+    "Q": ("8caa3116c2d480d6", 726),
+}
+
+
+def _checker_cases(field):
+    """An A3 direct sum and the D4 fixture x, alone and plus a summand."""
+    from quiverrep.fixtures import d4_x
+
+    a3 = build_table(a_n(3), field)
+    d4 = build_table(d4_subspace(), field)
+    yield assemble(a3, {r: k for r, k in zip(a3.roots, (1, 0, 2, 1, 0, 1)) if k}), a3
+    yield d4_x(field), d4
+    yield direct_sum([d4_x(field), d4.reps[3]]), d4
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_checker_verdicts_match_the_recorded_digest(field):
+    import hashlib
+    import json
+
+    rows = []
+    for m, table in _checker_cases(field):
+        checker = GrassmannianChecker(m, table)
+        for e in itertools.product(*(range(d + 2) for d in m.dims)):
+            rows.append(checker.nonempty(e).to_json())
+            try:
+                rows.append(checker.irreducible(e).to_json())
+            except ValueError as exc:
+                rows.append(str(exc))
+    digest = hashlib.sha256(json.dumps(rows, default=str).encode()).hexdigest()[:16]
+    assert (digest, len(rows)) == CHECKER_DIGESTS[field.name]
+
+
 def test_nc2_vector_and_subspace_modes_agree():
     rng = random.Random(5)
     for f in (F2, F3):

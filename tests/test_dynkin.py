@@ -97,6 +97,19 @@ def test_positive_roots_of_e7_e8_a9():
         assert all(euler_form(q, d, d) == 1 for d in roots)
 
 
+@pytest.mark.parametrize("q", [a_n(3), d4_subspace(), E6, E6_ALTERNATING], ids=["A3", "D4", "E6", "E6-alternating"])
+def test_unit_euler_rows_are_euler_form_on_unit_vectors(q):
+    table = build_table(q, GF(2))
+    units = [tuple(int(v == w) for w in range(q.vertex_count)) for v in range(q.vertex_count)]
+    assert table.euler_from_root == tuple(tuple(euler_form(q, r, u) for u in units) for r in table.roots)
+    assert table.euler_into_root == tuple(tuple(euler_form(q, u, r) for u in units) for r in table.roots)
+    # by bilinearity the rows give <root, e> and <e, root> as dot products
+    e = tuple(range(1, q.vertex_count + 1))
+    for r, out, into in zip(table.roots, table.euler_from_root, table.euler_into_root):
+        assert sum(c * x for c, x in zip(out, e)) == euler_form(q, r, e)
+        assert sum(c * x for c, x in zip(into, e)) == euler_form(q, e, r)
+
+
 def test_positive_roots_reject_non_dynkin():
     with pytest.raises(ValueError):
         positive_roots(kronecker(3))

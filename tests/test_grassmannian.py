@@ -957,3 +957,110 @@ def test_oracle_construction_ranks_nothing(monkeypatch):
         assert oracle._path_nullities is None, m.quiver.arrows
         assert oracle.count(gap) == ref.count(gap) and oracle.visits == ref.visits
         assert oracle._path_nullities == ref.eager_nullities, m.quiver.arrows
+
+
+def _search_cases():
+    """Seeded representations of A3, D4 and Kronecker(2) over F_2 (packed
+    rows) and F_3 (tuple rows): five random ones per quiver and field,
+    some with a zero-dimensional vertex, and two direct sums of two."""
+    from quiverrep.quiver import d4_subspace
+
+    rng = random.Random(59)
+    for q, top in ((a_n(3), 3), (d4_subspace(), 2), (kronecker(2), 3)):
+        for order in (2, 3):
+            for _ in range(5):
+                dims = [rng.randint(0, top) for _ in range(q.vertex_count)]
+                if rng.randrange(3) == 0:
+                    dims[rng.randrange(q.vertex_count)] = 0
+                yield random_representation(q, tuple(dims), GF(order), seed=rng.randrange(10**6))
+            for _ in range(2):
+                parts = [
+                    random_representation(
+                        q, tuple(rng.randint(0, top - 1) for _ in range(q.vertex_count)), GF(order),
+                        seed=rng.randrange(10**6),
+                    )
+                    for _ in range(2)
+                ]
+                yield direct_sum(parts)
+
+
+def test_each_operation_searches_once_per_admitted_query(monkeypatch):
+    """nonempty, count, enumerate and first_subrep go through the one
+    search body, _dfs, once per query that _start admits and never for one
+    it rejects (e above dim m, or refuted by the path prune).  The
+    benchmark's tracer reads the visits off _dfs, so a second search path
+    would hide its work."""
+    calls = []
+    real = SubrepOracle._dfs
+
+    def recording(self, *args, **kwargs):
+        calls.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubrepOracle, "_dfs", recording)
+    admitted = rejected = 0
+    for m in _search_cases():
+        oracle, judge = SubrepOracle(m), SubrepOracle(m)
+        for e in itertools.product(*(range(d + 2) for d in m.dims)):
+            searched = judge._start(e) is not None
+            admitted += searched
+            rejected += not searched
+            for op in ("nonempty", "count", "enumerate", "first_subrep"):
+                calls.clear()
+                getattr(oracle, op)(e)
+                assert calls == ([e] if searched else []), (op, m.dims, e)
+    assert admitted > 300 and rejected > 300
+
+
+@pytest.mark.parametrize("gf", [gflin.GF2_PACKED, gflin.gfq(3), gflin.gfq(4)], ids=lambda gf: f"F_{gf.q}")
+def test_root_sandwiches_are_the_sandwiches_with_nothing_chosen(gf):
+    """The table read at the root, one per (handle, dimension), holds
+    exactly the sandwich the search computes with nothing assigned, at
+    every vertex, zero-dimensional ones included, and for every e_v."""
+    rng = random.Random(gf.q)
+    seen = set()
+    for q in (a_n(3), kronecker(2)):
+        for _ in range(4):
+            dims = tuple(rng.randint(0, 4) for _ in range(q.vertex_count))
+            m = random_representation(q, dims, GF(gf.q), seed=rng.randrange(10**6))
+            oracle = SubrepOracle(m)
+            assert oracle.gf is gf
+            for v, d in enumerate(dims):
+                assert oracle.root_sandwiches[v] is grassmannian.root_sandwiches(gf, d)
+                assert len(oracle.root_sandwiches[v]) == d + 1
+                for k in range(d + 1):
+                    assert oracle.root_sandwiches[v][k] == oracle._sandwich(v, k, {}), (dims, v, k)
+                seen.add(d)
+    assert 0 in seen and len(seen) >= 4
+
+
+def _digest(rows) -> str:
+    import hashlib
+    import json
+
+    return hashlib.sha256(json.dumps(rows, default=str).encode()).hexdigest()[:16]
+
+
+def _leaf_cols(bases):
+    return None if bases is None else [[list(col) for col in b.transpose().rows] for b in bases]
+
+
+# (digest, number of queries) of (answer, visits) over every e of
+# `_search_cases`, per operation: a change to the vertex order, the
+# candidate order or any charge moves them
+SEARCH_DIGESTS = {
+    "nonempty": ("221716e7ed584011", 462),
+    "first_subrep": ("a873e0662bbe0737", 462),
+    "count": ("0c76de3ad960e394", 462),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SEARCH_DIGESTS))
+def test_answers_and_visits_match_the_recorded_digest(op):
+    rows = []
+    for m in _search_cases():
+        oracle = SubrepOracle(m)
+        for e in itertools.product(*(range(d + 1) for d in m.dims)):
+            got = getattr(oracle, op)(e)
+            rows.append([_leaf_cols(got) if op == "first_subrep" else got, oracle.visits])
+    assert (_digest(rows), len(rows)) == SEARCH_DIGESTS[op]
