@@ -256,11 +256,14 @@ def cmd_semistable(args) -> int:
     m = load_rep(args.rep)
     e = _parse_dimvector(args.e)
     table = None
-    q_enum = args.q_enum
     if is_dynkin(m.quiver) and not args.force_enum:
         table = cached_table(m.quiver, m.field)
-        q_enum = None
-    v = is_semistable(m, e, q_enum=q_enum, table=table, budget=args.enum_budget)
+    elif args.q_enum is not None and not (m.field.is_finite and m.field.order == args.q_enum):
+        raise ValueError(
+            f"--q-enum {args.q_enum} asks for enumeration over F_{args.q_enum}, "
+            f"but the input is over {m.field.name}"
+        )
+    v = is_semistable(m, e, table=table, budget=args.enum_budget)
     _emit(args, _verdict_lines(v), v.to_json())
     return _verdict_exit(v)
 

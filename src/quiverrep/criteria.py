@@ -493,7 +493,7 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
     if socles:
         acts_n, acts_m = (
             {i: [phi.vertex_mats[i] @ soc for phi in basis] for i, soc in socles.items()}
-            for basis in (hom_basis(n, n).morphisms, hom_basis(n, m).morphisms)
+            for basis in (hom_basis(n, n), hom_basis(n, m))
         )
         verts = sorted(socles)
         for _ in range(config.trials):
@@ -624,7 +624,7 @@ def _interval_basis(x: Representation, table: IndecomposableTable) -> tuple:
             red, pivots = Matrix(f, image, validate=False, ncols=x.dims[top]).rref()
             kept[top] = list(red.rows[: len(pivots)])
         rows = kept[top]
-        for mor in hom_basis(table.reps[u], x).morphisms:
+        for mor in hom_basis(table.reps[u], x):
             g = mor.vertex_mats[top].col(0)
             if Matrix(f, rows + [g], validate=False).rank() == len(rows):
                 continue
@@ -703,22 +703,22 @@ def check_dual_surjection(
 
 def realizable_subdims(
     m: Representation,
-    q_enum: int | None = None,
     table: IndecomposableTable | None = None,
     budget: int = DEFAULT_BUDGET,
 ):
     """All dimension vectors of subrepresentations of m.
 
     Dynkin route (table given): the Hom inequalities decide realizability.
-    Otherwise m must live over the finite field of order q_enum and
-    enumeration decides.
+    Otherwise m must live over a finite field and enumeration decides.
     """
     boxed = itertools.product(*(range(d + 1) for d in m.dims))
     if table is not None:
         checker = GrassmannianChecker(m, table)
         return [f_vec for f_vec in boxed if checker.nonempty(f_vec).holds]
-    if not m.field.is_finite or (q_enum is not None and m.field.order != q_enum):
-        raise ValueError("exhaustive semistability requires m over F_{q_enum}")
+    if not m.field.is_finite:
+        raise ValueError(
+            f"exhaustive semistability enumerates over a finite field, but m is over {m.field.name}"
+        )
     oracle = SubrepOracle(m, budget)
     return [f_vec for f_vec in boxed if oracle.nonempty(f_vec)]
 
@@ -726,7 +726,6 @@ def realizable_subdims(
 def min_slope(
     m: Representation,
     e: DimVector,
-    q_enum: int | None = None,
     table: IndecomposableTable | None = None,
     budget: int = DEFAULT_BUDGET,
 ):
@@ -734,7 +733,7 @@ def min_slope(
     e = check_dimvector(m.quiver, e)
     best = None
     best_f = None
-    for f_vec in realizable_subdims(m, q_enum=q_enum, table=table, budget=budget):
+    for f_vec in realizable_subdims(m, table=table, budget=budget):
         val = functional(m.quiver, e, f_vec)
         if best is None or val < best or (val == best and f_vec < best_f):
             best, best_f = val, f_vec
@@ -744,14 +743,13 @@ def min_slope(
 def is_semistable(
     m: Representation,
     e: DimVector,
-    q_enum: int | None = None,
     table: IndecomposableTable | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """e-semistability: e(m) = 0 and e(N) >= 0 for all subrepresentations."""
     e = check_dimvector(m.quiver, e)
     total = functional(m.quiver, e, m.dims)
-    slope, arg = min_slope(m, e, q_enum=q_enum, table=table, budget=budget)
+    slope, arg = min_slope(m, e, table=table, budget=budget)
     method = "dynkin-criterion" if table is not None else f"enumeration over F_{m.field.order}"
     context = {
         "criterion": "semistable",

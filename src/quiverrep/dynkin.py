@@ -26,11 +26,8 @@ from .rep import (
     Representation,
     _paths_from,
     direct_sum,
-    hom_basis,
     hom_dim,
-    is_injective_morphism,
     reductions,
-    search_hom,
     zero_representation,
 )
 
@@ -538,9 +535,17 @@ def check_generic_embedding(
 ):
     """Whether G_e embeds into G_d, i.e. Ext(G_e, G_{d-e}) = 0.
 
-    With witness=True also searches for an explicit injective morphism
-    G_e -> G_d; returns (holds, morphism-or-None), otherwise just holds.
+    With witness=True returns (holds, morphism-or-None), otherwise just
+    holds.  The witness, an injective morphism G_e -> G_d, comes from the
+    stable-embedding search at r = 1 (`stable.search_stable_embedding`,
+    with `trials` and `seed`): Hom(G_e, G_d) is scanned exhaustively when
+    |F|^dim Hom <= `stable.EXHAUSTIVE_LIMIT`, so a None witness there
+    certifies that no injective morphism exists over F; otherwise it is
+    sampled, and None only means none was found.  A negative verdict has
+    no witness and runs no search.
     """
+    from .stable import search_stable_embedding
+
     e = check_dimvector(q, e)
     d = check_dimvector(q, d)
     if not dim_leq(e, d):
@@ -558,12 +563,8 @@ def check_generic_embedding(
         return holds, None
     ge = assemble(table, me)
     gd = assemble(table, canonical_decomposition(q, d, table))
-    basis = hom_basis(ge, gd)
-    if ge.total_dim == 0:
-        return holds, basis.combination([ge.field.zero] * basis.dim)
-    if basis.dim == 0:
-        return holds, None
-    return holds, search_hom(basis, is_injective_morphism, seed, trials)
+    report = search_stable_embedding(ge, gd, r_max=1, trials=trials, seed=seed)
+    return holds, report.block_matrix
 
 
 _TABLE_CACHE: dict = {}

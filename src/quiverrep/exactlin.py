@@ -401,18 +401,6 @@ class Matrix:
             ncols=self.ncols,
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in subtraction")
-        sub = self.field.sub
-        return Matrix(
-            self.field,
-            tuple(tuple(sub(x, y) for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            validate=False,
-            ncols=self.ncols,
-        )
-
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
         return Matrix(

@@ -241,52 +241,10 @@ def _unflatten_morphism(x: Representation, y: Representation, vec) -> Morphism:
     return Morphism(x, y, mats, validate=False)
 
 
-class HomBasis:
-    """A basis of Hom(source, target) as explicit morphisms."""
-
-    __slots__ = ("source", "target", "morphisms")
-
-    def __init__(self, source: Representation, target: Representation, morphisms):
-        self.source = source
-        self.target = target
-        self.morphisms = tuple(morphisms)
-
-    @property
-    def dim(self) -> int:
-        return len(self.morphisms)
-
-    def combination(self, coeffs) -> Morphism:
-        """The morphism sum_l coeffs[l] * basis[l]."""
-        f = self.source.field
-        coeffs = [f.coerce(c) for c in coeffs]
-        if len(coeffs) != self.dim:
-            raise ValueError("coefficient count mismatch")
-        mats = []
-        for v in range(self.source.quiver.vertex_count):
-            acc = Matrix.zeros(f, self.target.dims[v], self.source.dims[v])
-            for c, mor in zip(coeffs, self.morphisms):
-                if c != f.zero:
-                    acc = acc + mor.vertex_mats[v].scale(c)
-            mats.append(acc)
-        return Morphism(self.source, self.target, mats, validate=False)
-
-
-def search_hom(basis: HomBasis, accept, seed: int, trials: int) -> Morphism | None:
-    """The first of `trials` seeded random combinations of `basis` (integer
-    box 50 over Q) that `accept` holds for, or None."""
-    rng = random.Random(seed)
-    field = basis.source.field
-    for _ in range(trials):
-        mor = basis.combination([field.random(rng, 50) for _ in range(basis.dim)])
-        if accept(mor):
-            return mor
-    return None
-
-
-def hom_basis(x: Representation, y: Representation) -> HomBasis:
+def hom_basis(x: Representation, y: Representation) -> tuple[Morphism, ...]:
+    """A basis of Hom(x, y) as explicit morphisms."""
     kern = _hom_system(x, y).kernel_basis()
-    morphisms = [_unflatten_morphism(x, y, kern.col(j)) for j in range(kern.ncols)]
-    return HomBasis(x, y, morphisms)
+    return tuple(_unflatten_morphism(x, y, kern.col(j)) for j in range(kern.ncols))
 
 
 def hom_evaluation_rows(

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
-from .criteria import Verdict, min_slope
+from .criteria import Verdict, _evaluation_rank, min_slope
 from .exactlin import FieldSpec, Matrix
 from .grassmannian import DEFAULT_BUDGET
 from .quiver import DimVector, check_dimvector, dim_scale, functional, kronecker
@@ -111,7 +111,9 @@ def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> 
     directly over the subspace lattice of V, and through the Kronecker
     representation's subrepresentation slopes.  The routes must agree."""
     if not z.field.is_finite or z.field.order != q_enum:
-        raise ValueError("hypothesis check enumerates subspaces over F_{q_enum}")
+        raise ValueError(
+            f"hypothesis check enumerates subspaces over F_{q_enum}, but Z is over {z.field.name}"
+        )
     gf = gflin.gfq(q_enum)
     total = sum(gflin.gaussian_binomial(z.v_dim, d, q_enum) for d in range(z.v_dim + 1))
     if total > budget:
@@ -121,11 +123,7 @@ def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> 
     for d in range(1, z.v_dim + 1):
         for rows in gflin.enumerate_rref(gf, z.v_dim, d):
             basis_cols = Matrix.from_cols(z.field, [list(r) for r in rows], nrows=z.v_dim)
-            if z.dim:
-                image = Matrix.hstack([b @ basis_cols for b in z.basis])
-                zdim = image.rank()
-            else:
-                zdim = 0
+            zdim = _evaluation_rank(z.basis, basis_cols)
             ok = zdim >= d
             details.append({"U": [list(r) for r in rows], "dim_U": d, "dim_ZU": zdim, "ok": ok})
             if not ok and witness is None:
@@ -142,10 +140,12 @@ def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> 
     if z.dim:
         mk = z_to_kronecker(z)
         e = (z.dim - 1, 1)
-        slope, arg = min_slope(mk, e, q_enum=q_enum, budget=budget)
-        kron_holds = slope >= 0
+        slope, arg = min_slope(mk, e, budget=budget)
     else:
-        slope, arg, kron_holds = 0, (0, 0), True
+        # no arrows: every pair of subspaces is a subrepresentation, so
+        # dim N_2 - dim N_1 is least at (dim V, 0)
+        slope, arg = -z.v_dim, (z.v_dim, 0)
+    kron_holds = slope >= 0
     if kron_holds != direct_holds:
         raise RuntimeError(
             "internal disagreement: subspace route and Kronecker route differ "
@@ -162,7 +162,9 @@ def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> 
 
 
 # ----------------------------------------------------------------------
-# Injective block matrices: one search for Z-spaces and Hom spaces
+# Injective block matrices: one search for Z-spaces and Hom spaces, also
+# behind `dynkin.check_generic_embedding`'s witness (r = 1), and one
+# builder, `_block_matrices`, for every combination of basis maps
 
 
 def _random_coeff_grid(field: FieldSpec, rng, r: int, k: int):
@@ -172,22 +174,26 @@ def _random_coeff_grid(field: FieldSpec, rng, r: int, k: int):
 def _block_matrices(field: FieldSpec, bases, dims, coeffs, r: int) -> list[Matrix]:
     """At each vertex v, the r x r block matrix whose (s, t) block is
     sum_l coeffs[s][t][l] * bases[v][l]; dims[v] is the (rows, cols)
-    shape of one block."""
-    zero = field.zero
+    shape of one block.
+
+    The one place where basis maps are combined: each row of a block is
+    summed from the basis matrices' rows with the field's `axpy`, skipping
+    zero coefficients, and no `Matrix` is built per term.
+    """
+    zero, axpy = field.zero, field.row_ops[2]
     mats = []
     for basis, (rows, cols) in zip(bases, dims):
-        big = [[zero] * (r * cols) for _ in range(r * rows)]
-        for s in range(r):
-            for t in range(r):
-                block = None
-                for c, b in zip(coeffs[s][t], basis):
-                    if c != zero:
-                        scaled = b.scale(c)
-                        block = scaled if block is None else block + scaled
-                if block is None:
-                    continue
-                for i, row in enumerate(block.rows):
-                    big[s * rows + i][t * cols : (t + 1) * cols] = row
+        big = []
+        for cells in coeffs:
+            terms = [[(c, b.rows) for c, b in zip(cell, basis) if c != zero] for cell in cells]
+            for i in range(rows):
+                row = []
+                for cell in terms:
+                    acc = [zero] * cols
+                    for c, b in cell:
+                        acc = axpy(c, b[i], acc)
+                    row += acc
+                big.append(row)
         mats.append(Matrix(field, big, validate=False, ncols=r * cols))
     return mats
 
@@ -224,9 +230,10 @@ def _search_blocks(
     cols).  At each r: an exhaustive scan when |F|^(h r^2) <=
     EXHAUSTIVE_LIMIT, so a miss certifies impossibility at that r;
     otherwise, over Q at r = 1, the determinant-identity certificate;
-    otherwise `trials` samples from one seeded generator carried across r.
-    A found report carries the list of vertex block matrices.  An empty
-    range, r_max < 1, is a ValueError.
+    otherwise `trials` samples from one seeded generator carried across r,
+    created at the first sampled r, so that an exhaustive or certified
+    search draws no random numbers.  A found report carries the list of
+    vertex block matrices.  An empty range, r_max < 1, is a ValueError.
     """
     if r_max < 1:
         raise ValueError(f"r_max = {r_max}: the search needs r_max >= 1")
@@ -240,7 +247,7 @@ def _search_blocks(
         return StableSearchReport(
             False, None, None, 0, seed, [], reason="no injective map can exist at any r"
         )
-    rng = random.Random(seed)
+    rng = None
     per_r = []
     used = 0
     for r in range(1, r_max + 1):
@@ -258,6 +265,7 @@ def _search_blocks(
             continue
         else:
             how = "sampled"
+            rng = rng or random.Random(seed)
             grids = (_random_coeff_grid(field, rng, r, h) for _ in range(trials))
         for coeffs in grids:
             used += 1
@@ -315,7 +323,7 @@ def search_stable_embedding(
     basis = hom_basis(n, m)
     report = _search_blocks(
         n.field,
-        [[phi.vertex_mats[v] for phi in basis.morphisms] for v in range(n.quiver.vertex_count)],
+        [[phi.vertex_mats[v] for phi in basis] for v in range(n.quiver.vertex_count)],
         list(zip(m.dims, n.dims)),
         r_max,
         trials,
@@ -425,7 +433,7 @@ def check_stabilization(
         except ValueError:
             m_check = None
     if m_check is not None:
-        slope, arg = min_slope(m_check, e, q_enum=m_check.field.order, budget=budget)
+        slope, arg = min_slope(m_check, e, budget=budget)
         hypothesis_checked = True
         hypothesis_field = m_check.field.name
         if slope < 0:

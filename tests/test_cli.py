@@ -225,6 +225,23 @@ def test_semistable_command(tmp_path, fixture_dir):
     assert main(["semistable", mpath, "--e", "1,1", "--q-enum", "2"]) == 1
 
 
+def test_semistable_refusals_name_the_fields(tmp_path, fixture_dir, capsys):
+    # enumeration needs a finite field, and --q-enum must be the input's
+    mq = write_rep(tmp_path, "mq.json", kronecker3_m(QQ))
+    assert main(["semistable", mq, "--e", "1,1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: exhaustive semistability enumerates over a finite field, but m is over Q\n"
+    )
+    m2 = str(fixture_dir / "kronecker3.m.json")
+    assert main(["semistable", m2, "--e", "2,1", "--q-enum", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: --q-enum 3 asks for enumeration over F_3, but the input is over F_2\n"
+    )
+    # the Dynkin route enumerates nothing and does not read --q-enum
+    x2 = str(fixture_dir / "d4.x.json")
+    assert main(["semistable", x2, "--e", "0,0,0,1", "--q-enum", "3"]) == 1
+
+
 def test_stabilize_command(tmp_path, fixture_dir):
     mpath = str(fixture_dir / "kronecker3.m.json")
     rc = main(["stabilize", mpath, "--e", "2,1", "--r-range", "1:4", "--samples", "16", "--q-enum", "2"])

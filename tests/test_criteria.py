@@ -421,7 +421,7 @@ def test_socle_rank_matches_its_definition():
 def _hom_actions(n: Representation, y: Representation, socles) -> tuple[int, dict]:
     """dim Hom(n, y) and, at each socle vertex i, the actions
     A_b = phi_b,i soc_i of the morphisms phi_b of `hom_basis(n, y)`."""
-    morphisms = hom_basis(n, y).morphisms
+    morphisms = hom_basis(n, y)
     return len(morphisms), {i: [phi.vertex_mats[i] @ soc for phi in morphisms] for i, soc in socles.items()}
 
 
@@ -688,8 +688,8 @@ def test_nc2_sampling_matches_literal_quotients():
 
 def test_nc2_builds_no_quotient_power_or_hom_basis(monkeypatch):
     """The subspace scan takes its brackets from the Hom kernel in gflin:
-    no quotient, no power, no HomBasis and no hom_dim call.  The sampled
-    mode over Q reads its actions off one HomBasis per target, Hom(n, n)
+    no quotient, no power, no hom_basis and no hom_dim call.  The sampled
+    mode over Q reads its actions off one hom_basis per target, Hom(n, n)
     and Hom(n, m), and builds no quotient or power either."""
 
     def refuse(*args, **kwargs):
@@ -723,7 +723,7 @@ def test_nc2_flow_reads_multiplicities_only(monkeypatch):
     """The type-A flow reads n and m only through `decompose`, which reads
     ([U, x])_U off the table's presentations: no hom_dim at all.  R_i
     comes off the roots, so even on a cold table, whose socle_reach is not
-    computed yet, there is no HomBasis, Hom evaluation, socle, quotient or
+    computed yet, there is no Hom basis, Hom evaluation, socle, quotient or
     power."""
     pairs = []
     for field in (F2, F3, GF(4)):
@@ -831,7 +831,7 @@ def _socle_reach_row(table, i: int, u: int) -> set[int]:
     return {
         v
         for v, y in enumerate(table.reps)
-        if any(not (phi.vertex_mats[i] @ soc).is_zero() for phi in hom_basis(x, y).morphisms)
+        if any(not (phi.vertex_mats[i] @ soc).is_zero() for phi in hom_basis(x, y))
     }
 
 
@@ -1251,21 +1251,21 @@ def test_dual_surjection_on_a3_matches_the_scan_on_duals():
 
 def test_semistable_zero_functional():
     m = random_representation(A2, (1, 1), F2, seed=11)
-    v = is_semistable(m, (0, 0), q_enum=2)
+    v = is_semistable(m, (0, 0))
     assert v.holds
 
 
 def test_semistable_kronecker_example():
     m = kronecker3_m(F2)
-    v = is_semistable(m, (2, 1), q_enum=2)
+    v = is_semistable(m, (2, 1))
     assert v.holds  # this is the semistability behind the counterexample
-    slope, arg = min_slope(m, (2, 1), q_enum=2)
+    slope, arg = min_slope(m, (2, 1))
     assert slope == 0 and v.context["min_slope"] == 0
 
 
 def test_semistable_fails_when_total_nonzero():
     m = kronecker3_m(F2)
-    v = is_semistable(m, (1, 1), q_enum=2)
+    v = is_semistable(m, (1, 1))
     assert not v.holds
     assert v.witness["kind"] == "total"
 
@@ -1277,7 +1277,7 @@ def test_semistable_detects_destabilizing_subrep():
     m = Representation(
         q, F2, (1, 1), [Matrix.zeros(F2, 1, 1), Matrix.zeros(F2, 1, 1)]
     )
-    v = is_semistable(m, (1, 1), q_enum=2)
+    v = is_semistable(m, (1, 1))
     assert not v.holds
     assert v.witness["kind"] == "subrep"
     assert v.witness["e(N)"] < 0
@@ -1291,7 +1291,7 @@ def test_semistable_dynkin_route_matches_enumeration(table_a3_f2):
         e = tuple(rng.randint(-2, 2) for _ in range(3))
         e = tuple(abs(x) for x in e)
         via_table = min_slope(m, e, table=table_a3_f2)
-        via_enum = min_slope(m, e, q_enum=2)
+        via_enum = min_slope(m, e)
         assert via_table[0] == via_enum[0]
 
 

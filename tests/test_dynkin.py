@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverrep import dynkin, rep
+from quiverrep import dynkin, rep, stable
 from quiverrep.dynkin import (
     IndecomposableTable,
     assemble,
@@ -237,6 +237,7 @@ def test_decompose_builds_no_hom_system(monkeypatch):
 
     for module in (rep, dynkin):
         monkeypatch.setattr(module, "hom_dim", refuse)
+    for module in (rep, stable):
         monkeypatch.setattr(module, "hom_basis", refuse)
     monkeypatch.setattr(Matrix, "solve", refuse)
     monkeypatch.setattr(Matrix, "solve_matrix", refuse)
@@ -460,6 +461,9 @@ def test_generic_decomposition_draws_no_random_numbers(table_a3_f5, monkeypatch)
     assert canonical_decomposition(a_n(3), (1, 2, 1), table_a3_f5) == {(0, 1, 0): 1, (1, 1, 1): 1}
     assert generic_rep(a_n(3), (1, 2, 1), F5, table_a3_f5).dims == (1, 2, 1)
     assert check_generic_embedding(a_n(3), (0, 1, 0), (1, 2, 1), table_a3_f5) is True
+    # Hom(G_e, G_d) has dimension 1 here, so its 5 combinations are scanned
+    holds, mor = check_generic_embedding(a_n(3), (0, 1, 0), (1, 2, 1), table_a3_f5, witness=True)
+    assert holds and is_injective_morphism(mor)
 
 
 def test_canonical_decomposition_examples(table_a2_f5):

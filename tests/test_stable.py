@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from quiverrep.exactlin import GF, QQ, Matrix
+from quiverrep.exactlin import GF, QQ, FieldSpec, Matrix
 from quiverrep.fixtures import (
     KRONECKER_M_MATRICES,
     d4_p1,
@@ -24,6 +27,7 @@ from quiverrep.rep import (
 from quiverrep.stable import (
     GenericHomEstimate,
     ZSpace,
+    _block_matrices,
     check_stabilization,
     check_z_hypothesis,
     find_injective_block,
@@ -81,8 +85,23 @@ def test_z_hypothesis_kronecker_matrices():
 
 def test_z_hypothesis_requires_matching_field():
     z = full_hom_z(F3, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="over F_5, but Z is over F_3"):
         check_z_hypothesis(z, 5)
+
+
+@pytest.mark.parametrize("field", [F2, F5], ids=str)
+def test_z_hypothesis_on_the_zero_space(field):
+    # Z = 0 maps every U != 0 to 0; on the Kronecker side there are no
+    # arrows, so every pair of subspaces is a subrepresentation and
+    # dim N_2 - dim N_1 is least, -dim V, at (dim V, 0)
+    for v_dim in (0, 1, 2):
+        for w_dim in (0, 2):
+            verdict = check_z_hypothesis(ZSpace(field, v_dim, w_dim, ()), field.order)
+            assert verdict.holds == (v_dim == 0)
+            assert verdict.context["kronecker_min_slope"] == -v_dim
+            assert verdict.context["kronecker_min_slope_at"] == [v_dim, 0]
+            if v_dim:
+                assert verdict.witness["dim_U"] == 1 and verdict.witness["dim_ZU"] == 0
 
 
 def test_z_space_validates_independence():
@@ -118,8 +137,6 @@ def test_find_block_soundness_on_failing_z():
     assert not check_z_hypothesis(z, 3).holds
     report = find_injective_block(z, r_max=4, trials=64, seed=1)
     assert not report.found
-    from quiverrep.stable import _block_matrices
-
     rng = random.Random(0)
     for r in (1, 2, 3):
         for _ in range(10):
@@ -135,12 +152,55 @@ def test_find_block_impossible_shapes():
     assert "no injective map" in report.reason
 
 
+def _block_matrices_by_definition(field, bases, dims, coeffs, r: int) -> list:
+    """Each vertex's r x r block matrix, block (s, t) the sum over l of
+    coeffs[s][t][l] * bases[v][l], from whole-matrix arithmetic."""
+    mats = []
+    for basis, (rows, cols) in zip(bases, dims):
+        block_rows = []
+        for s in range(r):
+            cells = []
+            for t in range(r):
+                block = Matrix.zeros(field, rows, cols)
+                for c, b in zip(coeffs[s][t], basis):
+                    block = block + b.scale(c)
+                cells.append(block)
+            block_rows.append(Matrix.hstack(cells))
+        mats.append(Matrix.vstack(block_rows))
+    return mats
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(4), F5, QQ], ids=str)
+def test_block_matrices_match_their_definition(field):
+    rng = random.Random(17)
+
+    def scalar():
+        if field.is_rationals:
+            return field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return rng.randrange(field.order)
+
+    # blocks with zero rows, zero columns or both, beside full ones
+    dims = [(2, 3), (3, 1), (0, 2), (2, 0), (0, 0)]
+    for r in (1, 2, 3):
+        for h in range(4):
+            bases = [
+                [Matrix(field, [[scalar() for _ in range(c)] for _ in range(w)], ncols=c) for _ in range(h)]
+                for w, c in dims
+            ]
+            coeffs = [[[scalar() for _ in range(h)] for _ in range(r)] for _ in range(r)]
+            coeffs[0][r - 1] = [field.zero] * h  # a cell whose coefficients are all zero
+            got = _block_matrices(field, bases, dims, coeffs, r)
+            want = _block_matrices_by_definition(field, bases, dims, coeffs, r)
+            assert got == want
+            assert [m.shape for m in got] == [(r * w, r * c) for w, c in dims]
+
+
 def test_block_and_representation_searches_agree():
     # Hom(k^2, k^2) on one vertex is the full Z-space, with the same basis
     # order, so both entry points run the same search
     z = full_hom_z(F2, 2, 2)
     n = Representation(a_n(1), F2, (2,), [])
-    assert [phi.vertex_mats[0] for phi in hom_basis(n, n).morphisms] == list(z.basis)
+    assert [phi.vertex_mats[0] for phi in hom_basis(n, n)] == list(z.basis)
     block = find_injective_block(z, r_max=2, trials=8, seed=0)
     emb = search_stable_embedding(n, n, r_max=2, trials=8, seed=0)
     for report in (block, emb):
@@ -152,6 +212,61 @@ def test_block_and_representation_searches_agree():
 
 # ----------------------------------------------------------------------
 # Representation-level search
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# search_stable_embedding(n, m, r_max=2) on the fixture pairs: (r,
+# trials_used, statuses by r, sha256 of the report's sorted JSON, block
+# matrices included), as the whole-matrix builder gave them
+FIXTURE_SEARCHES = {
+    ("Q", "kronecker3"): (2, 1, ["impossible (determinant identity)", "found (sampled)"],
+                          "08f49327efde2e7e86df2cb2f0ef84862824a75ab6c9b1916c61c2ca3a9b47e4"),
+    ("Q", "d4"): (1, 1, ["found (sampled)"],
+                  "fdf2126ab34f69b45f266f73479690c0fda7c0c043ca1f449b58728a0214c7aa"),
+    ("F_2", "kronecker3"): (2, 669, ["impossible (exhaustive)", "found (exhaustive)"],
+                            "3a5f72e908403273d4895101702cc57bf621bda0079c546533d28d5cc73cc844"),
+    ("F_2", "d4"): (2, 112, ["impossible (exhaustive)", "found (exhaustive)"],
+                    "f67de078160a05d2498cbe7224c0fe58239a876b68af6e1df466e3b0ff91ea0f"),
+    ("F_3", "kronecker3"): (2, 29, ["impossible (exhaustive)", "found (sampled)"],
+                            "b5db241c7a249a01d37bcaea4869f42ebba414f745fa0ee5d2415d309b5d9c57"),
+    ("F_3", "d4"): (1, 6, ["found (exhaustive)"],
+                    "8c0094870e5d5dfa67fafb8c708da431f9b3d483247580aa99aa109f8257bb9f"),
+    ("F_4", "kronecker3"): (2, 65, ["impossible (exhaustive)", "found (sampled)"],
+                            "a056c7ac6358262fcc648e56ec0a36bc02f8aed6652297f4376f268f95dba172"),
+    ("F_4", "d4"): (1, 7, ["found (exhaustive)"],
+                    "fbf3772a13397da2eae7d8e3ed9351413a22253f567829ce40aeabbffb942802"),
+}
+
+
+def test_searches_combine_basis_maps_without_matrix_arithmetic(monkeypatch):
+    """The block search sums its basis maps row by row: with Matrix.scale
+    and Matrix + refused it still finds the recorded reports."""
+    pairs = {"kronecker3": (kronecker3_pi, kronecker3_m), "d4": (d4_p1, d4_x)}
+    inputs = {
+        (field, pair): tuple(make(FieldSpec.parse(field)) for make in pairs[pair])
+        for field, pair in FIXTURE_SEARCHES
+    }
+    z = z_from_int_matrices(F5, 2, 4, [[[2, 0], [3, 3], [3, 3], [1, 0]]])  # acceptance 8's first
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis map was combined by whole-matrix arithmetic")
+
+    monkeypatch.setattr(Matrix, "scale", refuse)
+    monkeypatch.setattr(Matrix, "__add__", refuse)
+    for key, (r, used, statuses, digest) in FIXTURE_SEARCHES.items():
+        report = search_stable_embedding(*inputs[key], r_max=2)
+        assert report.found and is_injective_morphism(report.block_matrix), key
+        assert (report.r, report.trials_used, [p["status"] for p in report.per_r]) == (r, used, statuses), key
+        assert _digest(report) == digest, key
+    block = find_injective_block(z, r_max=8, trials=256, seed=1)
+    assert block.to_json() == {
+        "found": True, "r": 1, "trials_used": 2, "seed": 1,
+        "per_r": [{"r": 1, "status": "found (exhaustive)"}], "reason": None,
+        "block_matrix": [["2", "0"], ["3", "3"], ["3", "3"], ["1", "0"]],
+    }
 
 
 def test_search_summand_found_at_one():
@@ -169,7 +284,7 @@ def test_search_refuses_a_smaller_target_vertex():
     x = random_representation(a_n(2), (2, 1), F3, seed=0)
     y = random_representation(a_n(2), (1, 3), F3, seed=1)
     n, m = direct_sum([x, y]), direct_sum([y, y])
-    assert hom_basis(n, m).dim > 0
+    assert hom_basis(n, m)
     report = search_stable_embedding(n, m, r_max=3, trials=8, seed=0)
     assert not report.found
     assert report.trials_used == 0 and report.per_r == []
