@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep")
     p.add_argument("--e", required=True)
     p.add_argument("--r-range", default="1:8")
-    p.add_argument("--q-enum", type=int, default=5)
+    p.add_argument("--q-enum", type=int, default=None)
     p.add_argument("--assume-hypothesis", action="store_true")
 
     p = add("fixtures", cmd_fixtures, "emit the worked counterexample files")

@@ -30,6 +30,7 @@ from .rep import (
     hom_dim,
     hom_evaluation_rows,
     is_injective_morphism,
+    morphism_to_json,
     _socles,
 )
 
@@ -57,8 +58,6 @@ class Verdict:
         return self.context.get("conclusive", True)
 
     def to_json(self) -> dict:
-        from .rep import Morphism, morphism_to_json
-
         def sanitize(obj):
             if isinstance(obj, Morphism):
                 return morphism_to_json(obj)
@@ -391,6 +390,17 @@ def _socle_rank_fn(gf: gflin.Handle, table, h: int, width: int):
     return rank
 
 
+def _closed_classes(gf: gflin.Handle, s: int, rank_end, rank_hom):
+    """nc2's class scan: the RREF classes U of F_q^s in enumeration order
+    with rank_end(U) = dim U, each as (its rows as lists, rank_hom(U)).
+    `stable.check_z_hypothesis` passes `len`, the identity's rank."""
+    unpack = functools.cache(lambda u: gflin.unpack_rows(gf, (u,), s)[0])
+    for l in range(1, s + 1):
+        for coeffs in gflin.enumerate_rref(gf, s, l):
+            if rank_end(coeffs) == l:
+                yield [list(unpack(u)) for u in coeffs], rank_hom(coeffs)
+
+
 def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     """Exhaustive check, deduplicating socle vectors by their span.
 
@@ -413,9 +423,9 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
     `rep.hom_evaluation_rows`, and each distinct row is unpacked once for
     the payload.
 
-    Only the End(n)-closed classes are checked.  Since id is in End(n),
-    Z_n(U) contains U, so zn(U) >= dim U with equality exactly when U is
-    End(n)-stable.  For any class U, W = Z_n(U), read in socle
+    `_closed_classes` checks only the End(n)-closed classes.  As id is in
+    End(n), Z_n(U) contains U, so zn(U) >= dim U with equality exactly when
+    U is End(n)-stable.  For any class U, W = Z_n(U), read in socle
     coordinates (End(n) maps the socle into itself), is such a class, with
     zn(W) = dim W = zn(U), and zm(W) = zm(U) because Hom(n, m) End(n) =
     Hom(n, m).  So U fails the estimate exactly when W does.  Every class
@@ -442,24 +452,13 @@ def _check_nc2_subspaces(n: Representation, m: Representation) -> Verdict:
             raise ValueError(
                 f"socle subspace count {budget} at vertex {i} exceeds the class budget"
             )
-        unpacked: dict = {}
         checked += budget
-        for l in range(1, s_i + 1):
-            for coeffs in gflin.enumerate_rref(gf, s_i, l):
-                zn = rank_n(coeffs)
-                if zn != l:
-                    continue  # not closed: End(n) U is a closed class with the same zn, zm
-                zm = rank_m(coeffs)
-                ok = zn <= zm
-                for u in coeffs:
-                    if u not in unpacked:
-                        unpacked[u] = gflin.unpack_rows(gf, (u,), s_i)[0]
-                vec = [list(unpacked[u]) for u in coeffs]
-                entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, zn, zm)
-                entry["ok"] = ok
-                details.append(entry)
-                if not ok and witness is None:
-                    witness = entry | {"kind": "quotient"}
+        for vec, zm in _closed_classes(gf, s_i, rank_n, rank_m):
+            l = len(vec)
+            entry = _bracket_payload(i, l, vec, l * hom_nn, l * hom_nm, l, zm) | {"ok": l <= zm}
+            details.append(entry)
+            if not entry["ok"] and witness is None:
+                witness = entry | {"kind": "quotient"}
     context = {
         "criterion": "nc2",
         "mode": "subspaces",
@@ -485,6 +484,8 @@ def _check_nc2_sampling(n: Representation, m: Representation, config: CheckConfi
     A_b = phi_b,i soc the action on the socle of phi_b, the b-th morphism
     of `hom_basis(n, y)`.  No power or quotient is built.
     """
+    if config.trials < 1:
+        raise ValueError(f"trials = {config.trials}: nc2's sampling needs at least one sample")
     f = n.field
     rng = random.Random(config.seed)
     socles = _socles(n)

@@ -1,11 +1,12 @@
 """Small finite fields GF(q) and row-space linear algebra on plain rows.
 
 This is the self-contained kernel behind the brute-force subrepresentation
-enumeration and nc2's socle-subspace scan.  It deliberately shares no
-elimination code with :mod:`quiverrep.exactlin`, so enumeration results can
-serve as an independent cross-check for the criterion computations, and
-nc2's exactlin cross-checks (the literal quotient check in the tests, the
-type A criterion) share no elimination with its scan.  The tests, in turn,
+enumeration and nc2's socle-subspace scan, which also decides the Z-space
+lemma's hypothesis.  It deliberately shares no elimination code with
+:mod:`quiverrep.exactlin`, so enumeration results can serve as an
+independent cross-check for the criterion computations, and nc2's exactlin
+cross-checks (the literal quotient check in the tests, the type A
+criterion) share no elimination with its scan.  The tests, in turn,
 check these functions against exactlin's kernels and ranks.  Over a finite
 field nc2 runs here end to end once the socles are known: the Hom kernel of
 the intertwining equations (``rep.hom_evaluation_rows``), the stacked
@@ -26,13 +27,13 @@ of rows whose left half is zero) and on its layout operations (packing,
 blocks, transpose, product, the rows of one pivot for ``enumerate_rref``).
 
 * a :class:`Gfq` handle (``gfq(q)``, any q, including 2) takes matrices as
-  tuples of row tuples.  nc2 and the enumeration oracle over q > 2, the
-  stable search and the tests use it.
+  tuples of row tuples.  nc2, the Z-space hypothesis check and the
+  enumeration oracle over q > 2, and the tests use it.
 * the :data:`GF2_PACKED` handle takes each row of length n as one int, with
   column j at bit n-1-j, so integer order is the lexicographic order of the
   row tuples and a reduced echelon basis lists its rows in decreasing order.
-  Elimination is XOR on whole rows.  The enumeration oracle and nc2 use it
-  over F_2.
+  Elimination is XOR on whole rows.  The enumeration oracle, nc2 and the
+  Z-space hypothesis check use it over F_2.
 
 ``handle(q)`` makes that choice once for its callers.  ``pack_rows`` and
 ``unpack_rows`` convert at the boundary; RREF is unique, so both formats

@@ -1,5 +1,6 @@
 """Stable embeddings N^r -> M^r, the block-matrix lemma, and the generic
-hom stabilization theorem."""
+hom stabilization theorem.  The lemma's hypothesis is decided by nc2's
+class scan with the identity in place of End(n)."""
 
 from __future__ import annotations
 
@@ -9,15 +10,18 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import gflin
-from .criteria import Verdict, _evaluation_rank, min_slope
+from .criteria import Verdict, _closed_classes, _socle_rank_fn, min_slope
 from .exactlin import FieldSpec, Matrix
 from .grassmannian import DEFAULT_BUDGET
 from .quiver import DimVector, check_dimvector, dim_scale, functional, kronecker
 from .rep import (
     Morphism,
     Representation,
+    dual,
+    dual_morphism,
     hom_basis,
     hom_dim,
+    morphism_to_json,
     power,
     random_representation,
     reductions,
@@ -70,8 +74,6 @@ class StableSearchReport:
     reason: str | None = None
 
     def to_json(self) -> dict:
-        from .rep import morphism_to_json
-
         block = self.block_matrix
         if isinstance(block, Morphism):
             block = morphism_to_json(block)
@@ -107,32 +109,25 @@ class GenericHomEstimate:
 
 
 def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """dim Z(U) >= dim U for every subspace U of V, checked two ways:
-    directly over the subspace lattice of V, and through the Kronecker
-    representation's subrepresentation slopes.  The routes must agree."""
+    """dim Z(U) >= dim U for every subspace U of V, checked two ways: by nc2's
+    class scan with the identity (every class closed) in place of End(n), and
+    by the Kronecker representation's min slope.  The routes must agree."""
     if not z.field.is_finite or z.field.order != q_enum:
         raise ValueError(
             f"hypothesis check enumerates subspaces over F_{q_enum}, but Z is over {z.field.name}"
         )
-    gf = gflin.gfq(q_enum)
+    gf = gflin.handle(q_enum)
     total = sum(gflin.gaussian_binomial(z.v_dim, d, q_enum) for d in range(z.v_dim + 1))
     if total > budget:
         raise ValueError(f"subspace lattice of size {total} exceeds the budget")
     details = []
     witness = None
-    for d in range(1, z.v_dim + 1):
-        for rows in gflin.enumerate_rref(gf, z.v_dim, d):
-            basis_cols = Matrix.from_cols(z.field, [list(r) for r in rows], nrows=z.v_dim)
-            zdim = _evaluation_rank(z.basis, basis_cols)
-            ok = zdim >= d
-            details.append({"U": [list(r) for r in rows], "dim_U": d, "dim_ZU": zdim, "ok": ok})
-            if not ok and witness is None:
-                witness = {
-                    "kind": "subspace",
-                    "U": [list(r) for r in rows],
-                    "dim_U": d,
-                    "dim_ZU": zdim,
-                }
+    # row t holds A_b e_t for every basis map A_b of Z in turn
+    table = gflin.pack_rows(gf, ([x for a in z.basis for x in a.col(t)] for t in range(z.v_dim)))
+    for u, zdim in _closed_classes(gf, z.v_dim, len, _socle_rank_fn(gf, table, z.dim, z.w_dim)):
+        details.append({"U": u, "dim_U": len(u), "dim_ZU": zdim, "ok": zdim >= len(u)})
+        if zdim < len(u) and witness is None:
+            witness = {"kind": "subspace", "U": u, "dim_U": len(u), "dim_ZU": zdim}
     direct_holds = witness is None
 
     # Kronecker route: e = (k-1, 1) has e(N) = dim N_2 - dim N_1, and the
@@ -340,8 +335,6 @@ def search_stable_surjection(
     u: Representation, v: Representation, r_max: int = 8, trials: int = 256, seed: int = 0
 ) -> StableSearchReport:
     """Search for a surjection u^r -> v^r by dualizing the embedding search."""
-    from .rep import dual, dual_morphism
-
     report = search_stable_embedding(dual(v), dual(u), r_max=r_max, trials=trials, seed=seed)
     if report.found and isinstance(report.block_matrix, Morphism):
         report.block_matrix = dual_morphism(report.block_matrix)
@@ -403,7 +396,7 @@ def check_stabilization(
     e: DimVector,
     r_range=range(1, 9),
     samples: int = 64,
-    q_enum: int = 5,
+    q_enum: int | None = None,
     seed: int = 0,
     assume_hypothesis: bool = False,
     budget: int = DEFAULT_BUDGET,
@@ -411,25 +404,29 @@ def check_stabilization(
     """Observe hom(m, r.e) = r.e(m) for large r, under the hypothesis
     e(N) >= 0 for all subrepresentations N of m.
 
-    The hypothesis is verified by exhaustive min-slope over F_{q_enum}
-    (reducing m if it is given over Q, by `rep.reductions`, where the
-    reduction must keep dim End); with assume_hypothesis=True an
-    unverifiable hypothesis is assumed and flagged.  Estimates below the
-    target are impossible under the hypothesis and raise.  An empty
-    r_range, one starting below r = 1, or samples < 1 is a ValueError.
+    The hypothesis is verified by exhaustive min-slope over m's field or,
+    for m over Q, over F_{q_enum} (default 5) after `rep.reductions`, which
+    must keep dim End; with assume_hypothesis=True an unverifiable one is
+    assumed and flagged.  Estimates below the target, impossible under the
+    hypothesis, raise.  ValueError: r_range empty or starting below r = 1,
+    samples < 1, or q_enum no field order or not a finite m's order.
     """
     e = check_dimvector(m.quiver, e)
     if not r_range or min(r_range) < 1:
         raise ValueError(f"r range {r_range} must be nonempty and start at r >= 1")
     if samples < 1:
         raise ValueError(f"samples = {samples}: at least one sample is required")
+    # validated first, as a ValueError of the reduction means m does not reduce
+    q = FieldSpec.of_order(5 if q_enum is None else q_enum).order
+    if m.field.is_finite and q_enum not in (None, m.field.order):
+        raise ValueError(f"hypothesis enumerated over F_{q}, but m is over {m.field.name}")
     hypothesis_checked = False
     hypothesis_field = None
     if m.field.is_finite:
         m_check = m
     else:
         try:
-            m_check = reductions(m, [q_enum])[q_enum]
+            m_check = reductions(m, [q])[q]
         except ValueError:
             m_check = None
     if m_check is not None:

@@ -270,6 +270,49 @@ def test_nonpositive_samples_exit_3(fixture_dir, capsys):
         assert "samples" in captured.err and captured.out == ""
 
 
+def test_stabilize_checks_q_enum(tmp_path, fixture_dir, capsys):
+    """--q-enum names the field the hypothesis is enumerated over: F_2
+    input is enumerated over F_2 without it and refused, naming both
+    fields, with another order; over Q an order that is no field is refused
+    (exit 3), --assume-hypothesis or not."""
+    m2 = str(fixture_dir / "kronecker3.m.json")
+    small = ["--e", "2,1", "--r-range", "1:2", "--samples", "4", "--format", "json"]
+    assert main(["stabilize", m2, *small]) in (0, 2)
+    assert json.loads(capsys.readouterr().out)["result"]["hypothesis_field"] == "F_2"
+    assert main(["stabilize", m2, "--e", "2,1", "--q-enum", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "over F_3, but m is over F_2" in captured.err and captured.out == ""
+    assert main(["fixtures", "--out", str(tmp_path / "q")]) == 0
+    mq = str(tmp_path / "q" / "kronecker3.m.json")
+    capsys.readouterr()
+    for q in ("6", "1", "0"):
+        for extra in ([], ["--assume-hypothesis"]):
+            assert main(["stabilize", mq, "--e", "2,1", "--q-enum", q, *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check-embed", "dual-surj"])
+def test_nc2_sampling_needs_a_trial(command, tmp_path, capsys):
+    """Over Q nc2 samples, and fewer than one trial is a usage error (exit
+    3), not a "holds" with an empty ledger; over F_2 nothing samples, and
+    --trials changes neither the exit code nor the output."""
+    pairs = {}
+    for field in ("Q", "F_2"):
+        fx = tmp_path / field
+        assert main(["fixtures", "--out", str(fx), "--field", field]) == 0
+        pairs[field] = [str(fx / "kronecker3.pi.json"), str(fx / "kronecker3.m.json")]
+    capsys.readouterr()
+    code = main([command, *pairs["F_2"]])
+    out = capsys.readouterr().out
+    for trials in ("0", "-5"):
+        assert main([command, *pairs["Q"], "--trials", trials]) == 3
+        captured = capsys.readouterr()
+        assert "at least one sample" in captured.err and captured.out == ""
+        assert main([command, *pairs["F_2"], "--trials", trials]) == code
+        assert capsys.readouterr().out == out
+
+
 def test_option_prefixes_are_not_abbreviations(fixture_dir, capsys):
     """decompose has no --e, and enum-gr's --enum-budget is never spelled
     by a prefix."""

@@ -104,6 +104,48 @@ def test_z_hypothesis_on_the_zero_space(field):
                 assert verdict.witness["dim_U"] == 1 and verdict.witness["dim_ZU"] == 0
 
 
+def _seeded_z_spaces():
+    """Twelve Z-spaces over each of F_2, F_3, F_4 and F_5, with dim V and
+    dim W in 0..4 and dim Z in 0..3: the zero space, dim V = 0 and
+    dim W = 0 first, then seeded shapes and maps."""
+    rng = random.Random(3434)
+    for q in (2, 3, 4, 5):
+        field = GF(q)
+        shapes = [(0, 2, 0), (2, 0, 0), (3, 2, 0), (0, 0, 0)]
+        shapes += [(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)) for _ in range(8)]
+        for v, w, k in shapes:
+            k = min(k, v * w)
+            while True:
+                mats = tuple(
+                    Matrix(field, [[rng.randrange(q) for _ in range(v)] for _ in range(w)], ncols=v)
+                    for _ in range(k)
+                )
+                try:
+                    yield ZSpace(field, v, w, mats)
+                    break
+                except ValueError:  # dependent maps: draw again
+                    continue
+
+
+@pytest.mark.parametrize("exactlin_rref", [True, False], ids=["exactlin", "no-exactlin-rref"])
+def test_z_hypothesis_verdicts_are_pinned(exactlin_rref, monkeypatch):
+    """The verdicts' JSON over the seeded Z-spaces, by sha256 of the list
+    of their `to_json()`, recorded when the subspace route still ran one
+    exactlin elimination per subspace.  Without exactlin's elimination the
+    verdicts are the same: the subspace route is nc2's gflin class scan and
+    the Kronecker route the enumeration oracle."""
+    spaces = list(_seeded_z_spaces())
+    if not exactlin_rref:
+        def no_rref(self):
+            raise AssertionError("exactlin elimination in check_z_hypothesis")
+
+        monkeypatch.setattr(Matrix, "rref", no_rref)
+    verdicts = [check_z_hypothesis(z, z.field.order).to_json() for z in spaces]
+    assert (len(verdicts), sum(v["holds"] for v in verdicts)) == (48, 22)
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == "ed5f59fd39de6668edb8615d73d38696b87e4214b756c77c6955c74794107d94"
+
+
 def test_z_space_validates_independence():
     with pytest.raises(ValueError):
         z_from_int_matrices(F3, 1, 1, [[[1]], [[2]]])
