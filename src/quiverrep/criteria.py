@@ -7,7 +7,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import gflin
 from .dynkin import IndecomposableTable, cached_table, decompose, path_order
@@ -35,23 +35,45 @@ from .rep import (
 )
 
 
-@dataclass
 class Verdict:
     """Outcome of a criterion check.
 
     holds=False always comes with a witness whose payload suffices to
     recompute the violated inequality.  `details` is the per-inequality
     ledger; `context` records mode, field, and any derived quantities.
+    `details` may be given as a function of no arguments that builds the
+    ledger instead of the list: it runs when `details` is first read (by
+    `to_json`, `==` and `repr` too), and its list is kept, so a caller that
+    reads only `holds`, `witness` and `context` never builds the ledger.
+    Equality and repr are those of a dataclass of the four fields.
     """
 
-    holds: bool
-    witness: dict | None = None
-    details: list = dc_field(default_factory=list)
-    context: dict = dc_field(default_factory=dict)
+    __hash__ = None
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None:
+    def __init__(self, holds: bool, witness: dict | None = None, details=None, context: dict | None = None):
+        if not holds and witness is None:
             raise ValueError("a failing verdict must carry a witness")
+        self.holds = holds
+        self.witness = witness
+        self._details = [] if details is None else details
+        self.context = {} if context is None else context
+
+    @property
+    def details(self) -> list:
+        if callable(self._details):
+            self._details = self._details()
+        return self._details
+
+    def _fields(self) -> tuple:
+        return self.holds, self.witness, self.details, self.context
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Verdict(holds={!r}, witness={!r}, details={!r}, context={!r})".format(*self._fields())
 
     @property
     def conclusive(self) -> bool:
@@ -85,11 +107,15 @@ class GrassmannianChecker:
     The Hom dimensions [U, m] and [m, U] do not depend on the queried e,
     so they are computed once: [U, m] here, [m, U] = sum_V mu_V [V, U] over
     m's multiplicities mu on the first `irreducible` call, its only reader.
-    The Euler coefficients <dim U, eps_v> and <eps_v, dim U> on the unit
-    vectors depend only on the table, which computes them for its first
-    checker and keeps them (`IndecomposableTable.euler_from_root` and
-    `euler_into_root`); by bilinearity, checking a given e is a dot product
-    per root.  The field's name, which every verdict reports, is read once.
+    The Euler side depends only on the table and e.  The table computes
+    the rows <dim U, eps_v> and <eps_v, dim U> on the unit vectors for its
+    first checker (`IndecomposableTable.euler_from_root` and
+    `euler_into_root`), and keeps (<dim U, e>)_U and (<e, dim U>)_U for
+    every e a checker on it asked for (`euler_sides`, a bounded memo).  So
+    a query for an e seen before takes no dot product: it compares two
+    tuples, and builds the witness from the first failing root.  The
+    per-root ledger is built only when the verdict's `details` is read.
+    The field's name, which every verdict reports, is read once.
     """
 
     def __init__(self, m: Representation, table: IndecomposableTable):
@@ -99,6 +125,8 @@ class GrassmannianChecker:
         self.table = table
         self.field_name = m.field.name
         self.hom_into_m = tuple(hom_dim(u, m) for u in table.reps)
+        # read here, so that a table builds its unit rows for its first
+        # checker rather than inside some later query
         self.euler_from_root = table.euler_from_root
         self.euler_into_root = table.euler_into_root
 
@@ -116,14 +144,12 @@ class GrassmannianChecker:
             # inequality: where e_v > m_v, the projective P_v has
             # [P_v, m] = m_v < e_v = <dim P_v, e> on an acyclic quiver
             context["dimension_count_failed"] = True
-        details = []
+        hom, euler = self.hom_into_m, table.euler_sides(e)[0]
         witness = None
-        for root, lhs, coeffs in zip(table.roots, self.hom_into_m, self.euler_from_root):
-            rhs = _dot(coeffs, e)
-            ok = lhs >= rhs
-            details.append({"root": list(root), "hom": lhs, "euler": rhs, "ok": ok})
-            if not ok and witness is None:
-                witness = {"kind": "indecomposable", "root": list(root), "hom": lhs, "euler": rhs}
+        if not all(map(operator.ge, hom, euler)):
+            u = next(u for u, (lhs, rhs) in enumerate(zip(hom, euler)) if lhs < rhs)
+            witness = {"kind": "indecomposable", "root": list(table.roots[u]), "hom": hom[u], "euler": euler[u]}
+        details = functools.partial(_nonempty_ledger, table.roots, hom, euler)
         return Verdict(holds=witness is None, witness=witness, details=details, context=context)
 
     def irreducible(self, e: DimVector) -> Verdict:
@@ -132,25 +158,19 @@ class GrassmannianChecker:
         if not dim_leq(e, m.dims):
             raise ValueError(f"e = {e} is not below dim m = {m.dims}")
         rest = dim_sub(m.dims, e)
-        details = []
-        witness = None
         # family 1: [m, U] <= <e, U> for non-injective U; family 2:
         # [U, m] <= <U, dim m - e> for non-projective U
         families = (
-            (1, "non-injective", table.injective, self.hom_from_m, self.euler_into_root, e),
-            (2, "non-projective", table.projective, self.hom_into_m, self.euler_from_root, rest),
+            (1, "non-injective", table.injective, self.hom_from_m, table.euler_sides(e)[1]),
+            (2, "non-projective", table.projective, self.hom_into_m, table.euler_sides(rest)[0]),
         )
-        for family, kind, skip, hom, euler, x in families:
-            for u, root in enumerate(table.roots):
-                if u in skip:
-                    continue
-                lhs, rhs = hom[u], _dot(euler[u], x)
-                ok = lhs <= rhs
-                details.append(
-                    {"family": family, "root": list(root), "hom": lhs, "euler": rhs, "ok": ok}
-                )
-                if not ok and witness is None:
-                    witness = {"kind": kind, "root": list(root), "hom": lhs, "euler": rhs}
+        witness = None
+        for _, kind, skip, hom, euler in families:
+            failing = [u for u, (lhs, rhs) in enumerate(zip(hom, euler)) if lhs > rhs and u not in skip]
+            if failing:
+                u = failing[0]
+                witness = {"kind": kind, "root": list(table.roots[u]), "hom": hom[u], "euler": euler[u]}
+                break
         holds = witness is None
         context = {
             "criterion": "grassmannian-irreducible",
@@ -160,7 +180,27 @@ class GrassmannianChecker:
         }
         if holds:
             context["dimension"] = euler_form(m.quiver, e, rest)
+        details = functools.partial(_irreducible_ledger, table.roots, families)
         return Verdict(holds=holds, witness=witness, details=details, context=context)
+
+
+def _nonempty_ledger(roots, hom, euler) -> list[dict]:
+    """`nonempty`'s ledger: one entry per root, [U, m] >= <dim U, e>."""
+    return [
+        {"root": list(root), "hom": lhs, "euler": rhs, "ok": lhs >= rhs}
+        for root, lhs, rhs in zip(roots, hom, euler)
+    ]
+
+
+def _irreducible_ledger(roots, families) -> list[dict]:
+    """`irreducible`'s ledger: per family, one entry per root it does not
+    skip, hom <= euler."""
+    return [
+        {"family": family, "root": list(root), "hom": hom[u], "euler": euler[u], "ok": hom[u] <= euler[u]}
+        for family, _, skip, hom, euler in families
+        for u, root in enumerate(roots)
+        if u not in skip
+    ]
 
 
 def _dot(coeffs, x) -> int:

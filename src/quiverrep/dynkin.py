@@ -209,6 +209,12 @@ def _phi(f: FieldSpec, dims, comp, tops, relations) -> Matrix:
     return Matrix(f, rows, validate=False, ncols=width)
 
 
+# Most vectors e whose Euler values one table keeps (`euler_sides`): a
+# table of n roots holds at most 2n ints per e.  gr-oracle asks an A3 table
+# for 426 distinct e per pass and a D4 one for 110-135.
+EULER_MEMO_SIZE = 1024
+
+
 @dataclass(frozen=True)
 class IndecomposableTable:
     """All indecomposables of a Dynkin quiver plus their Hom matrix.
@@ -223,6 +229,8 @@ class IndecomposableTable:
     <u, v>, computed with the table.  Views that not every caller needs
     (presentations, socle_reach, intervals, and the Euler rows on unit
     vectors, euler_from_root and euler_into_root) are built on first use.
+    `euler_sides(e)` keeps the Euler values of the roots against each e
+    it was asked for, up to EULER_MEMO_SIZE of them.
     """
 
     quiver: Quiver
@@ -389,6 +397,28 @@ class IndecomposableTable:
         computed as `euler_from_root` is."""
         units = _unit_vectors(self.quiver)
         return tuple(tuple(euler_form(self.quiver, u, r) for u in units) for r in self.roots)
+
+    @functools.cached_property
+    def _euler_memo(self) -> dict:
+        return {}
+
+    def euler_sides(self, e: DimVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """((<dim U, e>)_U, (<e, dim U>)_U) over the roots, for e a tuple of
+        ints of the quiver's length.  They depend on e and the table alone,
+        so they are kept per e: the first request for an e takes one dot
+        product with each unit-vector row, later ones are a lookup.  The
+        memo holds at most EULER_MEMO_SIZE vectors e and drops the oldest
+        first."""
+        memo = self._euler_memo
+        got = memo.get(e)
+        if got is None:
+            if len(memo) >= EULER_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            got = memo[e] = tuple(
+                tuple(sum(map(mul, row, e)) for row in rows)
+                for rows in (self.euler_from_root, self.euler_into_root)
+            )
+        return got
 
     def require_rep(self, x: Representation) -> None:
         """ValueError unless x is over the table's quiver and field."""

@@ -14,12 +14,16 @@ vertex in index order).  A candidate at a
 vertex is exact with respect to every arrow whose other endpoint is already
 assigned: it must contain the forced span of the incoming images and lie in
 the intersection of the outgoing preimages, so each leaf of the search is a
-subrepresentation and infeasible branches die at a dimension count.  A
-composite-path rank prune rejects impossible dimension vectors up front.
-Every public operation runs the same search body, ``_dfs``, once per query
-the prunes admit.  It recurses as a method on (the assignment so far, the
-tuple of unassigned vertices) and returns an existence search's hit
-instead of setting a flag, so a query builds no closure.
+subrepresentation and infeasible branches die at a dimension count.
+
+Every public operation admits e by one test, ``_start``, before it
+searches: e must be a dimension vector of the quiver, lie below dim m, and
+pass a composite-path rank prune (below).  Each then runs the same search
+body, ``_dfs``, once per admitted query.  It recurses as a method on (the
+assignment so far, the tuple of unassigned vertices) and returns an
+existence search's hit instead of setting a flag, so a query builds no
+closure; ``nonempty`` passes a module-level no-op as its leaf and tally
+callbacks, so it builds no function either.
 
 What an oracle needs is built at three levels.  Per quiver: a
 topological order and the in- and out-arrows of each vertex, read off the
@@ -107,7 +111,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import gflin
 from .exactlin import FieldSpec, Matrix
-from .quiver import DimVector, check_dimvector, is_acyclic
+from .quiver import DimVector, check_dimvector, dim_leq, is_acyclic
 # hom_dim is not called here, but perfbench's tracer test expects this
 # module to bind it; drop it when that test stops listing the module
 from .rep import Representation, hom_dim, reductions  # noqa: F401
@@ -123,6 +127,11 @@ def root_sandwiches(gf: gflin.Handle, d: int) -> tuple:
     dimension), as the whole space's rows are."""
     whole = gflin.identity_rows(gf, d)
     return tuple(((), whole, gflin.gaussian_binomial(d, k, gf.q)) for k in range(d + 1))
+
+
+def _discard(_) -> None:
+    """The leaf and tally callback of ``nonempty``, which reads only the
+    search's hit."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -479,11 +488,13 @@ class SubrepOracle:
     # -- public operations ---------------------------------------------------
 
     def _start(self, e: DimVector) -> DimVector | None:
-        """Reset the visit counter and check e; None when e exceeds dim m or
-        a path prune rejects it, so no subrepresentation has dimension e."""
+        """Reset the visit counter and admit e, the one test every public
+        operation runs before its search: e as a dimension vector of the
+        quiver, e <= dim m, then the path prune.  None when e exceeds dim m
+        or a path prune rejects it, so no subrepresentation has dimension e."""
         self._visits = 0
         e = check_dimvector(self.q, e)
-        if all(k <= d for k, d in zip(e, self.m.dims)) and not self._path_prune_empty(e):
+        if dim_leq(e, self.m.dims) and not self._path_prune_empty(e):
             return e
         return None
 
@@ -532,7 +543,7 @@ class SubrepOracle:
         e = self._start(e)
         if e is None:
             return False
-        return self._dfs(e, lambda chosen: None, early_exit=True, tally=lambda k: None)
+        return self._dfs(e, _discard, early_exit=True, tally=_discard)
 
     def first_subrep(self, e: DimVector):
         """Per-vertex column bases of the first subrepresentation found, or None."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 
 DimVector = tuple[int, ...]
@@ -173,7 +174,7 @@ def dim_sub(d: DimVector, e: DimVector) -> DimVector:
 
 
 def dim_leq(d: DimVector, e: DimVector) -> bool:
-    return all(x <= y for x, y in zip(d, e))
+    return all(map(operator.le, d, e))
 
 
 def dim_scale(r: int, d: DimVector) -> DimVector:

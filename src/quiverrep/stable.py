@@ -111,7 +111,10 @@ class GenericHomEstimate:
 def check_z_hypothesis(z: ZSpace, q_enum: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """dim Z(U) >= dim U for every subspace U of V, checked two ways: by nc2's
     class scan with the identity (every class closed) in place of End(n), and
-    by the Kronecker representation's min slope.  The routes must agree."""
+    by the Kronecker representation's min slope.  The routes must agree.
+    ValueError: q_enum no field order, or not the order of Z's field."""
+    # validated first, so that a non-field is refused as such, not by name
+    q_enum = FieldSpec.of_order(q_enum).order
     if not z.field.is_finite or z.field.order != q_enum:
         raise ValueError(
             f"hypothesis check enumerates subspaces over F_{q_enum}, but Z is over {z.field.name}"

@@ -376,6 +376,148 @@ def test_checker_verdicts_match_the_recorded_digest(field):
     assert (digest, len(rows)) == CHECKER_DIGESTS[field.name]
 
 
+# each Dynkin quiver in two orientations, with the dimension vector of the
+# representation whose Grassmannians the memo tests query
+EULER_MEMO_CASES = {
+    "A3": (A3, (2, 3, 1)),
+    "A3-alt": (ALT_A3, (1, 3, 2)),
+    "D4": (d4_subspace(), (3, 1, 2, 1)),
+    "D4-opp": (opposite(d4_subspace()), (2, 1, 1, 2)),
+    "E6": (E6, (1, 1, 2, 1, 1, 1)),
+    "E6-opp": (opposite(E6), (1, 2, 1, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(EULER_MEMO_CASES))
+def test_euler_memo_entries_are_the_euler_form(case):
+    """After nonempty and irreducible over a box of e with zeros and with e
+    not below dim m, every memo entry is (<dim U, e>, <e, dim U>) by
+    euler_form for every root, and every ledger's euler column is
+    euler_form: <dim U, e> for nonempty, <e, dim U> for irreducible's
+    family 1 and <dim U, dim m - e> for its family 2."""
+    q, dims = EULER_MEMO_CASES[case]
+    table = build_table(q, F2)
+    m = random_representation(q, dims, F2, seed=7)
+    checker = GrassmannianChecker(m, table)
+    box = list(itertools.product(*(range(d + 1) for d in dims)))
+    above = [tuple(d + (v == w) for w, d in enumerate(dims)) for v in range(q.vertex_count)]
+    failed = 0
+    for e in box + above:
+        v = checker.nonempty(e)
+        assert [r["euler"] for r in v.details] == [euler_form(q, root, e) for root in table.roots]
+        if e in above:
+            assert v.context["dimension_count_failed"] and not v.holds
+            failed += 1
+            continue
+        rest = tuple(d - x for d, x in zip(dims, e))
+        v = checker.irreducible(e)
+        for row in v.details:
+            want = euler_form(q, e, row["root"]) if row["family"] == 1 else euler_form(q, row["root"], rest)
+            assert row["euler"] == want, (e, row)
+        assert {row["family"] for row in v.details} <= {1, 2}
+    assert failed == q.vertex_count and len(table._euler_memo) >= len(box)
+    for e, (from_e, into_e) in table._euler_memo.items():
+        assert from_e == tuple(euler_form(q, root, e) for root in table.roots), e
+        assert into_e == tuple(euler_form(q, e, root) for root in table.roots), e
+
+
+def test_euler_memo_keeps_at_most_its_bound():
+    """More distinct e than EULER_MEMO_SIZE leave at most that many in the
+    memo, the latest ones, and the answers do not change once the first
+    entries are dropped."""
+    table = build_table(A3, F2)
+    checker = GrassmannianChecker(random_representation(A3, (2, 2, 2), F2, seed=3), table)
+    side = 11
+    box = list(itertools.product(range(side), repeat=3))
+    assert len(box) > dynkin.EULER_MEMO_SIZE
+    first = [checker.nonempty(e).to_json() for e in box]
+    memo = table._euler_memo
+    assert len(memo) == dynkin.EULER_MEMO_SIZE
+    assert list(memo) == box[-dynkin.EULER_MEMO_SIZE:]
+    assert [checker.nonempty(e).to_json() for e in box] == first
+    assert len(memo) == dynkin.EULER_MEMO_SIZE
+
+
+def _eager_rows(checker, e, kind):
+    """The ledger rows of a nonempty or irreducible verdict, computed from
+    hom_dim and euler_form as the checker once built them per query."""
+    m, table, q = checker.m, checker.table, checker.m.quiver
+    if kind == "nonempty":
+        rows = []
+        for root, u in zip(table.roots, table.reps):
+            lhs, rhs = hom_dim(u, m), euler_form(q, root, e)
+            rows.append({"root": list(root), "hom": lhs, "euler": rhs, "ok": lhs >= rhs})
+        return rows
+    rest = tuple(d - x for d, x in zip(m.dims, e))
+    rows = []
+    for family, skip in ((1, table.injective), (2, table.projective)):
+        for i, (root, u) in enumerate(zip(table.roots, table.reps)):
+            if i in skip:
+                continue
+            if family == 1:
+                lhs, rhs = hom_dim(m, u), euler_form(q, e, root)
+            else:
+                lhs, rhs = hom_dim(u, m), euler_form(q, root, rest)
+            rows.append({"family": family, "root": list(root), "hom": lhs, "euler": rhs, "ok": lhs <= rhs})
+    return rows
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_lazy_ledger_reads_as_the_eager_one(field, monkeypatch):
+    """A checker verdict builds its ledger when `details` is first read.
+    Its details, to_json, == and repr are those of a Verdict built with
+    the eager rows, whichever is read first; two reads of details give one
+    list; and with the ledger builders raising, holds, witness and context
+    still read, and only details fails."""
+    cases = list(_checker_cases(field))
+    queries = []
+    for m, table in cases:
+        checker = GrassmannianChecker(m, table)
+        for e in itertools.product(*(range(d + 1) for d in m.dims)):
+            queries += [(checker, e, "nonempty"), (checker, e, "irreducible")]
+    assert len(queries) > 100
+    kinds = collections.Counter()
+    for checker, e, kind in queries:
+        ask = getattr(checker, kind)
+        eager_rows = _eager_rows(checker, e, kind)
+        first = ask(e)
+        eager = Verdict(holds=first.holds, witness=first.witness, details=eager_rows, context=first.context)
+        failing = [row for row in eager_rows if not row["ok"]]
+        assert first.holds == (not failing), (kind, e)
+        if failing:
+            assert {k: first.witness[k] for k in ("root", "hom", "euler")} == {
+                k: failing[0][k] for k in ("root", "hom", "euler")
+            }
+        assert ask(e) == eager and eager == ask(e)
+        assert repr(ask(e)) == repr(eager)
+        assert ask(e).to_json() == eager.to_json()
+        assert first.details == eager.details and first.details is first.details
+        kinds[kind, first.holds] += 1
+    assert all(kinds[kind, holds] for kind in ("nonempty", "irreducible") for holds in (True, False))
+
+    def refuse(*args):
+        raise AssertionError("ledger built")
+
+    monkeypatch.setattr(criteria, "_nonempty_ledger", refuse)
+    monkeypatch.setattr(criteria, "_irreducible_ledger", refuse)
+    for checker, e, kind in queries[::7]:
+        v = getattr(checker, kind)(e)
+        assert v.holds == (v.witness is None) and v.context["e"] == list(e)
+        with pytest.raises(AssertionError, match="ledger built"):
+            v.details
+
+
+def test_verdict_built_with_a_list_keeps_it():
+    """A ledger given as a list is stored as given, and the default is a
+    fresh empty list per verdict."""
+    rows = [{"ok": True}]
+    v = Verdict(holds=True, details=rows)
+    assert v.details is rows
+    a, b = Verdict(holds=True), Verdict(holds=True)
+    assert a.details == [] and a.details is not b.details
+    assert repr(a) == "Verdict(holds=True, witness=None, details=[], context={})"
+
+
 def test_nc2_vector_and_subspace_modes_agree():
     rng = random.Random(5)
     for f in (F2, F3):

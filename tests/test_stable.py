@@ -89,6 +89,23 @@ def test_z_hypothesis_requires_matching_field():
         check_z_hypothesis(z, 5)
 
 
+@pytest.mark.parametrize("q_enum", [6, 0, -1])
+def test_z_hypothesis_refuses_a_non_field_order(q_enum):
+    """q_enum is validated as a field order before it is compared with Z's
+    field, so the refusal names no field F_6, F_0 or F_-1."""
+    z = full_hom_z(F5, 1, 1)
+    with pytest.raises(ValueError) as info:
+        check_z_hypothesis(z, q_enum)
+    assert f"F_{q_enum}" not in str(info.value)
+    assert "prime power" in str(info.value) or "at least 2" in str(info.value)
+
+
+def test_z_hypothesis_refuses_another_fields_order():
+    z = full_hom_z(F3, 1, 1)
+    with pytest.raises(ValueError, match="over F_4, but Z is over F_3"):
+        check_z_hypothesis(z, 4)
+
+
 @pytest.mark.parametrize("field", [F2, F5], ids=str)
 def test_z_hypothesis_on_the_zero_space(field):
     # Z = 0 maps every U != 0 to 0; on the Kronecker side there are no
