@@ -100,7 +100,15 @@ lazily, one candidate when a consumer first reads that far, and every
 consumer is charged one visit per candidate it reads, in the same order,
 so answers and visits do not depend on what the oracle answered before.
 The memo holds no more candidates than the visits already charged, the
-same growth order as the preimage cache.
+same growth order as the preimage cache.  With no forced rows and the
+whole space as the bound (every query's first level), the candidates are
+the RREF matrices ``gflin.enumerate_rref`` yields, read as they come.
+
+A memo lives as long as its oracle.  ``counting_poly`` keeps one oracle
+per reduced representation, so its memos serve every later e of that
+representation; each memo is dropped whenever it reaches ``_MEMO_CAP``
+entries, and rebuilt from the next query on.  Neither memo changes an
+answer or a visit, so dropping one costs only eliminations.
 """
 
 from __future__ import annotations
@@ -117,6 +125,9 @@ from .quiver import DimVector, check_dimvector, dim_leq, is_acyclic
 from .rep import Representation, hom_dim, reductions  # noqa: F401
 
 DEFAULT_BUDGET = 10**7
+# entries an oracle keeps in its candidate memo, and in its preimage memo,
+# before it drops that memo and starts it again
+_MEMO_CAP = 1024
 
 
 @functools.lru_cache(maxsize=256)
@@ -127,6 +138,21 @@ def root_sandwiches(gf: gflin.Handle, d: int) -> tuple:
     dimension), as the whole space's rows are."""
     whole = gflin.identity_rows(gf, d)
     return tuple(((), whole, gflin.gaussian_binomial(d, k, gf.q)) for k in range(d + 1))
+
+
+def _check_budget(budget: int) -> int:
+    if budget < 0:
+        raise ValueError(f"enumeration budget must be nonnegative, got {budget}")
+    return budget
+
+
+def _memoize(memo: dict, key, value):
+    """Store value under key and return it; a memo that holds ``_MEMO_CAP``
+    entries is dropped first, so a kept oracle's memos stay bounded."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _discard(_) -> None:
@@ -152,16 +178,17 @@ class SubrepOracle:
     Construction packs and transposes the arrow matrices and reads the
     rest off the ``Quiver`` (its order and arrows per vertex) and a
     per-dimension cache; it ranks nothing.  The path prune list is built
-    by the first query with e_s > e_t along some arrow and kept.
-    Preimage computations are memoized per (arrow, target subspace), and
-    candidate sequences per sandwich (see the module docstring), which
-    pays off when many dimension vectors e are queried against the same
-    representation.
+    by the first query with e_s > e_t along some arrow and kept, without
+    the composites of rank 0, which reject no e <= dim m.  Preimage
+    computations are memoized per (arrow, target subspace), and candidate
+    sequences per sandwich, each memo up to ``_MEMO_CAP`` entries (see the
+    module docstring), which pays off when many dimension vectors e are
+    queried against the same representation.  ``SubrepOracle(m)`` is a
+    new oracle on every call; only ``counting_poly`` keeps one.
     """
 
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
-        if budget < 0:
-            raise ValueError(f"enumeration budget must be nonnegative, got {budget}")
+        self.budget = _check_budget(budget)
         if not m.field.is_finite:
             raise ValueError("enumeration requires a finite ground field")
         if not is_acyclic(m.quiver):
@@ -169,7 +196,6 @@ class SubrepOracle:
         self.m = m
         self.q = m.quiver
         gf = self.gf = gflin.handle(m.field.order)
-        self.budget = budget
         self.arrow_rows = tuple(gflin.pack_rows(gf, mat.rows) for mat in m.arrow_mats)
         self.arrow_rows_t = tuple(
             gflin.transpose_rows(gf, rows, mat.ncols)
@@ -206,7 +232,10 @@ class SubrepOracle:
                 for start, comp in frontier[v].items():
                     composite = gflin.matmul_rows(gf, mat, comp, self.m.dims[start])
                     rank = gflin.rank_rows(gf, composite)
-                    out.append((start, t, self.m.dims[start] - rank))
+                    # a zero composite (nullity dim m_s) never fires:
+                    # e_s <= dim m_s
+                    if rank:
+                        out.append((start, t, self.m.dims[start] - rank))
                     cur = frontier[t].get(start)
                     # keep one composite per (start, end); all give valid prunes
                     if cur is None:
@@ -251,7 +280,7 @@ class SubrepOracle:
         if got is None:
             s = self.q.arrows[arrow_idx][0]
             got = gflin.preimage_rows(self.gf, self.arrow_rows_t[arrow_idx], sub_rows, self.m.dims[s])
-            self._preimage_cache[key] = got
+            _memoize(self._preimage_cache, key, got)
         return got
 
     def _bounds(self, v: int, e_v: int, chosen: dict):
@@ -300,27 +329,35 @@ class SubrepOracle:
         key = (e_v, w_rows, bound)
         memo = self._candidate_cache.get(key)
         if memo is None:
-            memo = self._candidate_cache[key] = self._candidate_source(v, e_v, w_rows, bound)
-        built, build_next = memo
+            memo = _memoize(self._candidate_cache, key, self._candidate_source(v, e_v, w_rows, bound))
+        built = memo[0]
         for i in range(branch):
             self._charge()
             # another consumer of the same sequence may have built further
             if i == len(built):
-                built.append(build_next())
+                built.append(memo[1]())
+                if len(built) == branch:
+                    # complete: the memo keeps the candidates, not the
+                    # suspended enumeration behind them
+                    memo[1] = None
             yield built[i]
 
     def _candidate_source(self, v: int, e_v: int, w_rows, bound):
-        """A fresh memo entry: (the candidates built so far, a function
-        building the next one).  The candidates are span(w) plus the rows
+        """A fresh memo entry: [the candidates built so far, a function
+        building the next one].  The candidates are span(w) plus the rows
         of each RREF coefficient matrix, in enumerate_rref's order, times a
-        complement of span(w) in the bound."""
+        complement of span(w) in the bound.  With no forced rows and the
+        whole space as the bound, that complement is the identity, and the
+        coefficient matrices are the candidates themselves."""
         gf, dim_v = self.gf, self.m.dims[v]
         w = len(w_rows)
         if e_v == w:
-            return [w_rows], None
+            return [[w_rows], None]
         comp = gflin.complement_in(gf, w_rows, bound) if w else bound
         coeffs = gflin.enumerate_rref(gf, len(comp), e_v - w)
-        return [], lambda: gflin.rref_rows(gf, w_rows + gflin.matmul_rows(gf, next(coeffs), comp, dim_v))
+        if len(comp) == dim_v:
+            return [[], coeffs.__next__]
+        return [[], lambda: gflin.rref_rows(gf, w_rows + gflin.matmul_rows(gf, next(coeffs), comp, dim_v))]
 
     def _count_pair(self, e: DimVector, chosen: dict, best) -> int | None:
         """Leaves below a node whose two unassigned vertices are v1, the
@@ -679,7 +716,11 @@ def counting_poly(
     rejected (recorded in `rejected`).  The reductions and that decision
     come from `rep.reductions`, so F_4 and F_8 share F_2's verdict, and
     they are computed once per representation: fits of the same m at other
-    e, or with more orders, reuse them.  The oracles are not kept.  The
+    e, or with more orders, reuse them.  So are the oracles: each order
+    counts on the one `SubrepOracle` kept on its reduction (the `_oracle`
+    slot), built on first use, and each call charges it against its own
+    `budget`.  Counts and visits are those of a fresh oracle, also after
+    an earlier call was refused by its budget.  The
     fit, by Newton interpolation in integers, fails loudly when the samples
     do not overdetermine it (at least degree + 2 points are required, so at
     least one acts as a held-out confirmation), when a coefficient is
@@ -695,7 +736,11 @@ def counting_poly(
         if mq is None:
             rejected.append(q)
             continue
-        oracle = SubrepOracle(mq, budget)
+        oracle = getattr(mq, "_oracle", None)
+        if oracle is None:
+            oracle = mq._oracle = SubrepOracle(mq, budget)
+        else:
+            oracle.budget = _check_budget(budget)
         samples.append((q, oracle.count(e)))
         visits.append((q, oracle.visits))
     result = GrassmannianCount(m.dims, e, samples, rejected=rejected, visits=visits)

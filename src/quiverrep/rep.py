@@ -26,18 +26,20 @@ class Representation:
     """Vector spaces at the vertices, one exact matrix per arrow.
 
     The matrix of an arrow a: i -> j has shape dims[j] x dims[i] and acts on
-    column vectors.  Treated as immutable: three answers that depend only
+    column vectors.  Treated as immutable: four answers that depend only
     on the matrices are cached on the object, in slots that `__init__`
     leaves unset.  `dynkin.decompose` keeps its multiplicities in
     `_decomposition`; `an_criterion` keeps an interval basis of a
     representation of equioriented type A in `_interval_basis`;
     `reductions` keeps (dim End over x's field, {order: reduction or None})
     in `_reductions`, whose End entry `dynkin.indecomposable` fills from its
-    certificate.
+    certificate; `grassmannian.counting_poly` keeps the enumeration oracle
+    of a reduction over a finite field in `_oracle`.
     """
 
     __slots__ = (
-        "quiver", "field", "dims", "arrow_mats", "_decomposition", "_interval_basis", "_reductions"
+        "quiver", "field", "dims", "arrow_mats", "_decomposition", "_interval_basis", "_reductions",
+        "_oracle",
     )
 
     def __init__(self, quiver: Quiver, field: FieldSpec, dims: DimVector, arrow_mats):

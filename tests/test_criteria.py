@@ -109,6 +109,44 @@ def test_gr_nonempty_agrees_with_oracle(table_a3_f2, table_d4_f2):
                 assert checker.nonempty(e).holds == oracle.nonempty(e)
 
 
+def _path(n):
+    return tuple((i, i + 1) for i in range(n - 1))
+
+
+# D5, E6 in two orientations, E7 and E8 (paths with a branch at the third
+# vertex), beyond acceptance 3's A3 and D4
+EXCEPTIONAL = {
+    "D5": Quiver(5, ((0, 1), (0, 2), (0, 3), (3, 4))),
+    "E6": Quiver(6, _path(5) + ((2, 5),)),
+    "E6-alternating": Quiver(6, ((0, 1), (2, 1), (2, 3), (4, 3), (5, 2))),
+    "E7": Quiver(7, _path(6) + ((2, 6),)),
+    "E8": Quiver(8, _path(7) + ((2, 7),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL))
+def test_gr_nonempty_agrees_with_oracle_beyond_a3_and_d4(name):
+    """The criterion equals the oracle over F_2 at every e of seeded direct
+    sums of two to four indecomposables, of total dimension at most 14."""
+    q = EXCEPTIONAL[name]
+    table = build_table(q, F2)
+    rng = random.Random(f"criterion-oracle:{name}")
+    checks = 0
+    for _ in range(3):
+        mults, left, k = collections.Counter(), 14, rng.randint(2, 4)
+        for i in range(k):
+            # leave room for the summands still to come
+            root = rng.choice([r for r in table.roots if sum(r) <= left - (k - 1 - i)])
+            mults[root] += 1
+            left -= sum(root)
+        m = assemble(table, mults)
+        checker, oracle = GrassmannianChecker(m, table), SubrepOracle(m)
+        for e in itertools.product(*(range(d + 1) for d in m.dims)):
+            assert checker.nonempty(e).holds == oracle.nonempty(e), (m.dims, e)
+            checks += 1
+    assert checks > 500
+
+
 @pytest.mark.parametrize("quiver", [A3, a_n(4), d4_subspace()], ids=["A3", "A4", "D4"])
 def test_gr_nonempty_above_dim_m_fails_at_a_projective(quiver):
     """An e above dim m needs no fallback witness: where e_v > m_v the

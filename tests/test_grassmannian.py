@@ -905,20 +905,30 @@ def _prune_cases():
             )
 
 
+def _firing(m, nullities):
+    """The entries of a path prune list that can reject some e <= dim m:
+    those with nullity < dim m_s, since e_s <= dim m_s."""
+    return tuple(entry for entry in nullities if entry[2] < m.dims[entry[0]])
+
+
 def test_lazy_path_prune_matches_the_eager_one():
     """Answers and visits of every public operation, for every e <= dim m,
     are those of the oracle whose path prune list is built up front, on
     fresh oracles and on warm ones that answered every e before; and the
-    list built lazily is the eager list itself."""
+    list built lazily is the eager list without the entries of nullity
+    dim m_s, none of which rejects any e <= dim m."""
     ops = ("count", "nonempty", "first_subrep", "enumerate")
-    pruned = zero_vertices = 0
+    pruned = zero_vertices = dropped = 0
     for m in _prune_cases():
         where = (m.quiver.arrows, m.field.order, m.dims)
         zero_vertices += m.dims.count(0)
         es = list(itertools.product(*(range(d + 1) for d in m.dims)))
         warm, warm_ref = SubrepOracle(m), _EagerOracle(m)
+        idle = set(warm_ref.eager_nullities) - set(_firing(m, warm_ref.eager_nullities))
+        dropped += len(idle)
         for e in es:
             pruned += warm_ref._path_prune_empty(e)
+            assert not any(e[t] < e[s] - nullity for s, t, nullity in idle), (where, e)
             for op in ops:
                 fresh, ref = SubrepOracle(m), _EagerOracle(m)
                 want = getattr(ref, op)(e)
@@ -927,8 +937,8 @@ def test_lazy_path_prune_matches_the_eager_one():
                 assert getattr(warm_ref, op)(e) == want, (op, where, e)
                 assert warm.visits == warm_ref.visits == ref.visits, (op, where, e)
         if warm._path_nullities is not None:
-            assert warm._path_nullities == warm_ref.eager_nullities, where
-    assert pruned > 200 and zero_vertices >= 20
+            assert warm._path_nullities == _firing(m, warm_ref.eager_nullities), where
+    assert pruned > 200 and zero_vertices >= 20 and dropped > 20
 
 
 def test_oracle_construction_ranks_nothing(monkeypatch):
@@ -956,7 +966,7 @@ def test_oracle_construction_ranks_nothing(monkeypatch):
         assert oracle.count(flat) == ref.count(flat) and oracle.visits == ref.visits
         assert oracle._path_nullities is None, m.quiver.arrows
         assert oracle.count(gap) == ref.count(gap) and oracle.visits == ref.visits
-        assert oracle._path_nullities == ref.eager_nullities, m.quiver.arrows
+        assert oracle._path_nullities == _firing(m, ref.eager_nullities), m.quiver.arrows
 
 
 def _search_cases():
@@ -1064,3 +1074,196 @@ def test_answers_and_visits_match_the_recorded_digest(op):
             got = getattr(oracle, op)(e)
             rows.append([_leaf_cols(got) if op == "first_subrep" else got, oracle.visits])
     assert (_digest(rows), len(rows)) == SEARCH_DIGESTS[op]
+
+
+# ----------------------------------------------------------------------
+# counting_poly keeps one oracle per reduction across e
+
+KEPT_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _fit(m, e, budget=grassmannian.DEFAULT_BUDGET):
+    gc = counting_poly(m, e, KEPT_ORDERS, budget=budget, confirm=False)
+    return gc.samples, gc.poly, gc.rejected, gc.visits
+
+
+def _fresh_copy(m):
+    """m without its cached reductions, so its fits build fresh oracles."""
+    return Representation(m.quiver, m.field, m.dims, m.arrow_mats)
+
+
+def _kept_cases():
+    """Representations over Q whose fits through the seven orders succeed
+    at every e: seeded direct sums of indecomposables on A3 and D4, and
+    two Kronecker(2) ones, R(0) + R(1) and P(1, 2) + R(inf) (regular
+    modules at rational points that no characteristic merges, and a
+    preprojective)."""
+    from quiverrep.dynkin import build_table
+    from quiverrep.exactlin import Matrix
+    from quiverrep.quiver import d4_subspace
+
+    rng = random.Random(71)
+    for q, summands in ((a_n(3), 3), (d4_subspace(), 2)):
+        table = build_table(q, QQ, reduction_orders=KEPT_ORDERS)
+        for _ in range(2):
+            yield assemble(table, {root: 1 for root in rng.sample(table.roots, summands)})
+    k2 = kronecker(2)
+    yield Representation(k2, QQ, (2, 2), [Matrix.identity(QQ, 2), Matrix(QQ, [[0, 0], [0, 1]])])
+    yield Representation(
+        k2, QQ, (2, 3), [Matrix(QQ, [[1, 0], [0, 0], [0, 0]]), Matrix(QQ, [[0, 0], [1, 0], [0, 1]])]
+    )
+
+
+def _kept_oracles(m):
+    """The oracle kept on each reduction of m, by order, where one is."""
+    reduced = rep.reductions(m, KEPT_ORDERS).items()
+    return {q: x._oracle for q, x in reduced if getattr(x, "_oracle", None) is not None}
+
+
+def test_kept_oracles_match_fresh_ones():
+    """counting_poly at every e in turn, and again in reverse, gives the
+    samples, polynomial and per-order visits that fresh oracles give, and
+    runs every e of an order on the one oracle kept on its reduction."""
+    for m in _kept_cases():
+        es = list(itertools.product(*(range(d + 1) for d in m.dims)))
+        want = {e: _fit(_fresh_copy(m), e) for e in es}
+        kept = None
+        for sweep in (es, es[::-1]):
+            for e in sweep:
+                assert _fit(m, e) == want[e], (m.quiver.arrows, m.dims, e)
+                kept = kept or _kept_oracles(m)
+                assert _kept_oracles(m) == kept
+        assert len(kept) >= 4 and all(type(o) is SubrepOracle for o in kept.values())
+
+
+def test_a_kept_oracle_honours_each_budget():
+    """Once the kept oracles have answered every other e, a fit at e passes
+    with its largest per-order visits as the budget and raises
+    BudgetExceeded with one visit less."""
+    checked = 0
+    for m in _kept_cases():
+        es = list(itertools.product(*(range(d + 1) for d in m.dims)))
+        for e in es:
+            _fit(m, e)
+        for e in es:
+            want = _fit(m, e)
+            most = max(v for _, v in want[3])
+            if not most:
+                continue
+            checked += 1
+            assert _fit(m, e, budget=most) == want
+            with pytest.raises(BudgetExceeded):
+                _fit(m, e, budget=most - 1)
+    assert checked > 50
+
+
+def test_a_refused_count_leaves_the_kept_oracles_as_fresh_ones():
+    """A fit refused by its budget after some orders have counted leaves
+    nothing behind: later fits, the same e with a larger budget among them,
+    equal those of fresh oracles."""
+    refused = 0
+    for m in _kept_cases():
+        es = list(itertools.product(*(range(d + 1) for d in m.dims)))
+        want = {e: _fit(_fresh_copy(m), e) for e in es}
+        for e in es:
+            visits = [v for _, v in want[e][3]]
+            # a budget the first order meets and a later one exceeds
+            budget = next((v - 1 for v in visits[1:] if visits[0] < v), None)
+            if budget is None:
+                continue
+            refused += 1
+            with pytest.raises(BudgetExceeded):
+                _fit(m, e, budget=budget)
+            assert _fit(m, e) == want[e]
+            for other in es:
+                assert _fit(m, other) == want[other], (m.dims, e, other)
+            break
+    assert refused >= 4
+
+
+def test_kept_oracle_memos_stay_within_the_cap(monkeypatch, table_a3_f2):
+    """Over acceptance 4's A3 fits (the irreducible e of a direct sum of
+    indecomposables with multiplicities <= 2, admitted by the enumeration
+    budget), every kept oracle's memos stay within the cap, and a
+    candidate sequence keeps its enumeration only until it is complete;
+    with the cap
+    cut to 3, so that they are dropped again and again, every fit of a
+    seeded third of them is unchanged."""
+    import math
+
+    from quiverrep.criteria import GrassmannianChecker
+    from quiverrep.dynkin import build_table
+
+    t_q = build_table(a_n(3), QQ, reduction_orders=KEPT_ORDERS)
+    cases = []
+    for mults in itertools.product(range(3), repeat=6):
+        md = {root: k for root, k in zip(table_a3_f2.roots, mults) if k}
+        checker = GrassmannianChecker(assemble(table_a3_f2, md), table_a3_f2)
+        mq = assemble(t_q, md)
+        for e in itertools.product(*(range(d + 1) for d in mq.dims)):
+            v = checker.irreducible(e)
+            # acceptance 4's orders: five, then 8 and 9 as the degree needs
+            if not v.holds or v.context["dimension"] + 2 > len(KEPT_ORDERS):
+                continue
+            qs = KEPT_ORDERS[:max(5, v.context["dimension"] + 2)]
+            if math.prod(gflin.gaussian_binomial(d, k, max(qs)) for d, k in zip(mq.dims, e)) <= 300000:
+                cases.append((mq, e, qs))
+    fits = [counting_poly(mq, e, qs) for mq, e, qs in cases]
+    assert len(cases) > 900
+    kept = {id(o): o for mq, _, _ in cases for o in _kept_oracles(mq).values()}
+    assert len(kept) > 1000
+    for oracle in kept.values():
+        assert len(oracle._candidate_cache) <= grassmannian._MEMO_CAP
+        assert len(oracle._preimage_cache) <= grassmannian._MEMO_CAP
+        # a complete sequence keeps no enumeration to build more
+        for (e_v, w_rows, bound), (built, build_next) in oracle._candidate_cache.items():
+            total = gflin.gaussian_binomial(len(bound) - len(w_rows), e_v - len(w_rows), oracle.gf.q)
+            assert (build_next is None) == (len(built) == total)
+    monkeypatch.setattr(grassmannian, "_MEMO_CAP", 3)
+    drops = 0
+    real = grassmannian._memoize
+
+    def memoize(memo, key, value):
+        nonlocal drops
+        drops += len(memo) == 3
+        return real(memo, key, value)
+
+    monkeypatch.setattr(grassmannian, "_memoize", memoize)
+    copies = {}
+    for i in sorted(random.Random(73).sample(range(len(cases)), len(cases) // 3)):
+        mq, e, qs = cases[i]
+        # one fresh copy per representation, whose oracles start empty and
+        # are kept across its e
+        x = copies.setdefault(id(mq), _fresh_copy(mq))
+        gc = counting_poly(x, e, qs)
+        assert (gc.samples, gc.poly, gc.visits) == (fits[i].samples, fits[i].poly, fits[i].visits)
+        for oracle in _kept_oracles(x).values():
+            assert len(oracle._candidate_cache) <= 3 and len(oracle._preimage_cache) <= 3
+    assert drops > 50
+
+
+def test_subrep_oracle_is_a_new_object_each_call():
+    m = next(_kept_cases())
+    _fit(m, (1, 1, 1))
+    for x in rep.reductions(m, KEPT_ORDERS).values():
+        if x is None:
+            continue
+        first, second = SubrepOracle(x), SubrepOracle(x)
+        assert first is not second and x._oracle not in (first, second)
+        assert first._candidate_cache == {} and first._preimage_cache == {}
+
+
+@pytest.mark.parametrize("gf", [gflin.GF2_PACKED, gflin.gfq(3), gflin.gfq(4)], ids=lambda gf: f"F_{gf.q}")
+def test_whole_space_candidates_are_the_rref_matrices(gf):
+    """With no forced rows and the whole space as the bound, the candidate
+    sequence is enumerate_rref's, which the general path (coefficients
+    times the bound, eliminated) also gives."""
+    for d in range(5):
+        m = _zero_rep(Quiver(1, ()), (d,), GF(gf.q))
+        oracle = SubrepOracle(m)
+        whole = oracle.full_rows[0]
+        for k in range(1, d + 1):
+            built, build_next = oracle._candidate_source(0, k, (), whole)
+            got = [build_next() for _ in range(gflin.gaussian_binomial(d, k, gf.q))]
+            assert built == [] and got == list(gflin.enumerate_rref(gf, d, k))
+            assert got == [gflin.rref_rows(gf, gflin.matmul_rows(gf, c, whole, d)) for c in got]
